@@ -53,22 +53,13 @@ PrefixTree::~PrefixTree()
 PrefixTree::Node *
 PrefixTree::newNode()
 {
-    return cfg_.pooled ? pool_->create() : new Node();
+    return pool_->create();
 }
 
 void
 PrefixTree::freeNode(Node *n)
 {
-    if (cfg_.pooled)
-        pool_->destroy(n);
-    else
-        delete n;
-}
-
-const util::PoolStats &
-PrefixTree::poolStats() const
-{
-    return pool_->stats();
+    pool_->destroy(n);
 }
 
 void

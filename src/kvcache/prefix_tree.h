@@ -74,11 +74,6 @@ struct PrefixTreeConfig
     int64_t bytes_per_token = 0;
     /** Byte budget for cached blocks; 0 disables the cache. */
     int64_t budget_bytes = 0;
-    /** Route node storage through the slab pool (default). Off = one
-     *  new/delete per block — the allocator-backed reference the
-     *  pooled mode is parity-tested against. The pool changes only
-     *  where nodes live, never any simulated quantity. */
-    bool pooled = true;
 };
 
 /** Outcome of one longest-prefix lookup. */
@@ -224,10 +219,6 @@ class PrefixTree
     /** Tokens inserted (new blocks created) over the tree's lifetime. */
     int64_t insertedTokens() const { return inserted_tokens_; }
 
-    /** Node-pool lifetime counters: block churn under LRU eviction is
-     *  served from the pool's free list instead of the allocator. */
-    const util::PoolStats &poolStats() const;
-
   private:
     struct Node;
 
@@ -249,7 +240,7 @@ class PrefixTree
     PrefixTreeObserver observer_;
     obs::CounterRegistry::Handle evicted_counter_ = 0;
 
-    /** Node storage, honoring cfg_.pooled: slab pool or new/delete. */
+    /** Node storage: create/recycle a slot in the slab pool. */
     Node *newNode();
     void freeNode(Node *n);
 

@@ -76,8 +76,7 @@ struct TraceConfig
 };
 
 /** Bounded ring buffer of TraceEvents. Not thread-safe (the simulator
- *  is single-threaded; a parallel-stepping fleet would shard traces
- *  per replica and merge at export). */
+ *  is single-threaded). */
 class Trace
 {
   public:

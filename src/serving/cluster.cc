@@ -6,11 +6,9 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/elastic_loader.h"
 #include "sim/event_clock.h"
-#include "util/thread_pool.h"
 
 namespace specontext {
 namespace serving {
@@ -336,48 +334,16 @@ Cluster::run(std::vector<Request> trace) const
 
     // Simulator fast path. Skip-ahead lets the fired replica run bulk
     // pure-decode rounds up to the earliest boundary this loop owns;
-    // era stepping (threads > 1 or shards > 0) additionally
-    // dispatches *all* eligible lanes' bulk runs in one pass when
-    // nothing below the barrier could interact — sharded across a
-    // worker pool when the machine has cores for it, inline
-    // otherwise. Era dispatch requires observability off: the trace
-    // ring / counter registry / sampler are intentionally
-    // unsynchronized, so with hooks attached the cluster serializes
-    // (same results — pure-decode rounds are engine-local either way).
+    // era stepping additionally runs *all* eligible lanes' bulk
+    // windows in one pass, inline in lane-index order, when nothing
+    // below the barrier could interact. Era stepping stays off on
+    // observed runs: their trace events, counter updates and sampler
+    // rows keep the lane-at-a-time order, so an observed run (elastic
+    // and autoscaled ones included) never takes the era path.
+    // Simulated results are the same either way: pure-decode rounds
+    // are engine-local.
     const bool skip_ahead = cfg_.fast_path.skip_ahead;
-    const bool era_mode =
-        skip_ahead && !cfg_.obs.enabled() &&
-        (cfg_.fast_path.threads > 1 || cfg_.fast_path.shards > 0);
-    // Workers are capped at the hardware concurrency: an
-    // oversubscribed spin-join pool costs more than it buys, and with
-    // one effective worker the era's shards run inline — the era
-    // structure (one scan per fleet of bulk windows) is the win, the
-    // pool is just how multi-core hosts execute it.
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    const size_t era_workers =
-        era_mode ? std::min(cfg_.fast_path.threads, hw) : 1;
-    const size_t era_shards =
-        cfg_.fast_path.shards > 0 ? cfg_.fast_path.shards
-                                  : std::max<size_t>(era_workers, 1);
-    util::ThreadPool *pool = nullptr;
-    std::unique_ptr<util::ThreadPool> pool_storage;
-    if (era_workers > 1) {
-        pool_storage =
-            std::make_unique<util::ThreadPool>(era_workers);
-        pool = pool_storage.get();
-    }
-    std::vector<size_t> era_lanes;
-    // Shard job context for the pool's allocation-free dispatch; the
-    // struct lives across iterations, refreshed per era.
-    struct EraJob
-    {
-        std::vector<std::unique_ptr<ReplicaEngine>> *fleet;
-        const std::vector<size_t> *lanes;
-        double barrier;
-        size_t shards;
-    } era_job{&fleet, &era_lanes, 0.0, era_shards};
+    const bool era_mode = skip_ahead && !cfg_.obs.enabled();
 
     // One std::function conversion for the whole run: passing the
     // routing lambda to ReplicaEngine::step by const reference
@@ -497,21 +463,21 @@ Cluster::run(std::vector<Request> trace) const
         // Era stepping: when every lane with an event below the
         // barrier is an independently advancing pure-decode lane,
         // their bulk runs cannot interact — no routing, no admission,
-        // no shared observability — so one scan dispatches all of
-        // them through their windows and joins. The barrier includes
-        // every lane's admission cap, so a lane about to admit (cap
-        // == its event) is simply above the barrier rather than
-        // disqualifying; it fires sequentially right after the join.
-        // Warming lanes below the barrier are fine to leave booked
-        // (their WarmComplete fires right after the join, at its own
-        // instant); a draining lane below the barrier falls back to
-        // the sequential path, which preserves scale-event order
-        // exactly. Every lane stops at the same uniform barrier the
-        // sequential loop would impose on it (never its own widened
-        // cap_min2 horizon: a peer's recomputed cap can land between
-        // cap_min1 and cap_min2, and overrunning it would let this
-        // lane's retirements be visible to a routing decision that
-        // must not see them yet), so chunk boundaries differ from
+        // no shared observability — so one scan steps all of them
+        // through their windows. The barrier includes every lane's
+        // admission cap, so a lane about to admit (cap == its event)
+        // is simply above the barrier rather than disqualifying; it
+        // fires on its own right after the era. Warming lanes below
+        // the barrier are fine to leave booked (their WarmComplete
+        // fires right after the era, at its own instant); a draining
+        // lane below the barrier falls back to the sequential path,
+        // which preserves scale-event order exactly. Every lane stops
+        // at the same uniform barrier the sequential loop would
+        // impose on it (never its own widened cap_min2 horizon: a
+        // peer's recomputed cap can land between cap_min1 and
+        // cap_min2, and overrunning it would let this lane's
+        // retirements be visible to a routing decision that must not
+        // see them yet), so chunk boundaries differ from
         // lane-at-a-time stepping but every simulated quantity is
         // bit-identical.
         if (era_mode && std::isfinite(t_replica)) {
@@ -532,38 +498,16 @@ Cluster::run(std::vector<Request> trace) const
                 ++bulk_lanes;
             }
             if (era_ok && bulk_lanes >= 2) {
-                era_lanes.clear();
+                // Stepping a lane changes only its own engine (the
+                // clock is re-booked after the era), so this pass
+                // visits exactly the lanes the scan above counted.
                 for (size_t i = 0; i < fleet.size(); ++i) {
                     if (slot[i] != Slot::Live ||
                         !(clock.at(i) < barrier) ||
                         !fleet[i]->pureDecodeReady())
                         continue;
                     lane_dirty[i] = 1;
-                    era_lanes.push_back(i);
-                }
-                era_job.barrier = barrier;
-                if (!pool) {
-                    // One effective worker: the shards run inline in
-                    // ascending order — same windows, same barrier,
-                    // no pool traffic.
-                    for (size_t i : era_lanes)
-                        fleet[i]->step(nullptr, barrier);
-                } else {
-                    pool->runShards(
-                        era_shards,
-                        +[](void *c, size_t s) {
-                            auto *j = static_cast<EraJob *>(c);
-                            const size_t n = j->lanes->size();
-                            const size_t per =
-                                (n + j->shards - 1) / j->shards;
-                            const size_t lo = s * per;
-                            const size_t hi =
-                                std::min(n, lo + per);
-                            for (size_t k = lo; k < hi; ++k)
-                                (*j->fleet)[(*j->lanes)[k]]->step(
-                                    nullptr, j->barrier);
-                        },
-                        &era_job);
+                    fleet[i]->step(nullptr, barrier);
                 }
                 continue; // re-book every lane at its new event
             }

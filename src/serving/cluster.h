@@ -125,9 +125,10 @@ struct ClusterConfig
     obs::Observability obs;
     /** Elastic scaling; default (null controller) is the fixed fleet. */
     ElasticConfig elastic;
-    /** Simulator speed knobs: skip-ahead stepping (default on) and
-     *  parallel replica lanes (threads > 1, unobserved runs only).
-     *  Simulated results are bit-identical at every setting. */
+    /** Simulator speed switches: skip-ahead stepping (with era
+     *  stepping on unobserved fleets) and cached decode costs, both
+     *  on by default. Simulated results are bit-identical at every
+     *  setting. */
     SimFastPath fast_path;
 };
 

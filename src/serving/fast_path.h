@@ -1,8 +1,10 @@
 /**
  * @file
- * Simulator fast-path knobs shared by serving::Server and
+ * Simulator fast-path switches shared by serving::Server and
  * serving::Cluster. Both defaults are chosen so that flipping nothing
- * is already fast AND bit-exact:
+ * is already fast AND bit-exact; turning both off gives the reference
+ * loop that tests, bench_simperf and the perf benchmark use as the
+ * oracle.
  *
  *  - skip_ahead (default on) lets a replica execute runs of
  *    pure-decode rounds inside one ReplicaEngine::step() call instead
@@ -12,8 +14,16 @@
  *    at any internal boundary (admission work, preemption re-entry,
  *    drain) — so every simulated quantity is bit-identical to
  *    one-round-per-step execution; tests/test_simfast.cc pins it.
- *    Turning it off restores the literal one-event-at-a-time loop
- *    (the pre-fast-path baseline bench_simperf measures against).
+ *    On an unobserved multi-replica fleet it also enables *era
+ *    stepping* in Cluster::run: when every lane with an event below
+ *    the router barrier is an independently advancing pure-decode
+ *    lane, one booking scan runs ALL of them through their bulk
+ *    windows, inline in lane-index order, instead of firing one lane
+ *    per scan. Pure-decode rounds touch only their own engine and
+ *    every lane stops at the same barrier the lane-at-a-time loop
+ *    would impose, so the results are bit-identical again.
+ *    Turning skip_ahead off restores the literal one-event-at-a-time
+ *    loop.
  *
  *  - cache_decode_costs (default on) gives every replica lane a
  *    core::DecodeEvaluator: the decode-cost model's pure per-config
@@ -22,56 +32,21 @@
  *    on every simulated decode iteration. The evaluator runs the same
  *    arithmetic on the same values, so every simulated duration is
  *    bit-identical; turning it off restores the literal
- *    re-derive-per-iteration pre-fast-path cost profile.
- *
- *  - threads (default 1) and shards (default 0) together enable *era
- *    stepping* in Cluster::run: when every lane with an event below
- *    the router barrier is an independently advancing pure-decode
- *    lane, one booking scan dispatches ALL of them through their bulk
- *    windows — amortizing the per-event fleet scan over the whole
- *    era — instead of firing one lane per scan. Eligible lanes are
- *    partitioned into shards; a worker pool (capped at the machine's
- *    hardware concurrency) steps the shards concurrently, and with
- *    one effective worker the shards run inline on the calling
- *    thread — same structure, no pool, so a sharded run on a small
- *    host is still strictly cheaper than lane-at-a-time stepping.
- *    Pure-decode rounds touch only their own engine and every lane
- *    stops at the same barrier the sequential loop would impose, so
- *    any interleaving gives bit-identical results; the merge back
- *    into the event loop is a full join, and lane order afterwards is
- *    the clock's deterministic earliest-lane scan as ever. Era
- *    dispatch requires observability off (the trace ring / counter
- *    registry / sampler are intentionally unsynchronized); with hooks
- *    attached the cluster silently serializes — same simulated
- *    results, single thread (tests/test_simfast.cc pins the fallback
- *    including counter equality).
+ *    re-derive-per-iteration cost profile.
  */
 #pragma once
-
-#include <cstddef>
 
 namespace specontext {
 namespace serving {
 
-/** Engine-speed knobs; simulated results never depend on them. */
+/** Engine-speed switches; simulated results never depend on them. */
 struct SimFastPath
 {
-    /** Bulk pure-decode stepping between external boundaries. */
+    /** Bulk pure-decode stepping between external boundaries, plus
+     *  era stepping across unobserved fleets. */
     bool skip_ahead = true;
     /** Cached per-lane decode-cost evaluator (bit-identical). */
     bool cache_decode_costs = true;
-    /** Worker threads for era (sharded parallel) replica stepping
-     *  (<= 1 = no workers; era stepping still engages when shards
-     *  > 0). Clamped to the hardware concurrency. Ignored
-     *  (serialized) while observability hooks are attached. */
-    size_t threads = 1;
-    /** Shard count for era stepping: eligible lanes are split into
-     *  this many contiguous groups per era. 0 = auto (one shard per
-     *  effective worker). Any value > 0 turns era stepping on even
-     *  with threads <= 1 (the shards then run inline). The shard
-     *  count never changes simulated results — only which thread
-     *  steps which lane. */
-    size_t shards = 0;
 };
 
 } // namespace serving

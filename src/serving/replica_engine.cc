@@ -52,7 +52,6 @@ prefixTreeConfigFor(const ReplicaConfig &cfg)
 {
     kv::PrefixTreeConfig tc;
     tc.page_size = cfg.prefix_cache.page_size;
-    tc.pooled = cfg.prefix_cache.pooled;
     tc.bytes_per_token = kvBytesPerToken(cfg.timing);
     tc.budget_bytes = std::max<int64_t>(
         0, std::min(cfg.prefix_cache.budget_bytes,
@@ -201,8 +200,8 @@ ReplicaEngine::liveKvTokens() const
 {
     // kvLen() = prompt_len + generated, and `generated` lags every
     // active request by win_defer_rounds_ while a window is deferred
-    // — add the lag back (integer-exact, and mutation-free so router
-    // probes stay safe against parallel-lane stepping).
+    // — add the lag back (integer-exact, and mutation-free so a router
+    // probe never perturbs an open window).
     int64_t tokens =
         static_cast<int64_t>(active_.size()) * win_defer_rounds_;
     for (const Request &r : active_)

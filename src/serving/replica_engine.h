@@ -72,9 +72,6 @@ struct PrefixCacheConfig
     int64_t budget_bytes = 0;
     /** Tokens per cached block (match alignment). */
     int64_t page_size = 16;
-    /** Slab-pool the tree's nodes (default). Off = new/delete per
-     *  block; simulated results are bit-identical either way. */
-    bool pooled = true;
 };
 
 /** Prefix-cache counters of one replica (or a fleet roll-up). */
@@ -268,8 +265,8 @@ class ReplicaEngine
      * pending delivery has arrived yet. Such a round touches only this
      * engine's own state — no ingest callback can route, no admission
      * can prefill — which is what makes it safe to run ahead of the
-     * global event order (skip-ahead) or concurrently with other
-     * replicas' pure-decode rounds (Cluster's parallel lanes).
+     * global event order (skip-ahead) or in one era with other
+     * replicas' pure-decode rounds (Cluster's era stepping).
      */
     bool pureDecodeReady() const
     {

@@ -1,82 +1,45 @@
 #include "serving/server.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace specontext {
 namespace serving {
 
-Server::Server(const core::TimingEngine &engine, ServerConfig cfg)
-    : engine_(engine), cfg_(std::move(cfg)), admission_(cfg_.timing)
+namespace {
+
+/** The one-replica fleet a Server runs. The facade never enables the
+ *  prefix cache (budget 0 default), so a Server run stays the
+ *  cache-free baseline a zero-budget Cluster is pinned against. */
+ClusterConfig
+singleReplicaCluster(const ServerConfig &cfg)
 {
-    if (cfg_.max_batch <= 0)
+    if (cfg.max_batch <= 0)
         throw std::invalid_argument("Server: non-positive max_batch");
+    ReplicaConfig rc;
+    rc.timing = cfg.timing;
+    rc.queue_policy = cfg.queue_policy;
+    rc.max_batch = cfg.max_batch;
+    rc.name = "server";
+    ClusterConfig cc;
+    cc.replicas = {rc};
+    cc.obs = cfg.obs;
+    cc.fast_path = cfg.fast_path;
+    return cc;
+}
+
+} // namespace
+
+Server::Server(const core::TimingEngine &engine, ServerConfig cfg)
+    : cfg_(std::move(cfg)), admission_(cfg_.timing),
+      cluster_(engine, singleReplicaCluster(cfg_))
+{
 }
 
 ServeResult
 Server::run(std::vector<Request> trace) const
 {
-    sortByArrival(trace);
-    // The facade never enables the prefix cache (budget 0 default), so
-    // a Server run stays the cache-free baseline a zero-budget Cluster
-    // is pinned against.
-    ReplicaConfig rc;
-    rc.timing = cfg_.timing;
-    rc.queue_policy = cfg_.queue_policy;
-    rc.max_batch = cfg_.max_batch;
-    rc.name = "server";
-    rc.obs = cfg_.obs;
-    ReplicaEngine replica(engine_, rc);
-    replica.setDecodeCostCache(cfg_.fast_path.cache_decode_costs);
-    obs::TimeseriesSampler *sampler = cfg_.obs.sampler;
-
-    // Single-replica driver: the trace cursor plays the router's role.
-    size_t next = 0;
-    const auto ingest = [&](double t) {
-        while (next < trace.size() &&
-               trace[next].arrival_seconds <= t)
-            replica.deliver(std::move(trace[next++]));
-    };
-    const double neg_inf = -std::numeric_limits<double>::infinity();
-    while (true) {
-        const double t_replica = replica.nextEventSeconds();
-        const double t_arrival =
-            next < trace.size()
-                ? trace[next].arrival_seconds
-                : std::numeric_limits<double>::infinity();
-        if (!std::isfinite(t_replica) && !std::isfinite(t_arrival))
-            break;
-        if (sampler) {
-            const double t_now = std::min(t_replica, t_arrival);
-            if (std::isfinite(t_now))
-                sampler->sample(t_now);
-        }
-        if (t_arrival <= t_replica) {
-            ingest(t_arrival);
-            continue;
-        }
-        // Skip-ahead horizon: this loop owns two boundaries the engine
-        // cannot see — the trace cursor (arrivals not yet delivered)
-        // and the sampler cadence. Bounding the engine's bulk rounds
-        // by both keeps ingest order and time-series rows bit- and
-        // row-identical to one-round-per-step execution.
-        double horizon = neg_inf;
-        if (cfg_.fast_path.skip_ahead) {
-            horizon = t_arrival;
-            if (sampler)
-                horizon =
-                    std::min(horizon, sampler->nextSampleSeconds());
-        }
-        replica.step(ingest, horizon);
-    }
-    // End-of-run flush records the final partial window too, so short
-    // runs (and the tail past the last cadence instant) appear in the
-    // CSV.
-    if (sampler)
-        sampler->flush(replica.result().makespan_seconds);
-    return replica.takeResult();
+    return std::move(cluster_.run(std::move(trace)).per_replica[0]);
 }
 
 ServeResult

@@ -1,8 +1,9 @@
 /**
  * @file
- * Single-replica continuous-batching server: a thin facade over
- * serving::ReplicaEngine (where the iteration-level scheduling loop
- * now lives; serving::Cluster drives the same engine N-wide).
+ * Single-replica continuous-batching server: a 1-replica
+ * serving::Cluster under a single-server API. The iteration-level
+ * scheduling loop lives in serving::ReplicaEngine and the event loop
+ * in Cluster::run, so Server has no driver loop of its own.
  *
  * The seed's wave scheduler (serving/batch_sweep.h) launches a fixed
  * batch and holds a barrier until every member finishes — the paper's
@@ -24,6 +25,7 @@
 
 #include "core/timing_engine.h"
 #include "serving/admission.h"
+#include "serving/cluster.h"
 #include "serving/fast_path.h"
 #include "serving/metrics.h"
 #include "serving/replica_engine.h"
@@ -41,11 +43,12 @@ struct ServerConfig
     /** Hard cap on in-flight requests (scheduler table size); memory
      *  admission usually binds first. */
     int64_t max_batch = 64;
-    /** Observability hooks, forwarded to the underlying ReplicaEngine
+    /** Observability hooks, forwarded to the underlying Cluster
      *  (all-null default = bit-identical unobserved server). */
     obs::Observability obs;
-    /** Simulator speed knobs (skip-ahead on by default; `threads` is
-     *  meaningless on one replica and ignored). Bit-exact either way. */
+    /** Simulator speed switches, forwarded to the underlying Cluster
+     *  (both on by default; era stepping never engages on one
+     *  replica). Bit-exact either way. */
     SimFastPath fast_path;
 };
 
@@ -68,15 +71,15 @@ class Server
      * request finishes (FIFO is starvation-free); requests that cannot
      * fit even alone come back in ServeResult::rejected.
      *
-     * Bit-for-bit identical to a single-replica Cluster over the same
-     * trace (tests/test_cluster.cc pins the parity).
+     * This is the single replica's result of a 1-replica Cluster run
+     * over the same trace (tests/test_cluster.cc pins the parity).
      */
     ServeResult run(std::vector<Request> trace) const;
 
   private:
-    const core::TimingEngine &engine_;
     ServerConfig cfg_;
     AdmissionController admission_;
+    Cluster cluster_;
 };
 
 /**

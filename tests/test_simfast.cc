@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests of the simulator fast path: the SimFastPath knobs (skip-ahead
- * decode stepping, cached decode evaluators, parallel replica lanes)
- * must never change a single simulated quantity — only how fast the
- * simulator derives it. Every parity test here compares full
- * ClusterResults with exact ==, not tolerances: a fast path that is
- * "close" is wrong.
+ * Tests of the simulator fast path: the SimFastPath switches
+ * (skip-ahead decode stepping with era stepping across unobserved
+ * fleets, cached decode evaluators) must never change a single
+ * simulated quantity — only how fast the simulator derives it. Every
+ * parity test here runs the reference loop (both switches off) as the
+ * oracle and compares full ClusterResults with exact ==, not
+ * tolerances: a fast path that is "close" is wrong.
  *
  * Also pinned here because the fast path leans on them:
  *  - DecodeEvaluator bulk windows (beginWindow + k nextRoundSeconds ==
@@ -16,14 +17,12 @@
  *    one-verdict-per-homogeneous-fleet memo;
  *  - sim::EventClock::fireLane() round accounting and elastic lane
  *    add/retire under skip-ahead;
- *  - util::ThreadPool fork-join semantics;
  *  - ServingMetrics summary-cache invalidation on merge-into-nonempty
  *    (regression: a polled collector must never serve pre-merge
  *    percentiles) and Streaming-mode digest parity.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -36,7 +35,6 @@
 #include "serving/metrics.h"
 #include "sim/event_clock.h"
 #include "sim/memory_model.h"
-#include "util/thread_pool.h"
 #include "workload/trace.h"
 
 namespace specontext {
@@ -187,12 +185,10 @@ expectSameSimulation(const ClusterResult &a, const ClusterResult &b)
 ClusterResult
 runFleet(const core::TimingEngine &engine, ClusterConfig cfg,
          const std::vector<Request> &trace, bool skip_ahead,
-         bool cache_costs, size_t threads = 1, size_t shards = 0)
+         bool cache_costs)
 {
     cfg.fast_path.skip_ahead = skip_ahead;
     cfg.fast_path.cache_decode_costs = cache_costs;
-    cfg.fast_path.threads = threads;
-    cfg.fast_path.shards = shards;
     return Cluster(engine, cfg).run(trace);
 }
 
@@ -257,78 +253,62 @@ TEST(SimFast, EvaluatorCacheAloneIsBitIdentical)
     expectSameSimulation(plain, cached);
 }
 
-TEST(SimFast, ParallelLanesBitIdentical)
+TEST(SimFast, PrefixChurnFleetMatchesReference)
 {
+    // Era stepping runs on prefix-cache fleets by default: four
+    // full-attention replicas under PrefixAffinity routing, with a
+    // per-replica cache far smaller than the families' working set,
+    // so LRU eviction, affinity spills and pin churn interleave with
+    // the fast path's windows. The default fast path must match the
+    // reference loop bit for bit. Optimistic is the prefix-churn shape
+    // itself; under Reserve the same fleet also dispatches eras (an
+    // Optimistic lane's admission cap rarely clears its own clock).
     core::TimingEngine engine;
-    const auto trace = diurnal(128, 13, 4.0);
-    ClusterConfig cc;
-    for (int i = 0; i < 4; ++i)
-        cc.replicas.push_back(speReplica());
-    cc.router.policy = RouterPolicy::LeastKvLoad;
-    const ClusterResult one = runFleet(engine, cc, trace, true, true, 1);
-    const ClusterResult four =
-        runFleet(engine, cc, trace, true, true, 4);
-    ASSERT_GT(one.completed(), 0);
-    expectSameSimulation(one, four);
-}
-
-TEST(SimFast, ShardCountInvarianceBitIdentical)
-{
-    // Era stepping partitions eligible lanes into shards; the shard
-    // count is a pure execution-layout knob. Any shard count — with or
-    // without worker threads behind it — must reproduce the serial
-    // fast path bit for bit.
-    core::TimingEngine engine;
-    const auto trace = diurnal(160, 41, 4.0);
-    ClusterConfig cc;
-    for (int i = 0; i < 6; ++i)
-        cc.replicas.push_back(speReplica());
-    cc.router.policy = RouterPolicy::LeastKvLoad;
-    const ClusterResult serial = runFleet(engine, cc, trace, true, true);
-    ASSERT_GT(serial.completed(), 0);
-    for (size_t shards : {1u, 2u, 4u}) {
-        const ClusterResult sharded =
-            runFleet(engine, cc, trace, true, true, /*threads=*/1,
-                     shards);
-        expectSameSimulation(serial, sharded);
-        const ClusterResult threaded =
-            runFleet(engine, cc, trace, true, true, /*threads=*/2,
-                     shards);
-        expectSameSimulation(serial, threaded);
+    workload::SharedPrefixTraceConfig pc;
+    pc.base.num_requests = 160;
+    pc.base.arrival_rate_per_s = 4.0;
+    pc.base.seed = 37;
+    pc.num_families = 16;
+    pc.prefix_len = 2048;
+    pc.gen_lo = 64;
+    pc.gen_hi = 512;
+    const auto trace = workload::sharedPrefixTrace(pc);
+    for (SchedulerMode mode :
+         {SchedulerMode::Optimistic, SchedulerMode::Reserve}) {
+        SCOPED_TRACE(mode == SchedulerMode::Optimistic ? "Optimistic"
+                                                       : "Reserve");
+        ClusterConfig cc;
+        for (int i = 0; i < 4; ++i) {
+            cc.replicas.push_back(preemptReplica());
+            cc.replicas.back().prefix_cache.budget_bytes = 1LL << 30;
+            cc.replicas.back().scheduler_mode = mode;
+        }
+        cc.router.policy = RouterPolicy::PrefixAffinity;
+        const ClusterResult reference =
+            runFleet(engine, cc, trace, false, false);
+        const ClusterResult fast =
+            runFleet(engine, cc, trace, true, true);
+        ASSERT_GT(reference.completed(), 0);
+        // The cache really churned, so the case cannot pass vacuously.
+        EXPECT_GT(reference.fleet.prefix.evicted_tokens, 0);
+        EXPECT_GT(reference.fleet.prefix.hit_tokens, 0);
+        expectSameSimulation(reference, fast);
+        EXPECT_EQ(reference.fleet.prefix.evicted_tokens,
+                  fast.fleet.prefix.evicted_tokens);
+        EXPECT_EQ(reference.fleet.prefix.hit_tokens,
+                  fast.fleet.prefix.hit_tokens);
+        EXPECT_EQ(reference.fleet.prefix.inserted_tokens,
+                  fast.fleet.prefix.inserted_tokens);
     }
-}
-
-TEST(SimFast, PooledAndHeapPrefixTreeBitIdentical)
-{
-    // The prefix tree's slab pool changes only where nodes live.
-    // A cache-heavy preemption workload (insertions, evictions, pin
-    // churn) must be bit-identical with the pool replaced by plain
-    // new/delete.
-    core::TimingEngine engine;
-    const auto trace = preemptTrace(11);
-    ClusterConfig cc;
-    cc.replicas = {preemptReplica(), preemptReplica()};
-    cc.router.policy = RouterPolicy::PrefixAffinity;
-    ClusterConfig heap_cfg = cc;
-    for (auto &rc : heap_cfg.replicas)
-        rc.prefix_cache.pooled = false;
-    const ClusterResult pooled = runFleet(engine, cc, trace, true, true);
-    const ClusterResult heap =
-        runFleet(engine, heap_cfg, trace, true, true);
-    ASSERT_GT(pooled.completed(), 0);
-    // The cache did real work, so the pool was actually exercised.
-    EXPECT_GT(pooled.fleet.prefix.inserted_tokens, 0);
-    expectSameSimulation(pooled, heap);
 }
 
 TEST(SimFast, ObservedRunMatchesUnobservedSimulation)
 {
-    // Attaching trace + counters serializes parallel dispatch — era
-    // stepping (threads AND shards requested) falls back to the
-    // sequential engine so per-round event emission and counter
-    // updates stay single-threaded — but simulated quantities must
-    // not move, and the decode-iteration counter must agree with the
-    // unobserved iteration count.
+    // Attaching trace + counters keeps lane-at-a-time stepping (era
+    // stepping is off on observed runs, so event emission and counter
+    // updates keep their order), but simulated quantities must not
+    // move, and the decode-iteration counter must agree with the
+    // unobserved (era-stepped) iteration count.
     core::TimingEngine engine;
     const auto trace = diurnal(64, 19);
     ClusterConfig cc;
@@ -341,8 +321,7 @@ TEST(SimFast, ObservedRunMatchesUnobservedSimulation)
     ClusterConfig oc = cc;
     oc.obs.trace = &ring;
     oc.obs.counters = &counters;
-    const ClusterResult observed = runFleet(
-        engine, oc, trace, true, true, /*threads=*/4, /*shards=*/4);
+    const ClusterResult observed = runFleet(engine, oc, trace, true, true);
     expectSameSimulation(plain, observed);
 
     int64_t decode_iters = 0;
@@ -373,6 +352,12 @@ class PulseController : public serving::FleetController
 
 TEST(SimFast, ElasticLaneAddRetireParityUnderSkipAhead)
 {
+    // Elastic control ticks are router-barrier events: they must land
+    // *between* eras, never inside one, or a scale decision would see
+    // lane state from the future. Pin bit parity of an elastic fleet
+    // under the default fast path (era stepping included) against the
+    // reference loop, and require that lanes were actually attached
+    // and retired mid-run.
     core::TimingEngine engine;
     const auto trace = diurnal(96, 31);
     ClusterConfig cc;
@@ -403,37 +388,6 @@ TEST(SimFast, ElasticLaneAddRetireParityUnderSkipAhead)
     EXPECT_TRUE(attached);
     EXPECT_TRUE(retired);
     expectSameSimulation(slow, fast);
-}
-
-TEST(SimFast, EraSteppingElasticControlTickParity)
-{
-    // Elastic control ticks are router-barrier events: they must land
-    // *between* eras, never inside one, or a scale decision would see
-    // lane state from the future. Pin bit parity of an elastic fleet
-    // under era stepping (threads + shards) against the plain engine,
-    // and require that scale events actually fired mid-run.
-    core::TimingEngine engine;
-    const auto trace = diurnal(96, 31);
-    ClusterConfig cc;
-    cc.replicas = {speReplica()};
-    cc.router.policy = RouterPolicy::LeastKvLoad;
-    cc.elastic.min_replicas = 1;
-    cc.elastic.max_replicas = 3;
-    cc.elastic.control_period_seconds = 5.0;
-
-    PulseController slow_ctl, era_ctl;
-    ClusterConfig slow_cfg = cc;
-    slow_cfg.elastic.controller = &slow_ctl;
-    ClusterConfig era_cfg = cc;
-    era_cfg.elastic.controller = &era_ctl;
-
-    const ClusterResult slow =
-        runFleet(engine, slow_cfg, trace, false, false);
-    const ClusterResult era = runFleet(engine, era_cfg, trace, true,
-                                       true, /*threads=*/4,
-                                       /*shards=*/2);
-    ASSERT_FALSE(slow.scale_events.empty());
-    expectSameSimulation(slow, era);
 }
 
 // ------------------------------------------------- EventClock fast ops
@@ -489,88 +443,6 @@ TEST(EventClockFast, AddAndRetireLanesKeepFireLaneSound)
     EXPECT_EQ(c.earliestLane(), 1u);
     c.fireLane(1);
     EXPECT_EQ(c.liveLanes(), 2u);
-}
-
-// ------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, SingleThreadRunsInline)
-{
-    util::ThreadPool pool(1);
-    EXPECT_EQ(pool.threads(), 1u);
-    int ran = 0;
-    pool.submit([&] { ++ran; });
-    // Inline execution: done before wait() is even called.
-    EXPECT_EQ(ran, 1);
-    pool.wait();
-}
-
-TEST(ThreadPoolTest, WaitIsABarrierAcrossRepeatedBatches)
-{
-    util::ThreadPool pool(4);
-    std::atomic<int> done{0};
-    for (int batch = 0; batch < 50; ++batch) {
-        const int n = 1 + batch % 7;
-        for (int i = 0; i < n; ++i)
-            pool.submit([&] { done.fetch_add(1); });
-        pool.wait();
-        // Everything submitted so far has finished at each barrier.
-        int expect = 0;
-        for (int k = 0; k <= batch; ++k)
-            expect += 1 + k % 7;
-        EXPECT_EQ(done.load(), expect);
-    }
-}
-
-TEST(ThreadPoolTest, RunShardsInlineWithoutWorkers)
-{
-    // No workers -> shards run inline, ascending, on the caller.
-    util::ThreadPool pool(1);
-    std::vector<size_t> order;
-    struct Ctx
-    {
-        std::vector<size_t> *order;
-    } ctx{&order};
-    pool.runShards(5, +[](void *c, size_t s) {
-        static_cast<Ctx *>(c)->order->push_back(s);
-    }, &ctx);
-    ASSERT_EQ(order.size(), 5u);
-    for (size_t i = 0; i < 5; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPoolTest, RunShardsCoversEveryShardExactlyOnce)
-{
-    util::ThreadPool pool(3);
-    constexpr size_t kShards = 17;
-    std::atomic<int> hits[kShards] = {};
-    struct Ctx
-    {
-        std::atomic<int> *hits;
-    } ctx{hits};
-    // Repeated generations through the same pool: each dispatch is a
-    // full fork-join, so counts advance in lockstep.
-    for (int round = 1; round <= 8; ++round) {
-        pool.runShards(kShards, +[](void *c, size_t s) {
-            static_cast<Ctx *>(c)->hits[s].fetch_add(1);
-        }, &ctx);
-        for (size_t s = 0; s < kShards; ++s)
-            EXPECT_EQ(hits[s].load(), round) << "shard " << s;
-    }
-}
-
-TEST(ThreadPoolTest, RunShardsFewerShardsThanWorkers)
-{
-    util::ThreadPool pool(4);
-    std::atomic<int> total{0};
-    pool.runShards(2, +[](void *c, size_t) {
-        static_cast<std::atomic<int> *>(c)->fetch_add(1);
-    }, &total);
-    EXPECT_EQ(total.load(), 2);
-    // Zero shards is a no-op join, not a hang.
-    pool.runShards(0, +[](void *c, size_t) {
-        static_cast<std::atomic<int> *>(c)->fetch_add(1);
-    }, &total);
-    EXPECT_EQ(total.load(), 2);
 }
 
 // ------------------------------------------- DecodeEvaluator windows
