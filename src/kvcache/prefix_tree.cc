@@ -1,10 +1,50 @@
 #include "kvcache/prefix_tree.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 namespace specontext {
 namespace kv {
+
+namespace {
+
+/** One block of a prompt, borrowed in place: children are looked up
+ *  through it so a walk never copies tokens. */
+struct BlockView
+{
+    const int32_t *data;
+    size_t size;
+};
+
+/** Lexicographic token order — std::vector's own operator< — made
+ *  transparent so a map keyed by stored blocks can find a BlockView. */
+struct BlockLess
+{
+    using is_transparent = void;
+
+    static bool less(const int32_t *a, size_t na, const int32_t *b,
+                     size_t nb)
+    {
+        return std::lexicographical_compare(a, a + na, b, b + nb);
+    }
+    bool operator()(const std::vector<int32_t> &a,
+                    const std::vector<int32_t> &b) const
+    {
+        return a < b;
+    }
+    bool operator()(const std::vector<int32_t> &a, BlockView b) const
+    {
+        return less(a.data(), a.size(), b.data, b.size);
+    }
+    bool operator()(BlockView a, const std::vector<int32_t> &b) const
+    {
+        return less(a.data, a.size, b.data(), b.size());
+    }
+};
+
+} // namespace
 
 /**
  * One cached block. Children are keyed by their block's token content
@@ -13,10 +53,15 @@ namespace kv {
  */
 struct PrefixTree::Node
 {
+    using Children = std::map<std::vector<int32_t>, Node *, BlockLess>;
+
     Node *parent = nullptr;
     /** Raw pointers: node lifetime is owned by the tree's Pool, so
      *  eviction recycles slots instead of freeing them. */
-    std::map<std::vector<int32_t>, Node *> children;
+    Children children;
+    /** This node's entry in parent->children (unset on the root), so
+     *  eviction unlinks without searching the siblings. */
+    Children::iterator self;
     int64_t refcount = 0;     ///< in-flight requests pinning this block
     uint64_t last_use = 0;    ///< lru_clock_ at the last release
     int64_t depth_tokens = 0; ///< tokens from root through this block
@@ -73,23 +118,20 @@ PrefixTree::setObserver(const PrefixTreeObserver &observer)
     }
 }
 
-void
-PrefixTree::walkMatch(const std::vector<int32_t> &tokens,
-                      std::vector<Node *> &path) const
+PrefixTree::Node *
+PrefixTree::walkMatch(const std::vector<int32_t> &tokens) const
 {
-    const Node *node = root_;
-    const int64_t full_blocks =
-        static_cast<int64_t>(tokens.size()) / cfg_.page_size;
-    std::vector<int32_t> block(static_cast<size_t>(cfg_.page_size));
-    for (int64_t b = 0; b < full_blocks; ++b) {
-        const auto begin = tokens.begin() + b * cfg_.page_size;
-        block.assign(begin, begin + cfg_.page_size);
-        const auto it = node->children.find(block);
+    Node *node = root_;
+    const size_t page = static_cast<size_t>(cfg_.page_size);
+    const size_t full_blocks = tokens.size() / page;
+    for (size_t b = 0; b < full_blocks; ++b) {
+        const auto it =
+            node->children.find(BlockView{tokens.data() + b * page, page});
         if (it == node->children.end())
             break;
         node = it->second;
-        path.push_back(const_cast<Node *>(node));
     }
+    return node;
 }
 
 PrefixMatch
@@ -98,9 +140,7 @@ PrefixTree::match(const std::vector<int32_t> &tokens) const
     PrefixMatch m;
     if (!enabled())
         return m;
-    std::vector<Node *> path;
-    walkMatch(tokens, path);
-    m.hit_tokens = path.empty() ? 0 : path.back()->depth_tokens;
+    m.hit_tokens = walkMatch(tokens)->depth_tokens;
     m.reserved_bytes = m.hit_tokens * cfg_.bytes_per_token;
     return m;
 }
@@ -118,15 +158,12 @@ PrefixTree::matchAndPin(
 {
     MatchAndPinResult out;
 
-    // Walk 1 (fused): the pre-resize cached prefix, remembered as the
-    // node path so the post-callback phases need no second descent.
-    std::vector<Node *> path;
-    bool walked = false;
+    // Walk 1 (fused): the pre-resize cached prefix, remembered as its
+    // deepest node so the post-callback phases need no second descent.
+    Node *node = nullptr;
     if (enabled()) {
-        walkMatch(tokens, path);
-        walked = true;
-        out.estimate.hit_tokens =
-            path.empty() ? 0 : path.back()->depth_tokens;
+        node = walkMatch(tokens);
+        out.estimate.hit_tokens = node->depth_tokens;
         out.estimate.reserved_bytes =
             out.estimate.hit_tokens * cfg_.bytes_per_token;
     }
@@ -137,32 +174,31 @@ PrefixTree::matchAndPin(
     if (!enabled())
         return out; // budget (still) 0 after the callback: no-op pin
 
-    // Walk 2 (usually skipped): the held path is stale only when the
+    // Walk 2 (usually skipped): the held node is stale only when the
     // callback evicted — or when the cache was disabled at entry so
     // walk 1 never ran (the callback may just have revived it).
-    if (!walked || eviction_epoch_ != epoch) {
-        path.clear();
-        walkMatch(tokens, path);
-    }
-    out.match.hit_tokens = path.empty() ? 0 : path.back()->depth_tokens;
+    if (!node || eviction_epoch_ != epoch)
+        node = walkMatch(tokens);
+    out.match.hit_tokens = node->depth_tokens;
     out.match.reserved_bytes =
         out.match.hit_tokens * cfg_.bytes_per_token;
 
-    // Pin the matched prefix (top-down, insert()'s accounting), then
-    // extend it with the remaining full blocks while the budget lasts.
-    for (Node *n : path) {
-        if (n->refcount == 0)
+    // Pin the matched prefix (insert()'s accounting); an idle leaf
+    // among it leaves the evictable index.
+    for (Node *n = node; n != root_; n = n->parent) {
+        if (n->refcount == 0) {
             pinned_tokens_ += cfg_.page_size;
+            if (n->children.empty())
+                evictable_.erase({n->last_use, n});
+        }
         ++n->refcount;
     }
-    Node *node = path.empty() ? root_ : path.back();
-    const int64_t matched_blocks =
-        static_cast<int64_t>(path.size());
-    const int64_t full_blocks =
-        static_cast<int64_t>(tokens.size()) / cfg_.page_size;
+    // Extend it with the remaining full blocks while the budget lasts.
+    const size_t page = static_cast<size_t>(cfg_.page_size);
+    const size_t full_blocks = tokens.size() / page;
     const int64_t block_bytes = cfg_.page_size * cfg_.bytes_per_token;
-    std::vector<int32_t> block(static_cast<size_t>(cfg_.page_size));
-    for (int64_t b = matched_blocks; b < full_blocks; ++b) {
+    for (size_t b = static_cast<size_t>(node->depth_tokens) / page;
+         b < full_blocks; ++b) {
         // New block: make room first. Nodes on the pinned path
         // (including everything this walk already pinned) have
         // refcount > 0 and are eviction-proof.
@@ -172,12 +208,17 @@ PrefixTree::matchAndPin(
         }
         if (bytes() + block_bytes > cfg_.budget_bytes)
             break; // budget exhausted; pin what we have
-        const auto begin = tokens.begin() + b * cfg_.page_size;
-        block.assign(begin, begin + cfg_.page_size);
+        // The parent is pinned, so it is not (and stays not) evictable.
+        const int32_t *begin = tokens.data() + b * page;
         Node *child = newNode();
         child->parent = node;
         child->depth_tokens = node->depth_tokens + cfg_.page_size;
-        node = node->children.emplace(block, child).first->second;
+        child->self = node->children.emplace_hint(
+            node->children.lower_bound(BlockView{begin, page}),
+            std::piecewise_construct,
+            std::forward_as_tuple(begin, begin + page),
+            std::forward_as_tuple(child));
+        node = child;
         resident_tokens_ += cfg_.page_size;
         inserted_tokens_ += cfg_.page_size;
         ++node_count_;
@@ -210,6 +251,10 @@ PrefixTree::release(PrefixHandle &handle)
         if (node->refcount == 0)
             pinned_tokens_ -= cfg_.page_size;
         node->last_use = stamp;
+        // Only the handle's own node can be a leaf here; an ancestor
+        // still pinned by another handle is re-stamped but stays out.
+        if (node->refcount == 0 && node->children.empty())
+            evictable_.emplace(stamp, node);
     }
     enforceBudget();
 }
@@ -229,33 +274,21 @@ PrefixTree::setBudget(int64_t budget_bytes)
 bool
 PrefixTree::evictOne()
 {
-    // Deterministic full-tree scan for the unreferenced leaf with the
-    // oldest release stamp (strict <, and children are visited in
-    // token order, so ties — impossible under the unique stamps, but
-    // cheap to make explicit — keep the first visited). O(nodes) per
-    // eviction is fine at simulator scale.
-    Node *victim = nullptr;
-    std::vector<Node *> stack = {root_};
-    while (!stack.empty()) {
-        Node *n = stack.back();
-        stack.pop_back();
-        for (auto &kv_pair : n->children)
-            stack.push_back(kv_pair.second);
-        if (n == root_ || n->refcount > 0 || !n->children.empty())
-            continue;
-        if (!victim || n->last_use < victim->last_use)
-            victim = n;
-    }
-    if (!victim)
+    // The oldest release stamp among evictable leaves. Stamps are
+    // unique among them (see the file comment), so this is exactly
+    // the leaf a full scan for the minimum stamp would pick.
+    if (evictable_.empty())
         return false;
+    Node *victim = evictable_.begin()->second;
+    evictable_.erase(evictable_.begin());
     Node *parent = victim->parent;
-    for (auto it = parent->children.begin(); it != parent->children.end();
-         ++it) {
-        if (it->second == victim) {
-            parent->children.erase(it);
-            break;
-        }
-    }
+    parent->children.erase(victim->self);
+    // An unpinned parent left childless becomes evictable under its
+    // own stamp, which can be older than leaves already listed — so
+    // it may be the very next victim (no append-to-tail LRU list).
+    if (parent != root_ && parent->refcount == 0 &&
+        parent->children.empty())
+        evictable_.emplace(parent->last_use, parent);
     freeNode(victim);
     resident_tokens_ -= cfg_.page_size;
     evicted_tokens_ += cfg_.page_size;

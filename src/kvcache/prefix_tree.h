@@ -24,7 +24,9 @@
  *    request and freeing them would fabricate memory.
  *  - release(handle) unpins the path and stamps it with a logical
  *    LRU timestamp; unreferenced leaves are then evictable,
- *    bottom-up, least-recently-released first.
+ *    bottom-up, least-recently-released first. Evictable leaves sit
+ *    in an index ordered by that stamp, so one eviction costs
+ *    O(log n) in the number of evictable leaves, not a tree scan.
  *  - setBudget() re-clamps the budget (the serving layer shrinks it
  *    to the HBM headroom left by live KV reservations, priced through
  *    sim::MemoryModel); shrinking evicts unreferenced subtrees
@@ -33,6 +35,9 @@
  * Everything is deterministic: children are kept in token-content
  * order and LRU stamps come from a logical counter, so identical
  * operation sequences give identical trees, matches and evictions.
+ * The victim order is total: one release stamps one root path, so
+ * nodes sharing a stamp lie on one path and at most one of them is a
+ * leaf — no two evictable leaves ever tie.
  */
 #pragma once
 
@@ -40,6 +45,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "obs/counters.h"
@@ -233,6 +240,9 @@ class PrefixTree
     int64_t evicted_tokens_ = 0;
     int64_t inserted_tokens_ = 0;
     uint64_t lru_clock_ = 0; ///< logical time, bumped on release
+    /** Exactly the evictable blocks — unpinned, childless, non-root —
+     *  keyed by their release stamp; begin() is the next victim. */
+    std::set<std::pair<uint64_t, Node *>> evictable_;
     /** Bumped on every eviction; matchAndPin() uses it to detect that
      *  a node path held across the resize callback may have become
      *  stale and must be re-walked. */
@@ -244,16 +254,16 @@ class PrefixTree
     Node *newNode();
     void freeNode(Node *n);
 
-    /** Walk the cached block-aligned prefix of `tokens`, appending the
-     *  matched nodes (root excluded) to `path`. */
-    void walkMatch(const std::vector<int32_t> &tokens,
-                   std::vector<Node *> &path) const;
+    /** Deepest node of the cached block-aligned prefix of `tokens`
+     *  (root_ when nothing matches). */
+    Node *walkMatch(const std::vector<int32_t> &tokens) const;
 
     /** Evict unreferenced LRU leaves until bytes() <= budget. */
     void enforceBudget();
 
-    /** Evict the least-recently-released unreferenced leaf; false when
-     *  nothing is evictable. */
+    /** Evict the least-recently-released unreferenced leaf (the
+     *  minimum of evictable_, O(log n)); false when nothing is
+     *  evictable. */
     bool evictOne();
 };
 

@@ -3,10 +3,15 @@
  * Tests of the shared-prefix KV cache radix tree: block-aligned
  * match/insert/release, refcount-protected eviction, LRU ordering,
  * and byte-budget enforcement (including the budget-0 disabled mode
- * and shrink-under-pressure via setBudget).
+ * and shrink-under-pressure via setBudget), plus a seeded differential
+ * run against a brute-force full-scan model tree.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "kvcache/prefix_tree.h"
@@ -179,6 +184,72 @@ TEST(PrefixTree, PinnedTokensTrackLiveHandles)
     EXPECT_EQ(tree.pinnedTokens(), 0);
     EXPECT_EQ(tree.pinnedBytes(), 0);
     EXPECT_EQ(tree.residentTokens(), 12); // resident but idle
+}
+
+TEST(PrefixTree, EvictionExposesAnOlderParentAheadOfANewerLeaf)
+{
+    PrefixTree tree(cfgWith(3));
+    PrefixHandle hx = tree.insert(seq(0, 8)); // parent P + leaf C
+    tree.release(hx);                         // P, C stamped 1
+    PrefixHandle hy = tree.insert(seq(1000, 4));
+    tree.release(hy); // Y stamped 2
+
+    tree.setBudget(2 * kBlockBytes); // evicts C, exposing P (stamp 1)
+    EXPECT_EQ(tree.match(seq(0, 8)).hit_tokens, 4);
+    EXPECT_EQ(tree.match(seq(1000, 4)).hit_tokens, 4);
+
+    // P's older stamp makes it the next victim, ahead of the leaf Y
+    // released after it (an append-to-tail LRU list would pick Y).
+    PrefixHandle hz = tree.insert(seq(2000, 4));
+    EXPECT_EQ(hz.pinnedTokens(), 4);
+    EXPECT_EQ(tree.match(seq(0, 8)).hit_tokens, 0);
+    EXPECT_EQ(tree.match(seq(1000, 4)).hit_tokens, 4);
+    EXPECT_EQ(tree.evictedTokens(), 8);
+    tree.release(hz);
+}
+
+TEST(PrefixTree, RepinnedIdleLeafSurvivesABudgetShrink)
+{
+    PrefixTree tree(cfgWith(2));
+    PrefixHandle ha = tree.insert(seq(0, 4));
+    tree.release(ha); // A: idle leaf, the oldest stamp
+    PrefixHandle hb = tree.insert(seq(1000, 4));
+    tree.release(hb);
+    PrefixHandle ha2 = tree.insert(seq(0, 4)); // re-pins A
+
+    tree.setBudget(kBlockBytes); // must take B, never the pinned A
+    EXPECT_EQ(tree.residentTokens(), 4);
+    EXPECT_EQ(tree.pinnedTokens(), 4);
+    EXPECT_EQ(tree.match(seq(0, 4)).hit_tokens, 4);
+    EXPECT_EQ(tree.match(seq(1000, 4)).hit_tokens, 0);
+
+    tree.release(ha2);
+    tree.setBudget(0);
+    EXPECT_EQ(tree.residentTokens(), 0);
+}
+
+TEST(PrefixTree, ReleaseRestampsAPinnedAncestorWithoutMakingItEvictable)
+{
+    PrefixTree tree(cfgWith(4));
+    PrefixHandle hq = tree.insert(seq(1000, 4));
+    tree.release(hq);                         // Q stamped 1
+    PrefixHandle hp = tree.insert(seq(0, 4)); // pins P
+    PrefixHandle hy = tree.insert(seq(0, 8)); // P + leaf C
+    tree.release(hy); // C and the still-pinned P stamped 2
+
+    // Only Q and C are evictable; P shares C's stamp but is pinned.
+    tree.setBudget(kBlockBytes);
+    EXPECT_EQ(tree.residentTokens(), 4);
+    EXPECT_EQ(tree.nodeCount(), 1);
+    EXPECT_EQ(tree.evictedTokens(), 8);
+    EXPECT_EQ(tree.match(seq(0, 8)).hit_tokens, 4);
+    tree.setBudget(0);
+    EXPECT_EQ(tree.residentTokens(), 4); // P survives even budget 0
+    EXPECT_EQ(tree.pinnedTokens(), 4);
+
+    tree.release(hp); // now P is an unpinned leaf: evicted at once
+    EXPECT_EQ(tree.residentTokens(), 0);
+    EXPECT_EQ(tree.nodeCount(), 0);
 }
 
 // ------------------------------------------------------------ budget
@@ -356,6 +427,265 @@ TEST(PrefixTree, MatchAndPinOnDisabledTreeIsANoOp)
     EXPECT_EQ(res.handle.pinnedTokens(), 0);
     EXPECT_EQ(tree.bytes(), 0);
     tree.release(res.handle); // default-constructed path: safe no-op
+}
+
+// ------------------------------------------------------- differential
+
+/**
+ * Brute-force reference tree over a fixed prompt pool: every
+ * block-aligned prefix of a pool prompt is one potential node (an
+ * index into flat arrays), and the victim is found by scanning every
+ * node for the resident, unpinned, childless one with the oldest
+ * release stamp — the rule PrefixTree's ordered index must reproduce
+ * exactly.
+ */
+class ModelTree
+{
+  public:
+    ModelTree(const std::vector<std::vector<int32_t>> &pool,
+              int64_t budget_blocks)
+        : budget_(budget_blocks)
+    {
+        std::map<std::vector<int32_t>, int> ids;
+        for (const std::vector<int32_t> &t : pool) {
+            std::vector<int> path;
+            std::vector<int32_t> key;
+            while (key.size() + kPage <= t.size()) {
+                key.insert(key.end(), t.begin() + key.size(),
+                           t.begin() + key.size() + kPage);
+                const auto [it, fresh] =
+                    ids.emplace(key, static_cast<int>(nodes_.size()));
+                if (fresh)
+                    nodes_.push_back(Node{path.empty() ? -1 : path.back()});
+                path.push_back(it->second);
+            }
+            paths_.push_back(path);
+        }
+    }
+
+    /** Outcome of one admission; `deepest` is the pinned node (-1 for
+     *  none) and stands in for the handle. */
+    struct Pin
+    {
+        int64_t estimate = 0;
+        int64_t hit = 0;
+        int64_t pinned = 0;
+        int deepest = -1;
+    };
+
+    int64_t match(size_t prompt) const
+    {
+        if (budget_ == 0)
+            return 0;
+        int64_t blocks = 0;
+        for (int id : paths_[prompt]) {
+            if (!nodes_[id].resident)
+                break;
+            ++blocks;
+        }
+        return blocks * kPage;
+    }
+
+    /** match -> setBudget(resize_blocks) (if >= 0) -> match -> insert. */
+    Pin matchAndPin(size_t prompt, int64_t resize_blocks)
+    {
+        Pin p;
+        p.estimate = match(prompt);
+        if (resize_blocks >= 0)
+            setBudget(resize_blocks);
+        if (budget_ == 0)
+            return p;
+        p.hit = match(prompt);
+        const std::vector<int> &path = paths_[prompt];
+        size_t blocks = static_cast<size_t>(p.hit / kPage);
+        for (size_t b = 0; b < blocks; ++b) {
+            if (nodes_[path[b]].refcount++ == 0)
+                pinned_ += kPage;
+        }
+        for (; blocks < path.size(); ++blocks) {
+            while (resident_ + kPage > budget_ * kPage && evictOne()) {
+            }
+            if (resident_ + kPage > budget_ * kPage)
+                break;
+            Node &n = nodes_[path[blocks]];
+            n.resident = true;
+            n.refcount = 1;
+            if (n.parent >= 0)
+                ++nodes_[n.parent].children;
+            resident_ += kPage;
+            inserted_ += kPage;
+            pinned_ += kPage;
+        }
+        p.pinned = static_cast<int64_t>(blocks) * kPage;
+        p.deepest = blocks == 0 ? -1 : path[blocks - 1];
+        return p;
+    }
+
+    void release(int deepest)
+    {
+        if (deepest < 0)
+            return;
+        const uint64_t stamp = ++clock_;
+        for (int id = deepest; id >= 0; id = nodes_[id].parent) {
+            if (--nodes_[id].refcount == 0)
+                pinned_ -= kPage;
+            nodes_[id].last_use = stamp;
+        }
+        enforce();
+    }
+
+    void setBudget(int64_t blocks)
+    {
+        budget_ = blocks;
+        enforce();
+    }
+
+    int64_t resident() const { return resident_; }
+    int64_t pinned() const { return pinned_; }
+    int64_t evicted() const { return evicted_; }
+    int64_t inserted() const { return inserted_; }
+    int64_t nodes() const { return resident_ / kPage; }
+
+  private:
+    struct Node
+    {
+        int parent = -1;
+        bool resident = false;
+        int64_t refcount = 0;
+        uint64_t last_use = 0;
+        int64_t children = 0;
+    };
+    std::vector<Node> nodes_;
+    std::vector<std::vector<int>> paths_; ///< node ids of each prompt
+    int64_t budget_;
+    int64_t resident_ = 0, pinned_ = 0, evicted_ = 0, inserted_ = 0;
+    uint64_t clock_ = 0;
+
+    void enforce()
+    {
+        while (resident_ > budget_ * kPage && evictOne()) {
+        }
+    }
+
+    bool evictOne()
+    {
+        Node *victim = nullptr;
+        for (Node &n : nodes_) {
+            if (!n.resident || n.refcount > 0 || n.children > 0)
+                continue;
+            if (victim) {
+                EXPECT_NE(n.last_use, victim->last_use)
+                    << "two evictable leaves share a release stamp";
+            }
+            if (!victim || n.last_use < victim->last_use)
+                victim = &n;
+        }
+        if (!victim)
+            return false;
+        victim->resident = false;
+        if (victim->parent >= 0)
+            --nodes_[victim->parent].children;
+        resident_ -= kPage;
+        evicted_ += kPage;
+        return true;
+    }
+};
+
+/** Prompt pool: a few families sharing long prefixes; variant 0 is a
+ *  truncation of the shared prefix, the others extend it with
+ *  two-symbol suffixes that diverge at different depths (and leave
+ *  ragged tails). */
+std::vector<std::vector<int32_t>>
+promptPool(std::mt19937 &rng)
+{
+    std::vector<std::vector<int32_t>> pool;
+    for (int32_t f = 0; f < 4; ++f) {
+        const std::vector<int32_t> shared = seq(10000 * f, (2 + f) * kPage);
+        for (int v = 0; v < 5; ++v) {
+            std::vector<int32_t> p = shared;
+            if (v == 0) {
+                p.resize(kPage * (1 + rng() % (2 + f)) + rng() % kPage);
+            } else {
+                const int64_t extra = kPage * (1 + rng() % 4) + rng() % kPage;
+                for (int64_t i = 0; i < extra; ++i)
+                    p.push_back(static_cast<int32_t>(rng() % 2));
+            }
+            pool.push_back(p);
+        }
+    }
+    return pool;
+}
+
+TEST(PrefixTree, RandomOperationsMatchFullScanModel)
+{
+    for (uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        std::mt19937 rng(seed);
+        const std::vector<std::vector<int32_t>> pool = promptPool(rng);
+        const auto budget = [&] {
+            return rng() % 16 == 0 ? 0 : static_cast<int64_t>(rng() % 24);
+        };
+
+        const int64_t start = budget();
+        PrefixTree tree(cfgWith(start));
+        ModelTree model(pool, start);
+        std::set<size_t> seen;
+        std::vector<std::pair<PrefixHandle, int>> live;
+
+        for (int op = 0; op < 1500; ++op) {
+            const uint32_t r = rng() % 100;
+            if (r < 50 && live.size() < 6) {
+                const size_t i = rng() % pool.size();
+                seen.insert(i);
+                const int64_t resize = rng() % 2 ? budget() : -1;
+                const ModelTree::Pin want = model.matchAndPin(i, resize);
+                kv::MatchAndPinResult got;
+                if (resize >= 0) {
+                    got = tree.matchAndPin(
+                        pool[i], [&](const PrefixMatch &estimate) {
+                            EXPECT_EQ(estimate.hit_tokens, want.estimate);
+                            tree.setBudget(resize * kBlockBytes);
+                        });
+                } else {
+                    got = tree.matchAndPin(pool[i]);
+                }
+                EXPECT_EQ(got.estimate.hit_tokens, want.estimate);
+                EXPECT_EQ(got.match.hit_tokens, want.hit);
+                EXPECT_EQ(got.handle.pinnedTokens(), want.pinned);
+                live.emplace_back(std::move(got.handle), want.deepest);
+            } else if (r < 85 && !live.empty()) {
+                const size_t k = rng() % live.size();
+                tree.release(live[k].first);
+                model.release(live[k].second);
+                live.erase(live.begin() + static_cast<long>(k));
+            } else {
+                const int64_t b = budget();
+                tree.setBudget(b * kBlockBytes);
+                model.setBudget(b);
+            }
+
+            std::vector<int64_t> got_hits, want_hits;
+            for (size_t i : seen) {
+                got_hits.push_back(tree.match(pool[i]).hit_tokens);
+                want_hits.push_back(model.match(i));
+            }
+            ASSERT_EQ(got_hits, want_hits) << "op " << op;
+            ASSERT_EQ(tree.residentTokens(), model.resident()) << "op " << op;
+            ASSERT_EQ(tree.pinnedTokens(), model.pinned()) << "op " << op;
+            ASSERT_EQ(tree.nodeCount(), model.nodes()) << "op " << op;
+            ASSERT_EQ(tree.evictedTokens(), model.evicted()) << "op " << op;
+            ASSERT_EQ(tree.insertedTokens(), model.inserted())
+                << "op " << op;
+        }
+        EXPECT_GT(tree.evictedTokens(), 0);
+        for (auto &[handle, deepest] : live) {
+            tree.release(handle);
+            model.release(deepest);
+        }
+        EXPECT_EQ(tree.pinnedTokens(), 0);
+        EXPECT_EQ(tree.residentTokens(), model.resident());
+        EXPECT_EQ(tree.evictedTokens(), model.evicted());
+    }
 }
 
 } // namespace
