@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/elastic_loader.h"
 #include "sim/event_clock.h"
 
 namespace specontext {
@@ -39,73 +38,77 @@ replicaWarmupSeconds(const ReplicaConfig &rc, double provision_seconds)
         throw std::invalid_argument(
             "replicaWarmupSeconds: hardware has no positive PCIe "
             "bandwidth to load weights over");
+    rc.timing.llm.validate(); // the token size below must be positive
     const int64_t weight_bytes =
         core::TimingEngine::weightFootprintBytes(rc.timing.llm);
-    // Charge the footprint through a cold ElasticLoader: express it as
-    // KV-token-equivalents, hand the cold loader that selection, and
-    // price whatever it says must move. Empty resident sets report the
-    // full selection as to-load, so the bill is the whole footprint —
-    // by the same set-difference machinery that prices elastic KV
-    // movement, not by a parallel formula that could drift from it.
     const int64_t bytes_per_token =
         core::TimingEngine::kvBytesPerTokenPerLayer(rc.timing.llm);
-    const int64_t token_equiv =
+    // Rounded up to whole KV-token units: golden digests and
+    // BENCH_autoscale.json pin this rounding.
+    const int64_t tokens =
         (weight_bytes + bytes_per_token - 1) / bytes_per_token;
-    model::LayerSelection sel;
-    sel.per_head.emplace_back();
-    sel.per_head.back().reserve(static_cast<size_t>(token_equiv));
-    for (int64_t p = 0; p < token_equiv; ++p)
-        sel.per_head.back().push_back(p);
-    core::ElasticLoader cold;
-    const core::LoadPlan plan = cold.update(sel);
-    const double load_bytes =
-        static_cast<double>(plan.tokens_to_load) *
-        static_cast<double>(bytes_per_token);
+    const double load_bytes = static_cast<double>(tokens) *
+                              static_cast<double>(bytes_per_token);
     return provision_seconds + load_bytes / (bw_gbps * 1e9);
 }
 
-Cluster::Cluster(const core::TimingEngine &engine, ClusterConfig cfg)
-    : engine_(engine), cfg_(std::move(cfg))
+namespace {
+
+/**
+ * Validate every replica config and, with a controller plugged in,
+ * the elastic knobs (see Cluster::Cluster); stamps replica ids and
+ * names into `cfg`. Returns the template replica's warmup price —
+ * fixed for the fleet's lifetime — or 0 on a fixed fleet.
+ */
+double
+validateFleet(const core::TimingEngine &engine, ClusterConfig &cfg)
 {
-    if (cfg_.replicas.empty())
+    if (cfg.replicas.empty())
         throw std::invalid_argument("Cluster: empty fleet");
-    for (size_t i = 0; i < cfg_.replicas.size(); ++i) {
-        cfg_.replicas[i].id = static_cast<int64_t>(i);
+    for (size_t i = 0; i < cfg.replicas.size(); ++i) {
+        cfg.replicas[i].id = static_cast<int64_t>(i);
         // Validate every replica config now (throws on wave-only or
         // null systems / bad max_batch), not at first run(). The probe
         // runs unobserved — a throwaway engine must not emit events or
         // resolve counters.
-        ReplicaConfig probe_cfg = cfg_.replicas[i];
+        ReplicaConfig probe_cfg = cfg.replicas[i];
         probe_cfg.obs = {};
-        ReplicaEngine probe(engine_, probe_cfg);
-        cfg_.replicas[i].name = probe.config().name;
+        ReplicaEngine probe(engine, probe_cfg);
+        cfg.replicas[i].name = probe.config().name;
     }
-    if (cfg_.elastic.controller) {
-        const ElasticConfig &e = cfg_.elastic;
-        if (e.min_replicas < 1)
-            throw std::invalid_argument(
-                "Cluster: elastic.min_replicas must be >= 1");
-        if (e.max_replicas < e.min_replicas)
-            throw std::invalid_argument(
-                "Cluster: elastic.max_replicas < min_replicas");
-        if (cfg_.replicas.size() < e.min_replicas ||
-            cfg_.replicas.size() > e.max_replicas)
-            throw std::invalid_argument(
-                "Cluster: initial fleet size outside elastic "
-                "[min_replicas, max_replicas]");
-        if (!(e.control_period_seconds > 0.0) ||
-            !std::isfinite(e.control_period_seconds))
-            throw std::invalid_argument(
-                "Cluster: elastic.control_period_seconds must be "
-                "positive and finite");
-        if (e.template_replica >= cfg_.replicas.size())
-            throw std::invalid_argument(
-                "Cluster: elastic.template_replica out of range");
-        // Validates provision_seconds and the template's PCIe link,
-        // and fails fast on shapes whose warmup cannot be priced.
-        replicaWarmupSeconds(cfg_.replicas[e.template_replica],
-                             e.provision_seconds);
-    }
+    if (!cfg.elastic.controller)
+        return 0.0;
+    const ElasticConfig &e = cfg.elastic;
+    if (e.min_replicas < 1)
+        throw std::invalid_argument(
+            "Cluster: elastic.min_replicas must be >= 1");
+    if (e.max_replicas < e.min_replicas)
+        throw std::invalid_argument(
+            "Cluster: elastic.max_replicas < min_replicas");
+    if (cfg.replicas.size() < e.min_replicas ||
+        cfg.replicas.size() > e.max_replicas)
+        throw std::invalid_argument(
+            "Cluster: initial fleet size outside elastic "
+            "[min_replicas, max_replicas]");
+    if (!(e.control_period_seconds > 0.0) ||
+        !std::isfinite(e.control_period_seconds))
+        throw std::invalid_argument(
+            "Cluster: elastic.control_period_seconds must be "
+            "positive and finite");
+    if (e.template_replica >= cfg.replicas.size())
+        throw std::invalid_argument(
+            "Cluster: elastic.template_replica out of range");
+    // Validates provision_seconds and the template's PCIe link.
+    return replicaWarmupSeconds(cfg.replicas[e.template_replica],
+                                e.provision_seconds);
+}
+
+} // namespace
+
+Cluster::Cluster(const core::TimingEngine &engine, ClusterConfig cfg)
+    : engine_(engine), cfg_(std::move(cfg)),
+      warmup_seconds_(validateFleet(engine_, cfg_))
+{
 }
 
 ClusterResult
@@ -250,15 +253,13 @@ Cluster::run(std::vector<Request> trace) const
         rc.id = static_cast<int64_t>(fleet.size());
         rc.name.clear(); // regenerate "replica<id>(...)" for this slot
         rc.obs = cfg_.obs.enabled() ? cfg_.obs : obs::Observability{};
-        const double warmup =
-            replicaWarmupSeconds(rc, cfg_.elastic.provision_seconds);
         fleet.push_back(std::make_unique<ReplicaEngine>(engine_, rc));
         fleet.back()->setDecodeCostCache(
             cfg_.fast_path.cache_decode_costs);
         clock.addLane();
         slot.push_back(Slot::Warming);
         routable_stale = true;
-        warm_ready.push_back(t + warmup);
+        warm_ready.push_back(t + warmup_seconds_);
         attach_t.push_back(t);
         retire_t.push_back(inf);
         lane_cap.push_back(inf);

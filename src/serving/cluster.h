@@ -26,8 +26,8 @@
  * simulated-time cadence (a third event stream next to arrivals and
  * replica events). Scale-up attaches a fresh replica slot — new
  * sim::EventClock lane, cold kv::PrefixTree — that warms up for
- * replicaWarmupSeconds() (weight load over PCIe priced through a cold
- * core::ElasticLoader) before it joins the routable set; scale-down
+ * replicaWarmupSeconds() (weight bytes over PCIe, priced once per
+ * fleet) before it joins the routable set; scale-down
  * cancels warming replicas first, then drains live ones
  * (drain-before-retire: a draining replica finishes everything it
  * owes, receives no new work, then its lane retires). Retired slots
@@ -136,14 +136,13 @@ struct ClusterConfig
  * Simulated seconds to bring a cold replica of shape `rc` live:
  * `provision_seconds` of instance provisioning plus the model's weight
  * footprint (1.3x FP16 parameters, core::TimingEngine::
- * weightFootprintBytes) crossing PCIe at rc's link speed. The
- * transfer volume is charged through a cold core::ElasticLoader — a
- * loader with empty resident sets reports the *full* selection as
- * to-load, the same diff machinery that prices elastic KV movement —
- * so scale-up is never free and stays consistent with the paper's
- * Section 5.4 loading model.
- * @throws std::invalid_argument on a non-positive PCIe bandwidth or a
- * negative/non-finite provision time.
+ * weightFootprintBytes) crossing PCIe at rc's link speed, so scale-up
+ * is never free. The weight bytes are rounded up to whole KV-token
+ * units (core::TimingEngine::kvBytesPerTokenPerLayer), the unit the
+ * paper's Section 5.4 loading model moves.
+ * @throws std::invalid_argument on a non-positive PCIe bandwidth, a
+ * negative/non-finite provision time, or an invalid model geometry
+ * (model::ModelConfig::validate).
  */
 double replicaWarmupSeconds(const ReplicaConfig &rc,
                             double provision_seconds = 0.0);
@@ -235,6 +234,10 @@ class Cluster
   private:
     const core::TimingEngine &engine_;
     ClusterConfig cfg_;
+    /** replicaWarmupSeconds() of the elastic template replica, priced
+     *  once at construction (0 on a fixed fleet); every attach reads
+     *  it. */
+    const double warmup_seconds_;
 };
 
 } // namespace serving

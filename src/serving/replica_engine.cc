@@ -510,6 +510,53 @@ ReplicaEngine::preemptVictim()
     scheduler_.enqueue(std::move(r));
 }
 
+bool
+ReplicaEngine::mustYield(double horizon) const
+{
+    return !(now_ < horizon) || active_.empty() ||
+           !scheduler_.queueEmpty() ||
+           (pending_next_ < static_cast<int64_t>(pending_.size()) &&
+            pending_[pending_next_].arrival_seconds <= now_);
+}
+
+size_t
+ReplicaEngine::advanceAndRetire(int64_t grow, double first_token_seconds)
+{
+    // Stable compaction — no per-element erase. Freed reservations
+    // re-offer headroom to the queue next round, and released prefix
+    // pins leave cached blocks LRU-evictable but resident for future
+    // same-prefix admissions while the budget lasts.
+    size_t keep = 0;
+    for (size_t i = 0; i < active_.size(); ++i) {
+        Request &r = active_[i];
+        r.generated += grow;
+        if (r.first_token_seconds < 0.0)
+            r.first_token_seconds = first_token_seconds;
+        if (!r.done()) {
+            const int64_t next_kv = r.kvLen();
+            if (keep != i)
+                active_[keep] = std::move(r);
+            kv_scratch_[keep] = next_kv;
+            ++keep;
+            continue;
+        }
+        r.finish_seconds = now_;
+        r.state = RequestState::Finished;
+        active_final_tokens_ -= r.finalLen();
+        if (r.prefix_pin_slot >= 0)
+            releasePinSlot(r.prefix_pin_slot);
+        result_.metrics.record(r, cfg_.id);
+        OBS_EVENT(trace_, obs::EventType::Complete, now_,
+                  static_cast<int32_t>(cfg_.id), r.id, r.gen_len,
+                  r.preemptions);
+        if (counters_)
+            counters_->add(slots_.completed_requests, 1);
+    }
+    active_.resize(keep);
+    kv_scratch_.resize(keep);
+    return keep;
+}
+
 void
 ReplicaEngine::step(const IngestFn &ingest, double horizon)
 {
@@ -725,7 +772,14 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                     scheduler_.decodeFitRounds(active_, bulk_k);
             bulk_k = std::min(bulk_k, opt_fit_rounds_);
         }
-        if (bulk_k >= 1) {
+        // What the advance-and-retire pass below applies: `grow`
+        // rounds per request, first tokens stamped at `first_token_t`.
+        // Only a bulk window (`windowed`) can stay open past it.
+        int64_t grow = 1;
+        double first_token_t = 0.0;
+        int64_t rounds = 0;
+        const bool windowed = bulk_k >= 1;
+        if (windowed) {
             // Bulk decode window: the evaluator advances the reduced
             // KV integers incrementally, and one reconciliation pass
             // afterwards applies the window's worth of per-request
@@ -751,7 +805,6 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                     kv_sum0 += kv;
 #endif
             double first_now = now_;
-            int64_t rounds = 0;
 #if SPECONTEXT_OBS_ENABLED
             if (trace_) {
                 // Traced run: per-round loop so every round's
@@ -807,131 +860,58 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                 win_k_retire_ = k_retire - rounds;
                 if (optimistic_preempt)
                     opt_fit_rounds_ -= rounds;
-                if (!(now_ < horizon) || !scheduler_.queueEmpty() ||
-                    (pending_next_ <
-                         static_cast<int64_t>(pending_.size()) &&
-                     pending_[pending_next_].arrival_seconds <= now_))
+                if (mustYield(horizon))
                     break;
                 continue;
             }
-            // Reconciliation: the window's ++generated / TTFT stamps /
-            // KV growth in one pass. Retirement is only reachable on
-            // the final planned round (rounds == k), and a retiring
-            // request finishes at the current (post-window) instant —
-            // exactly where the per-round loop would retire it. Any
-            // rounds a prior deferred window banked apply here too.
-            const int64_t grow = win_defer_rounds_ + rounds;
+            // Eager reconciliation: the pass below applies the
+            // window's generated / TTFT stamps / KV growth in one go.
+            // Retirement is only reachable on the final planned round
+            // (rounds == k), and a retiring request finishes at the
+            // current (post-window) instant — exactly where the
+            // per-round loop would retire it. Any rounds a prior
+            // deferred window banked apply here too.
+            grow = win_defer_rounds_ + rounds;
             win_defer_rounds_ = 0;
-            size_t keep = 0;
-            for (size_t i = 0; i < active_.size(); ++i) {
-                Request &r = active_[i];
-                r.generated += grow;
-                if (r.first_token_seconds < 0.0)
-                    r.first_token_seconds = first_now;
-                if (!r.done()) {
-                    const int64_t next_kv = r.kvLen();
-                    if (keep != i)
-                        active_[keep] = std::move(r);
-                    kv_scratch_[keep] = next_kv;
-                    ++keep;
-                    continue;
-                }
-                r.finish_seconds = now_;
-                r.state = RequestState::Finished;
-                active_final_tokens_ -= r.finalLen();
-                if (r.prefix_pin_slot >= 0)
-                    releasePinSlot(r.prefix_pin_slot);
-                result_.metrics.record(r, cfg_.id);
-                OBS_EVENT(trace_, obs::EventType::Complete, now_,
-                          static_cast<int32_t>(cfg_.id), r.id,
-                          r.gen_len, r.preemptions);
-                if (counters_)
-                    counters_->add(slots_.completed_requests, 1);
-            }
-            active_.resize(keep);
-            kv_scratch_.resize(keep);
-            // kv_ready stays true: the pass above refreshed the mirror.
-            // An unchanged batch keeps the evaluator's window (and the
-            // fit proof, one round spent per round run) open across
-            // steps; retirement voids both — indices no longer line
-            // up, recompute when next needed.
-            win_live_ = keep == static_cast<size_t>(R);
+            first_token_t = first_now;
             win_k_retire_ = k_retire - rounds;
-            if (optimistic_preempt)
-                opt_fit_rounds_ = keep == static_cast<size_t>(R)
-                                      ? opt_fit_rounds_ - rounds
-                                      : -1;
-            if (!(now_ < horizon) || active_.empty() ||
-                !scheduler_.queueEmpty() ||
-                (pending_next_ < static_cast<int64_t>(pending_.size()) &&
-                 pending_[pending_next_].arrival_seconds <= now_))
-                break;
-            continue;
-        }
-
-        now_ += decode_eval_
-                    ? decode_eval_->seconds(kv_scratch_)
-                    : engine_.decodeIterationSeconds(cfg_.timing,
-                                                     kv_scratch_);
-        ++result_.iterations;
+        } else {
+            now_ += decode_eval_
+                        ? decode_eval_->seconds(kv_scratch_)
+                        : engine_.decodeIterationSeconds(cfg_.timing,
+                                                         kv_scratch_);
+            ++result_.iterations;
 #if SPECONTEXT_OBS_ENABLED
-        if (trace_) {
-            int64_t kv_sum = 0;
-            for (int64_t k : kv_scratch_)
-                kv_sum += k;
-            trace_->emit(obs::EventType::DecodeStep, now_,
-                         static_cast<int32_t>(cfg_.id), -1,
-                         static_cast<int64_t>(kv_scratch_.size()),
-                         kv_sum);
-        }
-#endif
-        if (counters_) {
-            counters_->add(slots_.decode_iterations, 1);
-            counters_->add(slots_.generated_tokens,
-                           static_cast<int64_t>(active_.size()));
-        }
-        // Advance and retire in one pass (stable compaction — no
-        // per-element erase): every in-flight request gains its token
-        // and, on its first, its TTFT stamp; finished requests retire
-        // in place. Freed reservations re-offer headroom to the queue
-        // next round, and released prefix pins leave cached blocks
-        // LRU-evictable but resident for future same-prefix
-        // admissions while the budget lasts.
-        size_t keep = 0;
-        for (size_t i = 0; i < active_.size(); ++i) {
-            Request &r = active_[i];
-            ++r.generated;
-            if (r.first_token_seconds < 0.0)
-                r.first_token_seconds = now_;
-            if (!r.done()) {
-                const int64_t next_kv = r.kvLen();
-                if (keep != i)
-                    active_[keep] = std::move(r);
-                kv_scratch_[keep] = next_kv;
-                ++keep;
-                continue;
+            if (trace_) {
+                int64_t kv_sum = 0;
+                for (int64_t k : kv_scratch_)
+                    kv_sum += k;
+                trace_->emit(obs::EventType::DecodeStep, now_,
+                             static_cast<int32_t>(cfg_.id), -1,
+                             static_cast<int64_t>(kv_scratch_.size()),
+                             kv_sum);
             }
-            r.finish_seconds = now_;
-            r.state = RequestState::Finished;
-            active_final_tokens_ -= r.finalLen();
-            if (r.prefix_pin_slot >= 0)
-                releasePinSlot(r.prefix_pin_slot);
-            result_.metrics.record(r, cfg_.id);
-            OBS_EVENT(trace_, obs::EventType::Complete, now_,
-                      static_cast<int32_t>(cfg_.id), r.id, r.gen_len,
-                      r.preemptions);
-            if (counters_)
-                counters_->add(slots_.completed_requests, 1);
+#endif
+            if (counters_) {
+                counters_->add(slots_.decode_iterations, 1);
+                counters_->add(slots_.generated_tokens,
+                               static_cast<int64_t>(active_.size()));
+            }
+            first_token_t = now_;
         }
-        active_.resize(keep);
-        kv_scratch_.resize(keep);
+        const size_t batch = active_.size();
+        const size_t keep = advanceAndRetire(grow, first_token_t);
         kv_ready = true; // the pass above refreshed it for next round
-        // This round ran without a proven fit window (single-request
-        // pressure fallback, or no cached evaluator); the contexts
-        // grew outside any window, so stale predictions are void.
-        win_live_ = false;
+        // An unchanged batch keeps a bulk window (and the fit proof,
+        // one round spent per round run) open across steps;
+        // retirement voids both — indices no longer line up,
+        // recompute when next needed. A single round ran without a
+        // proven fit window (single-request pressure fallback, or no
+        // cached evaluator); the contexts grew outside any window, so
+        // stale predictions are void.
+        win_live_ = windowed && keep == batch;
         if (optimistic_preempt)
-            opt_fit_rounds_ = -1;
+            opt_fit_rounds_ = win_live_ ? opt_fit_rounds_ - rounds : -1;
 
         // Skip-ahead: keep executing pure-decode rounds inside this
         // call while nothing external can observe or perturb the
@@ -946,10 +926,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // admission (queued work, or a pending delivery whose arrival
         // the clock just passed — including a preemption victim this
         // round re-enqueued).
-        if (!(now_ < horizon) || active_.empty() ||
-            !scheduler_.queueEmpty() ||
-            (pending_next_ < static_cast<int64_t>(pending_.size()) &&
-             pending_[pending_next_].arrival_seconds <= now_))
+        if (mustYield(horizon))
             break;
     }
     if (prefixCacheEnabled())

@@ -540,6 +540,17 @@ class ReplicaEngine
      *  the eager-reconciliation invariant without closing anything. */
     void flushWindow();
 
+    /** step() must hand control back to the driver: the horizon is
+     *  reached, the batch drained, work is queued for admission, or a
+     *  pending delivery's arrival is due. */
+    bool mustYield(double horizon) const;
+
+    /** Reconcile `grow` decode rounds into active_ in one pass: each
+     *  request gains `grow` tokens (unstamped TTFTs get
+     *  `first_token_seconds`), finished requests retire at now_, and
+     *  kv_scratch_ is compacted alongside. Returns the requests kept. */
+    size_t advanceAndRetire(int64_t grow, double first_token_seconds);
+
     /** Optimistic KV pressure: evict the Scheduler's victim from the
      *  in-flight batch — release its prefix pin, count the preemption
      *  and re-enqueue it for recompute. */

@@ -1,22 +1,24 @@
 /**
  * @file
- * Tests of the autoscaling control plane: warmup pricing through the
- * cold ElasticLoader, SLO validation, the three scaling policies as
- * pure decision rules, the obs-polling Controller's signal digestion,
- * and the elastic serving::Cluster machinery — above all the parity
- * pin that a never-scaled elastic fleet is bit-for-bit the fixed
- * fleet, so the elastic code path can never drift from the pinned
- * serving arithmetic.
+ * Tests of the autoscaling control plane: warmup pricing (checked
+ * against a cold core::ElasticLoader oracle), SLO validation, the
+ * three scaling policies as pure decision rules, the obs-polling
+ * Controller's signal digestion, and the elastic serving::Cluster
+ * machinery — above all the parity pin that a never-scaled elastic
+ * fleet is bit-for-bit the fixed fleet, so the elastic code path can
+ * never drift from the pinned serving arithmetic.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "autoscale/controller.h"
 #include "autoscale/policy.h"
 #include "autoscale/slo.h"
+#include "core/elastic_loader.h"
 #include "core/timing_engine.h"
 #include "obs/counters.h"
 #include "obs/sampler.h"
@@ -80,29 +82,77 @@ class HoldController final : public serving::FleetController
 
 // ------------------------------------------------------ warmup pricing
 
+/**
+ * Reference warmup price: the weight footprint expressed as a
+ * selection of KV-token-equivalents and billed through a cold
+ * ElasticLoader, whose empty resident sets report the whole selection
+ * as to-load — the same set-difference machinery that prices elastic
+ * KV movement.
+ */
+double
+coldLoaderWarmupSeconds(const ReplicaConfig &rc, double provision_seconds)
+{
+    const int64_t weight_bytes =
+        core::TimingEngine::weightFootprintBytes(rc.timing.llm);
+    const int64_t bytes_per_token =
+        core::TimingEngine::kvBytesPerTokenPerLayer(rc.timing.llm);
+    const int64_t token_equiv =
+        (weight_bytes + bytes_per_token - 1) / bytes_per_token;
+    model::LayerSelection sel;
+    sel.per_head.emplace_back();
+    sel.per_head.back().reserve(static_cast<size_t>(token_equiv));
+    for (int64_t p = 0; p < token_equiv; ++p)
+        sel.per_head.back().push_back(p);
+    core::ElasticLoader cold;
+    const core::LoadPlan plan = cold.update(sel);
+    const double load_bytes =
+        static_cast<double>(plan.tokens_to_load) *
+        static_cast<double>(bytes_per_token);
+    return provision_seconds +
+           load_bytes / (rc.timing.hw.pcie_bw_gbps * 1e9);
+}
+
 TEST(Autoscale, WarmupPricesWeightLoadThroughColdLoader)
 {
-    const ReplicaConfig rc = cloudReplica();
-    const double w = serving::replicaWarmupSeconds(rc);
-    EXPECT_GT(w, 0.0);
-    // The cold loader bills the whole weight footprint over PCIe; the
-    // token-equivalent rounding adds at most one token's bytes.
-    const double expected =
-        static_cast<double>(
-            core::TimingEngine::weightFootprintBytes(rc.timing.llm)) /
-        (rc.timing.hw.pcie_bw_gbps * 1e9);
-    EXPECT_NEAR(w, expected, 1e-3);
-    // Provisioning latency is additive.
-    EXPECT_DOUBLE_EQ(serving::replicaWarmupSeconds(rc, 7.5), w + 7.5);
-    EXPECT_THROW(serving::replicaWarmupSeconds(rc, -1.0),
+    const ReplicaConfig cloud = cloudReplica();
+    ReplicaConfig edge = cloud;
+    edge.timing.llm = model::reasoningLlama32_1bGeometry();
+    edge.timing.hw = sim::HardwareSpec::edge4060();
+    ReplicaConfig mla = edge;
+    mla.timing.llm.attention = model::AttentionKind::MLA;
+    mla.timing.llm.mla_latent_dim = 512;
+    for (const ReplicaConfig &rc : {cloud, edge, mla}) {
+        SCOPED_TRACE(rc.timing.llm.name + " " +
+                     model::attentionKindName(rc.timing.llm.attention) +
+                     " on " + rc.timing.hw.name);
+        // Bitwise: the closed form is exactly the cold loader's bill,
+        // rounding to whole KV-token units included.
+        for (double provision : {0.0, 7.5})
+            EXPECT_EQ(serving::replicaWarmupSeconds(rc, provision),
+                      coldLoaderWarmupSeconds(rc, provision));
+        // The rounding adds at most one token's bytes to the footprint.
+        const double w = serving::replicaWarmupSeconds(rc);
+        const double unrounded =
+            static_cast<double>(
+                core::TimingEngine::weightFootprintBytes(rc.timing.llm)) /
+            (rc.timing.hw.pcie_bw_gbps * 1e9);
+        EXPECT_GE(w, unrounded);
+        EXPECT_NEAR(w, unrounded, 1e-3);
+    }
+    EXPECT_THROW(serving::replicaWarmupSeconds(cloud, -1.0),
                  std::invalid_argument);
     EXPECT_THROW(
         serving::replicaWarmupSeconds(
-            rc, std::numeric_limits<double>::infinity()),
+            cloud, std::numeric_limits<double>::infinity()),
         std::invalid_argument);
-    ReplicaConfig no_link = rc;
+    ReplicaConfig no_link = cloud;
     no_link.timing.hw.pcie_bw_gbps = 0.0;
     EXPECT_THROW(serving::replicaWarmupSeconds(no_link),
+                 std::invalid_argument);
+    // A zero-width KV token must be rejected, not divided by.
+    ReplicaConfig no_kv_heads = cloud;
+    no_kv_heads.timing.llm.kv_heads = 0;
+    EXPECT_THROW(serving::replicaWarmupSeconds(no_kv_heads),
                  std::invalid_argument);
 }
 
@@ -382,6 +432,7 @@ TEST(Autoscale, EndToEndScaleUpServeAndDrainDown)
     cfg.elastic.min_replicas = 1;
     cfg.elastic.max_replicas = 3;
     cfg.elastic.control_period_seconds = 2.0;
+    cfg.elastic.provision_seconds = 3.25;
 
     const auto trace = burstThenTailTrace();
     const ClusterResult res = Cluster(e, cfg).run(trace);
@@ -394,14 +445,28 @@ TEST(Autoscale, EndToEndScaleUpServeAndDrainDown)
     EXPECT_FALSE(ctl.decisions().empty());
     ASSERT_FALSE(res.scale_events.empty());
 
+    // Every attached slot warms for exactly the public warmup price.
+    const double warmup = serving::replicaWarmupSeconds(
+        cfg.replicas[0], cfg.elastic.provision_seconds);
+    std::vector<double> attach_t;
     bool saw_attach = false, saw_warm = false, saw_down = false,
          saw_retire = false;
     size_t peak_live = 0;
     for (const ScaleEvent &ev : res.scale_events) {
         peak_live = std::max(peak_live, ev.live_after);
+        const size_t slot = static_cast<size_t>(ev.replica);
         switch (ev.action) {
-          case ScaleAction::Attach: saw_attach = true; break;
-          case ScaleAction::WarmComplete: saw_warm = true; break;
+          case ScaleAction::Attach:
+            saw_attach = true;
+            attach_t.resize(std::max(attach_t.size(), slot + 1), -1.0);
+            attach_t[slot] = ev.t_seconds;
+            break;
+          case ScaleAction::WarmComplete:
+            saw_warm = true;
+            ASSERT_LT(slot, attach_t.size());
+            ASSERT_GE(attach_t[slot], 0.0);
+            EXPECT_EQ(ev.t_seconds, attach_t[slot] + warmup);
+            break;
           case ScaleAction::Drain:
           case ScaleAction::CancelWarming: saw_down = true; break;
           case ScaleAction::Retire: saw_retire = true; break;
