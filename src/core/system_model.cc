@@ -43,32 +43,23 @@ SystemModel::decodeIterationSeconds(const TimingConfig &,
 
 namespace {
 
-/** Fallback evaluator: per-call delegation, no caching. Bit-identity
- *  with the per-call method is trivial — it IS the per-call method. */
-class DelegatingDecodeEvaluator final : public DecodeEvaluator
+/** Fallback pricer: per-call delegation, no caching. Bit-identity with
+ *  the per-call methods is trivial — it IS the per-call methods. */
+class DelegatingPricer final : public SystemPricer
 {
   public:
-    explicit DelegatingDecodeEvaluator(TimingConfig cfg)
-        : cfg_(std::move(cfg))
-    {
-    }
+    explicit DelegatingPricer(TimingConfig cfg) : cfg_(std::move(cfg)) {}
 
-    double seconds(const std::vector<int64_t> &kv_lens) override
+    double decodeSeconds(const std::vector<int64_t> &kv_lens) override
     {
         return cfg_.system->decodeIterationSeconds(cfg_, kv_lens);
     }
 
-  private:
-    TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
-};
-
-/** Fallback admission evaluator: per-call delegation, no caching. */
-class DelegatingAdmissionEvaluator final : public AdmissionEvaluator
-{
-  public:
-    explicit DelegatingAdmissionEvaluator(TimingConfig cfg)
-        : cfg_(std::move(cfg))
+    double prefillSeconds(int64_t prompt_len, int64_t in_flight_requests,
+                          int64_t resident_kv_tokens) override
     {
+        return cfg_.system->requestPrefillSeconds(
+            cfg_, prompt_len, in_flight_requests, resident_kv_tokens);
     }
 
     AdmissionDecision admit(const std::vector<int64_t> &in_flight_final_lens,
@@ -88,44 +79,12 @@ class DelegatingAdmissionEvaluator final : public AdmissionEvaluator
     TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
 };
 
-/** Fallback prefill evaluator: per-call delegation, no caching. */
-class DelegatingPrefillEvaluator final : public PrefillEvaluator
-{
-  public:
-    explicit DelegatingPrefillEvaluator(TimingConfig cfg)
-        : cfg_(std::move(cfg))
-    {
-    }
-
-    double seconds(int64_t prompt_len, int64_t in_flight_requests,
-                   int64_t resident_kv_tokens) override
-    {
-        return cfg_.system->requestPrefillSeconds(
-            cfg_, prompt_len, in_flight_requests, resident_kv_tokens);
-    }
-
-  private:
-    TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
-};
-
 } // namespace
 
-std::unique_ptr<DecodeEvaluator>
-SystemModel::makeDecodeEvaluator(const TimingConfig &cfg) const
+std::unique_ptr<SystemPricer>
+SystemModel::makePricer(const TimingConfig &cfg) const
 {
-    return std::make_unique<DelegatingDecodeEvaluator>(cfg);
-}
-
-std::unique_ptr<AdmissionEvaluator>
-SystemModel::makeAdmissionEvaluator(const TimingConfig &cfg) const
-{
-    return std::make_unique<DelegatingAdmissionEvaluator>(cfg);
-}
-
-std::unique_ptr<PrefillEvaluator>
-SystemModel::makePrefillEvaluator(const TimingConfig &cfg) const
-{
-    return std::make_unique<DelegatingPrefillEvaluator>(cfg);
+    return std::make_unique<DelegatingPricer>(cfg);
 }
 
 AdmissionDecision

@@ -14,6 +14,10 @@
  *    one heterogeneous-batch decode iteration);
  *  - serving: the admission test deciding whether a request's KV
  *    reservation fits next to the in-flight batch;
+ *  - pricing: `makePricer()` binds one `SystemPricer` to a config —
+ *    the serving loop's cached view of the decode, prefill and
+ *    admission queries above, bit-identical to the per-call methods
+ *    (which stay the reference the pricer is tested against);
  *  - dataflow: which Fig. 7 row it schedules on the two-stream
  *    `sim::Timeline`.
  *
@@ -161,26 +165,30 @@ struct AdmissionDecision
 };
 
 /**
- * Reusable decode-iteration pricer bound to one (TimingConfig, system)
- * pair. seconds() returns bit-for-bit what
- * TimingEngine::decodeIterationSeconds returns on the bound config —
- * the evaluator only hoists work that is a pure function of the config
- * and the batch size (cost-model construction, memory-model geometry,
- * input validation) out of the per-iteration path, so a serving loop
- * that prices millions of decode rounds against one fixed config stops
- * re-deriving the same models every round. Obtain one from
- * SystemModel::makeDecodeEvaluator() (or the TimingEngine façade);
- * the evaluator keeps the bound config (and through it the system)
- * alive. Not thread-safe: one evaluator per replica lane.
+ * Reusable pricer bound to one (TimingConfig, system) pair: every cost
+ * and capacity question the continuous batcher asks of a replica —
+ * decode rounds, admission prefills, and the admission/fit probes —
+ * answered bit-for-bit as the per-call SystemModel methods answer them
+ * on the bound config. A pricer only hoists work that is a pure
+ * function of the config and the batch size (cost-model construction,
+ * memory-model geometry, per-batch-size breakdowns) out of the
+ * per-call path, so a serving loop that prices millions of rounds and
+ * probes against one fixed config stops re-deriving the same models
+ * every call. Obtain one from SystemModel::makePricer() (or the
+ * TimingEngine façade, which also validates the config); the pricer
+ * keeps the bound config (and through it the system) alive. Not
+ * thread-safe: one pricer per replica lane.
  */
-class DecodeEvaluator
+class SystemPricer
 {
   public:
-    virtual ~DecodeEvaluator() = default;
+    virtual ~SystemPricer() = default;
+
+    // ---- Decode ----------------------------------------------------
 
     /** Seconds of one decode iteration over `kv_lens` — bit-identical
-     *  to decodeIterationSeconds(bound_cfg, kv_lens). */
-    virtual double seconds(const std::vector<int64_t> &kv_lens) = 0;
+     *  to SystemModel::decodeIterationSeconds(bound_cfg, kv_lens). */
+    virtual double decodeSeconds(const std::vector<int64_t> &kv_lens) = 0;
 
     /**
      * Bulk decode window. Between batch-composition changes
@@ -188,13 +196,14 @@ class DecodeEvaluator
      * every in-flight context by exactly one token per round, so the
      * round-over-round evolution of the KV lengths is known in
      * advance. beginWindow(kv) followed by k nextRoundSeconds() calls
-     * returns bit-for-bit what k seconds() calls would on kv, kv+1,
-     * ..., kv+(k-1) (elementwise) — the window only replaces the
+     * returns bit-for-bit what k decodeSeconds() calls would on kv,
+     * kv+1, ..., kv+(k-1) (elementwise) — the window only replaces the
      * per-round O(R) reduction with incremental bookkeeping, never the
      * arithmetic that turns the reduced values into seconds. The
      * caller must re-begin the window whenever the batch changes shape
-     * for any other reason. The base implementation materializes the
-     * grown vector and calls seconds(); subclasses override both for
+     * for any other reason; prefill and admission calls in between do
+     * not disturb it. The base implementation materializes the grown
+     * vector and calls decodeSeconds(); subclasses override both for
      * the O(1) path.
      */
     virtual void beginWindow(const std::vector<int64_t> &kv_lens)
@@ -210,7 +219,7 @@ class DecodeEvaluator
             for (int64_t &s : win_lens_)
                 ++s;
         win_started_ = true;
-        return seconds(win_lens_);
+        return decodeSeconds(win_lens_);
     }
 
     /**
@@ -243,7 +252,7 @@ class DecodeEvaluator
 
     /**
      * Conservative lower bound on the duration of ANY decode round
-     * this evaluator can price (every batch shape, every KV length).
+     * this pricer can price (every batch shape, every KV length).
      * A fleet driver may multiply it by a count of rounds proven to
      * run uninterrupted to bound how soon a lane could next interact
      * — the bound only widens skip-ahead windows, it never feeds the
@@ -254,28 +263,13 @@ class DecodeEvaluator
      */
     virtual double minRoundSeconds() const { return 0.0; }
 
-  private:
-    std::vector<int64_t> win_lens_; ///< base-class window state only
-    bool win_started_ = false;
-};
+    // ---- Prefill and admission -------------------------------------
 
-/**
- * Reusable admission pricer bound to one (TimingConfig, system) pair —
- * the admission-side sibling of DecodeEvaluator. admit() and
- * fitsCurrent() return bit-for-bit what the same-named SystemModel
- * methods return on the bound config; the evaluator only hoists work
- * that is a pure function of the config (memory-model construction,
- * derived byte geometry) out of the per-call path, so a serving loop
- * probing admission millions of times against one fixed config stops
- * re-deriving the same models every probe. Obtain one from
- * SystemModel::makeAdmissionEvaluator(); the evaluator keeps the bound
- * config (and through it the system) alive. Not thread-safe: one
- * evaluator per replica lane.
- */
-class AdmissionEvaluator
-{
-  public:
-    virtual ~AdmissionEvaluator() = default;
+    /** Bit-identical to SystemModel::requestPrefillSeconds(bound_cfg,
+     *  prompt_len, in_flight_requests, resident_kv_tokens). */
+    virtual double prefillSeconds(int64_t prompt_len,
+                                  int64_t in_flight_requests,
+                                  int64_t resident_kv_tokens) = 0;
 
     /** Bit-identical to SystemModel::admit(bound_cfg, ...). */
     virtual AdmissionDecision admit(
@@ -285,29 +279,10 @@ class AdmissionEvaluator
     /** Bit-identical to SystemModel::fitsCurrent(bound_cfg, ...). */
     virtual AdmissionDecision fitsCurrent(
         const std::vector<int64_t> &kv_lens) = 0;
-};
 
-/**
- * Reusable prefill pricer bound to one (TimingConfig, system) pair —
- * the admission-time sibling of DecodeEvaluator. seconds() returns
- * bit-for-bit what SystemModel::requestPrefillSeconds returns on the
- * bound config; the evaluator only hoists pure-function setup (cost
- * model, byte geometry, memory models per joined-batch size) out of
- * the per-admission path. Obtain one from
- * SystemModel::makePrefillEvaluator(); the evaluator keeps the bound
- * config (and through it the system) alive. Not thread-safe: one
- * evaluator per replica lane.
- */
-class PrefillEvaluator
-{
-  public:
-    virtual ~PrefillEvaluator() = default;
-
-    /** Bit-identical to SystemModel::requestPrefillSeconds(bound_cfg,
-     *  prompt_len, in_flight_requests, resident_kv_tokens). */
-    virtual double seconds(int64_t prompt_len,
-                           int64_t in_flight_requests,
-                           int64_t resident_kv_tokens) = 0;
+  private:
+    std::vector<int64_t> win_lens_; ///< base-class window state only
+    bool win_started_ = false;
 };
 
 /** Bytes of KV cache per token per layer per request at FP16. */
@@ -377,39 +352,15 @@ class SystemModel
         const TimingConfig &cfg, const std::vector<int64_t> &kv_lens) const;
 
     /**
-     * Build a DecodeEvaluator bound to `cfg` (which must name this
-     * system). The base implementation returns a delegating evaluator
-     * that calls decodeIterationSeconds per iteration — trivially
+     * Build a SystemPricer bound to `cfg` (which must name this
+     * system). The base implementation returns a delegating pricer
+     * that calls the per-call methods on every query — trivially
      * bit-identical, no caching. Systems with expensive per-call setup
      * override it to hoist pure-function work (model construction,
-     * per-batch-size breakdowns) out of the iteration path; overrides
-     * must keep seconds() bit-for-bit equal to the per-call method.
+     * per-batch-size breakdowns) out of the serving loop; overrides
+     * must keep every query bit-for-bit equal to the per-call method.
      */
-    virtual std::unique_ptr<DecodeEvaluator> makeDecodeEvaluator(
-        const TimingConfig &cfg) const;
-
-    /**
-     * Build an AdmissionEvaluator bound to `cfg` (which must name this
-     * system). The base implementation returns a delegating evaluator
-     * that calls admit()/fitsCurrent() per probe — trivially
-     * bit-identical, no caching. Systems whose admission test builds
-     * models per call override it to hoist that pure-function setup;
-     * overrides must keep both probes bit-for-bit equal to the
-     * per-call methods.
-     */
-    virtual std::unique_ptr<AdmissionEvaluator> makeAdmissionEvaluator(
-        const TimingConfig &cfg) const;
-
-    /**
-     * Build a PrefillEvaluator bound to `cfg` (which must name this
-     * system). The base implementation returns a delegating evaluator
-     * that calls requestPrefillSeconds per admission — trivially
-     * bit-identical, no caching. Systems whose prefill pricing builds
-     * models per call override it to hoist that pure-function setup;
-     * overrides must keep seconds() bit-for-bit equal to the per-call
-     * method.
-     */
-    virtual std::unique_ptr<PrefillEvaluator> makePrefillEvaluator(
+    virtual std::unique_ptr<SystemPricer> makePricer(
         const TimingConfig &cfg) const;
 
     // ---- Memory footprint ------------------------------------------
@@ -484,7 +435,7 @@ class SystemModel
      * Optionally reports the attended total and longest context.
      * `base_hint`, when given, must equal
      * cost.decodeStepBreakdown(cfg.llm, kv_lens.size(), 0) — it lets a
-     * DecodeEvaluator reuse the cached value of that pure function
+     * SystemPricer reuse the cached value of that pure function
      * instead of re-deriving it per iteration.
      */
     double stepComputeSeconds(
@@ -500,7 +451,7 @@ class SystemModel
      * reduction is done: attention at `attended_total`, floored by
      * `weight_stream_seconds` (which must equal
      * parameterBytesFp16 / (hbm_bw_gbps * 1e9)). stepComputeSeconds
-     * funnels through this, and a DecodeEvaluator may call it directly
+     * funnels through this, and a SystemPricer may call it directly
      * with its own inlined reduction — both paths execute the same
      * operations in the same order, so results stay bit-identical.
      */

@@ -16,6 +16,16 @@ namespace specontext {
 namespace core {
 namespace {
 
+/** Width of the retrieval head's fused QK projection. */
+int64_t
+headProjDim(const model::ModelConfig &m)
+{
+    const int64_t kv_dim = m.attention == model::AttentionKind::MLA
+                               ? m.mla_latent_dim
+                               : m.kv_heads * m.head_dim;
+    return m.q_heads * m.head_dim + kv_dim;
+}
+
 class SpeContextSystem final : public SystemModel
 {
   public:
@@ -40,11 +50,7 @@ class SpeContextSystem final : public SystemModel
     double decodeIterationSeconds(
         const TimingConfig &cfg,
         const std::vector<int64_t> &kv_lens) const override;
-    std::unique_ptr<DecodeEvaluator> makeDecodeEvaluator(
-        const TimingConfig &cfg) const override;
-    std::unique_ptr<AdmissionEvaluator> makeAdmissionEvaluator(
-        const TimingConfig &cfg) const override;
-    std::unique_ptr<PrefillEvaluator> makePrefillEvaluator(
+    std::unique_ptr<SystemPricer> makePricer(
         const TimingConfig &cfg) const override;
     AdmissionDecision admit(const TimingConfig &cfg,
                             const std::vector<int64_t> &in_flight_final_lens,
@@ -58,9 +64,9 @@ class SpeContextSystem final : public SystemModel
     /**
      * The one decode-iteration formula, parameterized on its pure
      * per-(config, batch-size) derivations so the per-call path and
-     * the caching DecodeEvaluator run literally the same arithmetic:
+     * the caching SpeContextPricer run literally the same arithmetic:
      * `base` must equal cost.decodeStepBreakdown(llm, R, 0),
-     * `head_gemm` cost.gemmSeconds(R, q_dim + kv_dim, hidden),
+     * `head_gemm` cost.gemmSeconds(R, headProjDim(llm), hidden),
      * `weight_stream` parameterBytesFp16 / (hbm_bw_gbps * 1e9), and
      * `mm` a MemoryModel over memoryInputs(cfg, R).
      */
@@ -74,7 +80,7 @@ class SpeContextSystem final : public SystemModel
     /**
      * decodeIterImpl past the KV-length reduction: the arithmetic that
      * turns (R, attended_total, s_max) into seconds. The bulk-window
-     * evaluator maintains the two reduced integers incrementally and
+     * pricer maintains the two reduced integers incrementally and
      * enters here directly; the vector path funnels through after its
      * scan, so both run the identical tail. `all_resident_limit` is
      * mm.allResidentMaxTokens() (or -1 to disable the shortcut): while
@@ -88,6 +94,27 @@ class SpeContextSystem final : public SystemModel
                           double head_gemm, double weight_stream,
                           const sim::MemoryModel &mm,
                           int64_t all_resident_limit) const;
+
+    /**
+     * The one admission-prefill formula: `cost` must be a CostModel
+     * over (cfg.hw, backend()) and `mm` a MemoryModel over
+     * memoryInputs(cfg, in_flight_requests + 1) — the joined batch.
+     */
+    double prefillWith(const sim::CostModel &cost,
+                       const sim::MemoryModel &mm, const TimingConfig &cfg,
+                       int64_t prompt_len, int64_t in_flight_requests,
+                       int64_t resident_kv_tokens) const;
+
+    /**
+     * The one admission test: can a request of `candidate_final_len`
+     * final tokens join the `n` in-flight reservations at `lens`? `mm`
+     * must be a MemoryModel over memoryInputs(cfg, 1) (its headroom
+     * queries take explicit request counts).
+     */
+    AdmissionDecision admitWith(const sim::MemoryModel &mm,
+                                const TimingConfig &cfg,
+                                const int64_t *lens, size_t n,
+                                int64_t candidate_final_len) const;
 
     /** Attention budget (tokens attended per request per layer). */
     int64_t attentionBudget() const { return opts_.budget; }
@@ -111,10 +138,10 @@ SpeContextSystem::cpuLayers(const TimingConfig &cfg, int64_t requests,
                             int64_t s) const
 {
     // Per-call MemoryModel construction is two validate() calls plus a
-    // geometry derivation. The one-shot paths (simulate, admission)
-    // tolerate it; the serving decode loop goes through
-    // makeDecodeEvaluator(), which caches the model per batch size and
-    // calls cpuLayersWith() directly.
+    // geometry derivation. The one-shot paths (simulate, footprints)
+    // tolerate it; the serving loop goes through makePricer(), which
+    // caches the model per batch size and calls cpuLayersWith()
+    // directly.
     const sim::MemoryModel mm(memoryInputs(cfg, requests));
     return cpuLayersWith(mm, cfg, requests, s);
 }
@@ -145,10 +172,7 @@ SpeContextSystem::simulate(const TimingConfig &cfg) const
     const int64_t R = cfg.batch;
     const int64_t s_final = cfg.prompt_len + cfg.gen_len;
     const int64_t kvb = kvBytesPerTokenPerLayer(m);
-    const int64_t q_dim = m.q_heads * m.head_dim;
-    const int64_t kv_dim = m.attention == model::AttentionKind::MLA
-                               ? m.mla_latent_dim
-                               : m.kv_heads * m.head_dim;
+    const int64_t qk_dim = headProjDim(m);
 
     const sim::MemoryModel mm(memoryInputs(cfg, R));
 
@@ -184,7 +208,7 @@ SpeContextSystem::simulate(const TimingConfig &cfg) const
     // Retrieval head builds its K cache over the prompt: one fused
     // QK-projection GEMM over all prompt tokens.
     const double head_prefill = cost.gemmSeconds(
-        R * cfg.prompt_len, q_dim + kv_dim, m.hidden);
+        R * cfg.prompt_len, qk_dim, m.hidden);
     r.prefill_seconds += head_prefill;
     r.breakdown["head"] += head_prefill;
     int64_t l_cpu = cpuLayersAt(cfg.prompt_len);
@@ -223,7 +247,7 @@ SpeContextSystem::simulate(const TimingConfig &cfg) const
         // Retrieval head: once per step, before the LLM (not per layer).
         const int64_t b_eff = std::min<int64_t>(opts_.budget, s);
         const double head =
-            cost.gemmSeconds(R, q_dim + kv_dim, m.hidden) +
+            cost.gemmSeconds(R, qk_dim, m.hidden) +
             cost.retrievalSeconds(
                 2.0 * R * m.q_heads * m.head_dim * s, s);
         r.breakdown["head"] += head;
@@ -272,17 +296,25 @@ SpeContextSystem::requestPrefillSeconds(const TimingConfig &cfg,
                                         int64_t resident_kv_tokens) const
 {
     const sim::CostModel cost(cfg.hw, backend());
+    const sim::MemoryModel mm(memoryInputs(cfg, in_flight_requests + 1));
+    return prefillWith(cost, mm, cfg, prompt_len, in_flight_requests,
+                       resident_kv_tokens);
+}
+
+double
+SpeContextSystem::prefillWith(const sim::CostModel &cost,
+                              const sim::MemoryModel &mm,
+                              const TimingConfig &cfg, int64_t prompt_len,
+                              int64_t in_flight_requests,
+                              int64_t resident_kv_tokens) const
+{
     const model::ModelConfig &m = cfg.llm;
     const int64_t kvb = kvBytesPerTokenPerLayer(m);
     double t = cost.prefillSeconds(m, 1, prompt_len);
 
     // Retrieval head builds its K cache over the joining prompt
     // (one fused QK-projection GEMM, as in simulate()).
-    const int64_t q_dim = m.q_heads * m.head_dim;
-    const int64_t kv_dim = m.attention == model::AttentionKind::MLA
-                               ? m.mla_latent_dim
-                               : m.kv_heads * m.head_dim;
-    t += cost.gemmSeconds(prompt_len, q_dim + kv_dim, m.hidden);
+    t += cost.gemmSeconds(prompt_len, headProjDim(m), m.hidden);
 
     // Prompt-KV eviction for the layers the placement keeps in CPU
     // DRAM at the *joined batch's* shape: Eq. 7 prices uniform-length
@@ -293,7 +325,7 @@ SpeContextSystem::requestPrefillSeconds(const TimingConfig &cfg,
     const int64_t r_joined = in_flight_requests + 1;
     const int64_t s_uniform = std::max(
         prompt_len, (resident_kv_tokens + prompt_len) / r_joined);
-    const int64_t l_cpu = cpuLayers(cfg, r_joined, s_uniform);
+    const int64_t l_cpu = cpuLayersWith(mm, cfg, r_joined, s_uniform);
     if (l_cpu > 0) {
         const double evict =
             cost.pcieSeconds(prompt_len * kvb * l_cpu);
@@ -396,48 +428,77 @@ SpeContextSystem::decodeIterationSeconds(
     const sim::CostModel cost(cfg.hw, backend());
     const model::ModelConfig &m = cfg.llm;
     const int64_t R = static_cast<int64_t>(kv_lens.size());
-    const int64_t q_dim = m.q_heads * m.head_dim;
-    const int64_t kv_dim = m.attention == model::AttentionKind::MLA
-                               ? m.mla_latent_dim
-                               : m.kv_heads * m.head_dim;
     const sim::MemoryModel mm(memoryInputs(cfg, R));
     const double weight_stream =
         double(m.parameterBytesFp16()) / (cfg.hw.hbm_bw_gbps * 1e9);
     return decodeIterImpl(cfg, kv_lens, cost,
                           cost.decodeStepBreakdown(m, R, 0),
-                          cost.gemmSeconds(R, q_dim + kv_dim, m.hidden),
+                          cost.gemmSeconds(R, headProjDim(m), m.hidden),
                           weight_stream, mm);
 }
 
 /**
- * Caching evaluator: the CostModel, per-batch-size step breakdown,
- * retrieval-head GEMM price and MemoryModel are pure functions of the
- * bound config and R, derived once and reused; every iteration then
- * runs decodeIterImpl — the same arithmetic, in the same order, on the
- * same values as the per-call path, so the result is bit-identical.
+ * Caching pricer: the CostModel, weight-streaming floor, and per batch
+ * size R the step breakdown, retrieval-head GEMM price and MemoryModel
+ * are pure functions of the bound config, derived once and reused.
+ * Decode reads the table at R = batch, admission prefill at R =
+ * in-flight + 1, and the admission probes at R = 1; each query then
+ * runs the same decodeIterImpl / prefillWith / admitWith arithmetic,
+ * in the same order, on the same values as the per-call path, so every
+ * result is bit-identical.
  */
-class SpeContextDecodeEvaluator final : public DecodeEvaluator
+class SpeContextPricer final : public SystemPricer
 {
   public:
-    SpeContextDecodeEvaluator(const SpeContextSystem &sys,
-                              const TimingConfig &cfg)
+    SpeContextPricer(const SpeContextSystem &sys, const TimingConfig &cfg)
         : sys_(sys), cfg_(cfg), cost_(cfg_.hw, sys.backend()),
           weight_stream_(double(cfg_.llm.parameterBytesFp16()) /
                          (cfg_.hw.hbm_bw_gbps * 1e9))
     {
+        // The admission entry up front: a config its MemoryModel
+        // rejects throws here, at construction, not at the first probe.
+        perR(1);
     }
 
-    double seconds(const std::vector<int64_t> &kv_lens) override
+    double decodeSeconds(const std::vector<int64_t> &kv_lens) override
     {
         if (kv_lens.empty())
             return 0.0;
         const PerR &p = perR(kv_lens.size());
         return sys_.decodeIterImpl(cfg_, kv_lens, cost_, p.base,
-                                   p.head_gemm, weight_stream_, *p.mm);
+                                   p.head_gemm, weight_stream_, p.mm);
+    }
+
+    double prefillSeconds(int64_t prompt_len, int64_t in_flight_requests,
+                          int64_t resident_kv_tokens) override
+    {
+        const PerR &p = perR(static_cast<size_t>(in_flight_requests + 1));
+        return sys_.prefillWith(cost_, p.mm, cfg_, prompt_len,
+                                in_flight_requests, resident_kv_tokens);
+    }
+
+    AdmissionDecision admit(const std::vector<int64_t> &in_flight_final_lens,
+                            int64_t candidate_prompt_len,
+                            int64_t candidate_final_len) override
+    {
+        (void)candidate_prompt_len;
+        return sys_.admitWith(perR(1).mm, cfg_, in_flight_final_lens.data(),
+                              in_flight_final_lens.size(),
+                              candidate_final_len);
+    }
+
+    AdmissionDecision fitsCurrent(const std::vector<int64_t> &kv_lens) override
+    {
+        if (kv_lens.empty())
+            return {true, ""};
+        // The base-class fitsCurrent splits [rest..., back] and calls
+        // admit(rest, 1, back); pass the split as a span, no copy.
+        return sys_.admitWith(perR(1).mm, cfg_, kv_lens.data(),
+                              kv_lens.size() - 1, kv_lens.back());
     }
 
     /**
-     * Incremental window (see DecodeEvaluator::beginWindow): the two
+     * Incremental window (see SystemPricer::beginWindow): the two
      * reduced integers a round needs — attended_total (Σ min(budget,
      * s_i)) and s_max — evolve predictably under uniform +1 growth:
      * s_max gains one every round, and attended_total gains one per
@@ -448,7 +509,7 @@ class SpeContextDecodeEvaluator final : public DecodeEvaluator
      * the distance to the nearest crossing, so the recount is rare.
      * The seconds come from the same decodeIterTail the vector path
      * funnels into, on the same integers, so every round is
-     * bit-identical to a seconds() call on the grown vector.
+     * bit-identical to a decodeSeconds() call on the grown vector.
      */
     void beginWindow(const std::vector<int64_t> &kv_lens) override
     {
@@ -493,8 +554,8 @@ class SpeContextDecodeEvaluator final : public DecodeEvaluator
                      double &first_now) override
     {
         if (win_r_ == 0)
-            return DecodeEvaluator::runWindow(
-                max_rounds, now, horizon, t_pending, rounds, first_now);
+            return SystemPricer::runWindow(max_rounds, now, horizon,
+                                           t_pending, rounds, first_now);
         rounds = 0;
         for (;;) {
             now += roundPrice();
@@ -514,7 +575,16 @@ class SpeContextDecodeEvaluator final : public DecodeEvaluator
     double minRoundSeconds() const override { return weight_stream_; }
 
   private:
-    struct PerR;
+    /** Pure per-(config, R) derivations. Held behind unique_ptr so the
+     *  open window's pointer survives the table growing under a
+     *  prefill or admission query. */
+    struct PerR
+    {
+        sim::DecodeBreakdown base; ///< cost.decodeStepBreakdown(llm, R, 0)
+        double head_gemm;          ///< retrieval-head GEMM at R
+        sim::MemoryModel mm;       ///< over memoryInputs(cfg, R)
+        int64_t all_resident_limit; ///< mm.allResidentMaxTokens()
+    };
 
     /** One window round: advance the reduced integers, price them.
      *  Requires an open window with win_r_ > 0. */
@@ -545,46 +615,32 @@ class SpeContextDecodeEvaluator final : public DecodeEvaluator
         return sys_.decodeIterTail(cfg_, win_r_, win_attended_,
                                    win_smax_, cost_, win_p_->base,
                                    win_p_->head_gemm, weight_stream_,
-                                   *win_p_->mm, win_limit_);
+                                   win_p_->mm, win_limit_);
     }
 
     const PerR &perR(size_t r)
     {
         if (r >= per_r_.size())
             per_r_.resize(r + 1);
-        PerR &p = per_r_[r];
-        if (!p.mm) {
+        std::unique_ptr<PerR> &p = per_r_[r];
+        if (!p) {
             const model::ModelConfig &m = cfg_.llm;
             const int64_t R = static_cast<int64_t>(r);
-            const int64_t q_dim = m.q_heads * m.head_dim;
-            const int64_t kv_dim =
-                m.attention == model::AttentionKind::MLA
-                    ? m.mla_latent_dim
-                    : m.kv_heads * m.head_dim;
-            p.base = cost_.decodeStepBreakdown(m, R, 0);
-            p.head_gemm =
-                cost_.gemmSeconds(R, q_dim + kv_dim, m.hidden);
-            p.mm = std::make_unique<sim::MemoryModel>(
-                sys_.memoryInputs(cfg_, R));
-            p.all_resident_limit = p.mm->allResidentMaxTokens();
+            sim::MemoryModel mm(sys_.memoryInputs(cfg_, R));
+            const int64_t limit = mm.allResidentMaxTokens();
+            p.reset(new PerR{cost_.decodeStepBreakdown(m, R, 0),
+                             cost_.gemmSeconds(R, headProjDim(m), m.hidden),
+                             std::move(mm), limit});
         }
-        return p;
+        return *p;
     }
-
-    struct PerR
-    {
-        sim::DecodeBreakdown base;
-        double head_gemm = 0.0;
-        std::unique_ptr<sim::MemoryModel> mm;
-        /** mm->allResidentMaxTokens(), cached beside it. */
-        int64_t all_resident_limit = -1;
-    };
 
     const SpeContextSystem &sys_;
     TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
     sim::CostModel cost_;
     double weight_stream_; ///< R-independent weight-streaming floor
-    std::vector<PerR> per_r_; ///< indexed by batch size, lazily filled
+    /** Indexed by batch size R, lazily filled. */
+    std::vector<std::unique_ptr<PerR>> per_r_;
 
     // ---- Bulk-window state (see beginWindow) ------------------------
     int64_t win_r_ = 0;        ///< batch size of the open window
@@ -598,158 +654,10 @@ class SpeContextDecodeEvaluator final : public DecodeEvaluator
     std::vector<int64_t> win_base_; ///< window-base lengths (recounts)
 };
 
-std::unique_ptr<DecodeEvaluator>
-SpeContextSystem::makeDecodeEvaluator(const TimingConfig &cfg) const
+std::unique_ptr<SystemPricer>
+SpeContextSystem::makePricer(const TimingConfig &cfg) const
 {
-    return std::make_unique<SpeContextDecodeEvaluator>(*this, cfg);
-}
-
-/**
- * Caching prefill evaluator: requestPrefillSeconds() builds a
- * CostModel and (through cpuLayers) a MemoryModel on every admission
- * even though both are pure functions of the bound config and the
- * joined batch size. Hoist them here; each admission then runs the
- * same prefill/retrieval-GEMM/eviction arithmetic, in the same order,
- * on the same values as the per-call method.
- */
-class SpeContextPrefillEvaluator final : public PrefillEvaluator
-{
-  public:
-    SpeContextPrefillEvaluator(const SpeContextSystem &sys,
-                               const TimingConfig &cfg)
-        : sys_(sys), cfg_(cfg), cost_(cfg_.hw, sys.backend()),
-          kvb_(kvBytesPerTokenPerLayer(cfg_.llm))
-    {
-        const model::ModelConfig &m = cfg_.llm;
-        const int64_t q_dim = m.q_heads * m.head_dim;
-        const int64_t kv_dim =
-            m.attention == model::AttentionKind::MLA
-                ? m.mla_latent_dim
-                : m.kv_heads * m.head_dim;
-        qkv_dim_ = q_dim + kv_dim;
-    }
-
-    double seconds(int64_t prompt_len, int64_t in_flight_requests,
-                   int64_t resident_kv_tokens) override
-    {
-        const model::ModelConfig &m = cfg_.llm;
-        double t = cost_.prefillSeconds(m, 1, prompt_len);
-        t += cost_.gemmSeconds(prompt_len, qkv_dim_, m.hidden);
-        const int64_t r_joined = in_flight_requests + 1;
-        const int64_t s_uniform = std::max(
-            prompt_len, (resident_kv_tokens + prompt_len) / r_joined);
-        const int64_t l_cpu =
-            sys_.cpuLayersWith(mmFor(r_joined), cfg_, r_joined,
-                               s_uniform);
-        if (l_cpu > 0) {
-            const double evict =
-                cost_.pcieSeconds(prompt_len * kvb_ * l_cpu);
-            const double exposed =
-                sys_.options().features.async_elastic ? 0.2 : 1.0;
-            t += exposed * evict;
-        }
-        return t;
-    }
-
-  private:
-    /** Memory model for `requests` joined requests, built once. */
-    const sim::MemoryModel &mmFor(int64_t requests)
-    {
-        const size_t r = static_cast<size_t>(requests);
-        if (r >= mm_.size())
-            mm_.resize(r + 1);
-        if (!mm_[r])
-            mm_[r] = std::make_unique<sim::MemoryModel>(
-                sys_.memoryInputs(cfg_, requests));
-        return *mm_[r];
-    }
-
-    const SpeContextSystem &sys_;
-    TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
-    sim::CostModel cost_;
-    int64_t kvb_;      ///< KV bytes per token per layer
-    int64_t qkv_dim_;  ///< retrieval-head fused QK projection width
-    std::vector<std::unique_ptr<sim::MemoryModel>> mm_; ///< by r_joined
-};
-
-std::unique_ptr<PrefillEvaluator>
-SpeContextSystem::makePrefillEvaluator(const TimingConfig &cfg) const
-{
-    return std::make_unique<SpeContextPrefillEvaluator>(*this, cfg);
-}
-
-/**
- * Caching admission evaluator: admit() builds a MemoryModel over
- * memoryInputs(cfg, 1) on every probe even though the inputs never
- * change for a bound config. Hoist the model (and the derived
- * per-token KV byte factor) into the evaluator; each probe then runs
- * the same integer reductions and the same fitsWithOffload/DRAM
- * comparisons on the same values as the per-call method.
- */
-class SpeContextAdmissionEvaluator final : public AdmissionEvaluator
-{
-  public:
-    SpeContextAdmissionEvaluator(const SpeContextSystem &sys,
-                                 const TimingConfig &cfg)
-        : cfg_(cfg), mm_(sys.memoryInputs(cfg_, 1)),
-          kv_bytes_all_layers_(kvBytesPerTokenPerLayer(cfg_.llm) *
-                               cfg_.llm.layers)
-    {
-    }
-
-    AdmissionDecision admit(const std::vector<int64_t> &in_flight_final_lens,
-                            int64_t candidate_prompt_len,
-                            int64_t candidate_final_len) override
-    {
-        (void)candidate_prompt_len;
-        const int64_t r =
-            static_cast<int64_t>(in_flight_final_lens.size()) + 1;
-        int64_t s_max = candidate_final_len;
-        int64_t kv_tokens = candidate_final_len;
-        for (int64_t fl : in_flight_final_lens) {
-            s_max = std::max(s_max, fl);
-            kv_tokens += fl;
-        }
-        return decide(r, s_max, kv_tokens);
-    }
-
-    AdmissionDecision fitsCurrent(const std::vector<int64_t> &kv_lens) override
-    {
-        if (kv_lens.empty())
-            return {true, ""};
-        // The base-class fitsCurrent splits [rest..., back] and calls
-        // admit(rest, 1, back); its max/sum over that split equal the
-        // reductions below over the whole vector, so no split copy.
-        const int64_t r = static_cast<int64_t>(kv_lens.size());
-        int64_t s_max = kv_lens.back();
-        int64_t kv_tokens = kv_lens.back();
-        for (size_t i = 0; i + 1 < kv_lens.size(); ++i) {
-            s_max = std::max(s_max, kv_lens[i]);
-            kv_tokens += kv_lens[i];
-        }
-        return decide(r, s_max, kv_tokens);
-    }
-
-  private:
-    AdmissionDecision decide(int64_t r, int64_t s_max, int64_t kv_tokens)
-    {
-        if (!mm_.fitsWithOffload(r, s_max))
-            return {false,
-                    "no offload level fits (Eq. 7 headroom exhausted)"};
-        if (kv_tokens * kv_bytes_all_layers_ > cfg_.hw.cpu_mem_bytes)
-            return {false, "offloaded KV would exceed CPU DRAM"};
-        return {true, ""};
-    }
-
-    TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
-    sim::MemoryModel mm_;
-    int64_t kv_bytes_all_layers_; ///< kvb * layers, hoisted
-};
-
-std::unique_ptr<AdmissionEvaluator>
-SpeContextSystem::makeAdmissionEvaluator(const TimingConfig &cfg) const
-{
-    return std::make_unique<SpeContextAdmissionEvaluator>(*this, cfg);
+    return std::make_unique<SpeContextPricer>(*this, cfg);
 }
 
 AdmissionDecision
@@ -759,17 +667,25 @@ SpeContextSystem::admit(const TimingConfig &cfg,
                         int64_t candidate_final_len) const
 {
     (void)candidate_prompt_len;
-    const int64_t r =
-        static_cast<int64_t>(in_flight_final_lens.size()) + 1;
+    const sim::MemoryModel mm(memoryInputs(cfg, 1));
+    return admitWith(mm, cfg, in_flight_final_lens.data(),
+                     in_flight_final_lens.size(), candidate_final_len);
+}
+
+AdmissionDecision
+SpeContextSystem::admitWith(const sim::MemoryModel &mm,
+                            const TimingConfig &cfg, const int64_t *lens,
+                            size_t n, int64_t candidate_final_len) const
+{
+    const int64_t r = static_cast<int64_t>(n) + 1;
     // Eq. 7 prices R uniform-length requests; bound the heterogeneous
     // batch by its longest final reservation (conservative).
     int64_t s_max = candidate_final_len;
     int64_t kv_tokens = candidate_final_len;
-    for (int64_t fl : in_flight_final_lens) {
-        s_max = std::max(s_max, fl);
-        kv_tokens += fl;
+    for (size_t i = 0; i < n; ++i) {
+        s_max = std::max(s_max, lens[i]);
+        kv_tokens += lens[i];
     }
-    const sim::MemoryModel mm(memoryInputs(cfg, 1));
     if (!mm.fitsWithOffload(r, s_max))
         return {false, "no offload level fits (Eq. 7 headroom exhausted)"};
     // Offloaded layers land in CPU DRAM; the full KV cache must fit
@@ -786,7 +702,7 @@ SpeContextSystem::hbmFootprintBytes(const TimingConfig &cfg,
                                     int64_t requests, int64_t s) const
 {
     const sim::MemoryModel mm(memoryInputs(cfg, requests));
-    const int64_t l_cpu = cpuLayers(cfg, requests, s);
+    const int64_t l_cpu = cpuLayersWith(mm, cfg, requests, s);
     return mm.mPartBytesFor(requests, s, cfg.llm.layers - l_cpu);
 }
 

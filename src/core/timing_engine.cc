@@ -41,6 +41,7 @@ TimingResult
 TimingEngine::simulate(const TimingConfig &cfg) const
 {
     cfg.llm.validate();
+    cfg.hw.validate();
     const SystemModel &sys = requireSystem(cfg);
     if (cfg.batch > sys.maxSimulatedBatch()) {
         // The one enforcement point of the capability — systems
@@ -63,6 +64,7 @@ TimingEngine::requestPrefillSeconds(const TimingConfig &cfg,
                                     int64_t resident_kv_tokens) const
 {
     cfg.llm.validate();
+    cfg.hw.validate();
     const SystemModel &sys = requireSystem(cfg);
     if (!sys.supportsContinuousBatching())
         throw std::invalid_argument(
@@ -82,6 +84,7 @@ TimingEngine::decodeIterationSeconds(
     const TimingConfig &cfg, const std::vector<int64_t> &kv_lens) const
 {
     cfg.llm.validate();
+    cfg.hw.validate();
     const SystemModel &sys = requireSystem(cfg);
     if (!sys.supportsContinuousBatching())
         throw std::invalid_argument(
@@ -89,26 +92,16 @@ TimingEngine::decodeIterationSeconds(
     return sys.decodeIterationSeconds(cfg, kv_lens);
 }
 
-std::unique_ptr<DecodeEvaluator>
-TimingEngine::makeDecodeEvaluator(const TimingConfig &cfg) const
+std::unique_ptr<SystemPricer>
+TimingEngine::makePricer(const TimingConfig &cfg) const
 {
     cfg.llm.validate();
+    cfg.hw.validate();
     const SystemModel &sys = requireSystem(cfg);
     if (!sys.supportsContinuousBatching())
         throw std::invalid_argument(
-            "makeDecodeEvaluator: system is wave-scheduled only");
-    return sys.makeDecodeEvaluator(cfg);
-}
-
-std::unique_ptr<PrefillEvaluator>
-TimingEngine::makePrefillEvaluator(const TimingConfig &cfg) const
-{
-    cfg.llm.validate();
-    const SystemModel &sys = requireSystem(cfg);
-    if (!sys.supportsContinuousBatching())
-        throw std::invalid_argument(
-            "makePrefillEvaluator: system is wave-scheduled only");
-    return sys.makePrefillEvaluator(cfg);
+            "makePricer: system is wave-scheduled only");
+    return sys.makePricer(cfg);
 }
 
 } // namespace core

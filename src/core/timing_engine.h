@@ -28,7 +28,9 @@ class TimingEngine
 {
   public:
     /** Price a whole closed [prompt, gen] run of cfg.system.
-     *  @throws std::invalid_argument when cfg.system is null. */
+     *  @throws std::invalid_argument when cfg.system is null or
+     *  cfg.llm / cfg.hw is invalid (ModelConfig::validate,
+     *  HardwareSpec::validate). */
     TimingResult simulate(const TimingConfig &cfg) const;
 
     // ---- Incremental stepping (continuous batching) -----------------
@@ -53,7 +55,8 @@ class TimingEngine
      * `in_flight_requests` and `resident_kv_tokens` describe the batch
      * being joined — they decide whether the new prompt's KV must move
      * off-device.
-     * @throws std::invalid_argument for unsupported systems.
+     * @throws std::invalid_argument for unsupported systems or an
+     * invalid cfg.llm / cfg.hw.
      */
     double requestPrefillSeconds(const TimingConfig &cfg,
                                  int64_t prompt_len,
@@ -65,32 +68,24 @@ class TimingEngine
      * kv_lens[i] is request i's current context (prompt + generated so
      * far). cfg.batch/prompt_len/gen_len are ignored — the batch is
      * whatever kv_lens says. Returns 0 for an empty batch.
-     * @throws std::invalid_argument for unsupported systems.
+     * @throws std::invalid_argument for unsupported systems or an
+     * invalid cfg.llm / cfg.hw.
      */
     double decodeIterationSeconds(const TimingConfig &cfg,
                                   const std::vector<int64_t> &kv_lens)
         const;
 
     /**
-     * Build a reusable decode-iteration pricer bound to `cfg`: input
-     * validation and the system's pure per-config/per-batch-size
-     * derivations run once here instead of on every call, and
-     * seconds() then returns bit-for-bit what decodeIterationSeconds
-     * would. The serving fast path holds one per replica lane.
-     * @throws std::invalid_argument for unsupported systems.
+     * Build a reusable pricer bound to `cfg` (see core::SystemPricer):
+     * input validation and the system's pure per-config/per-batch-size
+     * derivations run once here instead of on every call, and its
+     * decode, prefill and admission queries then return bit-for-bit
+     * what the per-call methods would. The serving fast path holds one
+     * per replica lane.
+     * @throws std::invalid_argument for unsupported systems or an
+     * invalid cfg.llm / cfg.hw.
      */
-    std::unique_ptr<DecodeEvaluator> makeDecodeEvaluator(
-        const TimingConfig &cfg) const;
-
-    /**
-     * Build a reusable admission-time prefill pricer bound to `cfg`:
-     * seconds() returns bit-for-bit what requestPrefillSeconds would,
-     * with the per-call model construction hoisted to this one call.
-     * The serving fast path holds one per replica lane.
-     * @throws std::invalid_argument for unsupported systems.
-     */
-    std::unique_ptr<PrefillEvaluator> makePrefillEvaluator(
-        const TimingConfig &cfg) const;
+    std::unique_ptr<SystemPricer> makePricer(const TimingConfig &cfg) const;
 
     /** Bytes of KV cache per token per layer per request at FP16
      *  (delegates to core::kvBytesPerTokenPerLayer). */

@@ -13,10 +13,11 @@ AdmissionController::AdmissionController(core::TimingConfig cfg)
         throw std::invalid_argument(
             "AdmissionController: TimingConfig.system is null");
     cfg_.llm.validate();
+    cfg_.hw.validate();
     if (!cfg_.system->supportsContinuousBatching())
         throw std::invalid_argument(
             "AdmissionController: system is wave-scheduled only");
-    eval_ = cfg_.system->makeAdmissionEvaluator(cfg_);
+    pricer_ = cfg_.system->makePricer(cfg_);
 }
 
 AdmissionDecision
@@ -28,8 +29,8 @@ AdmissionController::admit(const std::vector<Request> &in_flight,
     lens_scratch_.clear();
     for (const Request &q : in_flight)
         lens_scratch_.push_back(q.finalLen());
-    return eval_->admit(lens_scratch_, candidate.prompt_len,
-                        candidate.finalLen());
+    return pricer_->admit(lens_scratch_, candidate.prompt_len,
+                          candidate.finalLen());
 }
 
 AdmissionDecision
@@ -44,8 +45,8 @@ AdmissionController::admitCurrent(const std::vector<Request> &in_flight,
     // The candidate's live footprint after (re)prefill is its current
     // context — prompt plus whatever it had generated before a
     // preemption; that recompute is also the prefill shape.
-    return eval_->admit(lens_scratch_, candidate.kvLen(),
-                        candidate.kvLen());
+    return pricer_->admit(lens_scratch_, candidate.kvLen(),
+                          candidate.kvLen());
 }
 
 AdmissionDecision
@@ -55,7 +56,7 @@ AdmissionController::decodeStepFits(
     lens_scratch_.clear();
     for (const Request &q : in_flight)
         lens_scratch_.push_back(q.kvLen() + 1);
-    return eval_->fitsCurrent(lens_scratch_);
+    return pricer_->fitsCurrent(lens_scratch_);
 }
 
 int64_t
@@ -72,7 +73,7 @@ AdmissionController::decodeFitRounds(const std::vector<Request> &in_flight,
         lens_scratch_.clear();
         for (const Request &q : in_flight)
             lens_scratch_.push_back(q.kvLen() + 1 + j);
-        return eval_->fitsCurrent(lens_scratch_).admit;
+        return pricer_->fitsCurrent(lens_scratch_).admit;
     };
     if (!pass(0))
         return 0;
@@ -117,7 +118,7 @@ AdmissionController::restoreFeasibleAlone(const Request &candidate) const
     // one pass (all gen_len tokens generated, then preempted); prompt
     // monotonicity makes this the worst prefill-scratch shape.
     lens_scratch_.clear();
-    return eval_
+    return pricer_
         ->admit(lens_scratch_, candidate.finalLen(), candidate.finalLen())
         .admit;
 }

@@ -44,7 +44,9 @@ class AdmissionController
   public:
     /**
      * @throws std::invalid_argument when cfg.system is null or cannot
-     * be continuously batched (per-layer retrieve-then-load baselines).
+     * be continuously batched (per-layer retrieve-then-load baselines),
+     * or when cfg.llm / cfg.hw is invalid (ModelConfig::validate,
+     * HardwareSpec::validate).
      */
     explicit AdmissionController(core::TimingConfig cfg);
 
@@ -147,12 +149,13 @@ class AdmissionController
 
   private:
     core::TimingConfig cfg_;
-    /** Admission pricer from SystemModel::makeAdmissionEvaluator(),
-     *  bound to cfg_ — bit-identical to the per-call system methods,
-     *  with per-config setup (memory-model construction) hoisted out
-     *  of the probe path. Mutable: probes are logically const but the
-     *  evaluator may cache. Not thread-safe, like the evaluator. */
-    mutable std::unique_ptr<core::AdmissionEvaluator> eval_;
+    /** Pricer from SystemModel::makePricer(), bound to cfg_ — its
+     *  admit()/fitsCurrent() are bit-identical to the per-call system
+     *  methods, with per-config setup (memory-model construction)
+     *  hoisted out of the probe path. Mutable: probes are logically
+     *  const but the pricer may cache. Not thread-safe, like the
+     *  pricer. */
+    mutable std::unique_ptr<core::SystemPricer> pricer_;
     /** Reused length buffer for probe vectors (amortizes the per-call
      *  allocation the serving loop used to pay millions of times). */
     mutable std::vector<int64_t> lens_scratch_;

@@ -26,13 +26,13 @@
  *    loop.
  *
  *  - cache_decode_costs (default on) gives every replica lane a
- *    core::DecodeEvaluator: the decode-cost model's pure per-config
- *    derivations (cost-model construction, memory-model geometry,
- *    validation) are built once per (replica, batch size) instead of
- *    on every simulated decode iteration. The evaluator runs the same
- *    arithmetic on the same values, so every simulated duration is
- *    bit-identical; turning it off restores the literal
- *    re-derive-per-iteration cost profile.
+ *    core::SystemPricer: the cost model's pure per-config derivations
+ *    (cost-model construction, memory-model geometry, validation) are
+ *    built once per (replica, batch size) instead of on every
+ *    simulated decode iteration and admission prefill. The pricer runs
+ *    the same arithmetic on the same values, so every simulated
+ *    duration is bit-identical; turning it off restores the literal
+ *    re-derive-per-call cost profile.
  */
 #pragma once
 
@@ -45,7 +45,7 @@ struct SimFastPath
     /** Bulk pure-decode stepping between external boundaries, plus
      *  era stepping across unobserved fleets. */
     bool skip_ahead = true;
-    /** Cached per-lane decode-cost evaluator (bit-identical). */
+    /** Cached per-lane decode/prefill pricer (bit-identical). */
     bool cache_decode_costs = true;
 };
 

@@ -8,132 +8,6 @@
 namespace specontext {
 namespace serving {
 
-namespace {
-
-/** Streaming-histogram shape: sparse log-spaced buckets of ~2%
- *  relative width starting at 1 ns. Latencies at or below the floor
- *  land in bucket 0 and report 0.0 (they are zero for any practical
- *  purpose); everything else reports its bucket's geometric midpoint,
- *  bounding the relative error by about half the bucket width. */
-constexpr double kHistFloorSeconds = 1e-9;
-constexpr double kHistGrowth = 1.02;
-
-int32_t
-histBucket(double x)
-{
-    if (!(x > kHistFloorSeconds))
-        return 0;
-    return static_cast<int32_t>(std::floor(
-               std::log(x / kHistFloorSeconds) /
-               std::log(kHistGrowth))) +
-           1;
-}
-
-double
-histMidpoint(int32_t bucket)
-{
-    if (bucket <= 0)
-        return 0.0;
-    return kHistFloorSeconds *
-           std::pow(kHistGrowth, static_cast<double>(bucket) - 0.5);
-}
-
-/** Nearest-rank percentile over a bucket-count histogram — the same
- *  rank rule as percentileSorted(), answered from bucket midpoints. */
-double
-histPercentile(const std::map<int32_t, int64_t> &hist, int64_t total,
-               double p)
-{
-    if (total <= 0)
-        return 0.0;
-    int64_t rank = static_cast<int64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(total)));
-    rank = std::clamp<int64_t>(rank, 1, total);
-    int64_t cum = 0;
-    for (const auto &bc : hist) {
-        cum += bc.second;
-        if (cum >= rank)
-            return histMidpoint(bc.first);
-    }
-    return hist.empty() ? 0.0 : histMidpoint(hist.rbegin()->first);
-}
-
-} // namespace
-
-void
-ServingMetrics::Digest::add(const RequestRecord &r)
-{
-    // Mirrors the Exact-mode accumulation loop term for term, in
-    // record order, so un-merged streaming means are bit-identical.
-    ttft_sum += r.ttft();
-    e2e_sum += r.e2e();
-    tpot_sum += r.tpot();
-    queue_sum += r.queueDelay();
-    total_generated_tokens += r.gen_len;
-    ++completed;
-    if (r.preemptions > 0) {
-        ++preempted_completed;
-        preemptions_total += r.preemptions;
-    }
-    recompute_tokens += r.recompute_tokens;
-    const auto bucket = static_cast<size_t>(r.preemptions);
-    if (ttft_by_preempt_sum.size() <= bucket) {
-        ttft_by_preempt_sum.resize(bucket + 1, 0.0);
-        ttft_by_preempt_n.resize(bucket + 1, 0);
-    }
-    ttft_by_preempt_sum[bucket] += r.ttft();
-    ++ttft_by_preempt_n[bucket];
-    ++ttft_hist[histBucket(r.ttft())];
-    ++e2e_hist[histBucket(r.e2e())];
-}
-
-void
-ServingMetrics::Digest::fold(const Digest &other)
-{
-    ttft_sum += other.ttft_sum;
-    e2e_sum += other.e2e_sum;
-    tpot_sum += other.tpot_sum;
-    queue_sum += other.queue_sum;
-    total_generated_tokens += other.total_generated_tokens;
-    completed += other.completed;
-    preempted_completed += other.preempted_completed;
-    preemptions_total += other.preemptions_total;
-    recompute_tokens += other.recompute_tokens;
-    if (ttft_by_preempt_sum.size() < other.ttft_by_preempt_sum.size()) {
-        ttft_by_preempt_sum.resize(other.ttft_by_preempt_sum.size(),
-                                   0.0);
-        ttft_by_preempt_n.resize(other.ttft_by_preempt_n.size(), 0);
-    }
-    for (size_t k = 0; k < other.ttft_by_preempt_sum.size(); ++k) {
-        ttft_by_preempt_sum[k] += other.ttft_by_preempt_sum[k];
-        ttft_by_preempt_n[k] += other.ttft_by_preempt_n[k];
-    }
-    for (const auto &bc : other.ttft_hist)
-        ttft_hist[bc.first] += bc.second;
-    for (const auto &bc : other.e2e_hist)
-        e2e_hist[bc.first] += bc.second;
-}
-
-void
-ServingMetrics::digestRecord(const RequestRecord &r)
-{
-    digests_[std::numeric_limits<int64_t>::min()].add(r);
-    digests_[r.replica].add(r);
-}
-
-void
-ServingMetrics::setSummaryMode(SummaryMode mode)
-{
-    if (mode == mode_)
-        return;
-    mode_ = mode;
-    digests_.clear();
-    if (mode_ == SummaryMode::Streaming) {
-        for (const RequestRecord &r : records_)
-            digestRecord(r);
-    }
-}
-
 void
 ServingMetrics::record(const Request &r, int64_t replica)
 {
@@ -153,8 +27,6 @@ ServingMetrics::record(const Request &r, int64_t replica)
     rec.recompute_tokens = r.recompute_tokens;
     records_.push_back(rec);
     series_cache_.clear();
-    if (mode_ == SummaryMode::Streaming)
-        digestRecord(records_.back());
 }
 
 void
@@ -166,15 +38,6 @@ ServingMetrics::merge(const ServingMetrics &other)
     // AND any per-replica keys — merging into a non-empty collector
     // must never leave a summarize() reading pre-merge percentiles.
     series_cache_.clear();
-    if (mode_ == SummaryMode::Streaming) {
-        if (other.mode_ == SummaryMode::Streaming) {
-            for (const auto &kd : other.digests_)
-                digests_[kd.first].fold(kd.second);
-        } else {
-            for (const RequestRecord &r : other.records_)
-                digestRecord(r);
-        }
-    }
 }
 
 std::vector<int64_t>
@@ -215,61 +78,9 @@ ServingMetrics::percentile(std::vector<double> values, double p)
 }
 
 ServingSummary
-ServingMetrics::summarizeDigest(const Digest &d,
-                                double makespan_seconds) const
-{
-    ServingSummary s;
-    s.makespan_seconds = makespan_seconds;
-    s.completed = d.completed;
-    if (d.completed == 0)
-        return s;
-    s.total_generated_tokens = d.total_generated_tokens;
-    s.preempted_completed = d.preempted_completed;
-    s.preemptions_total = d.preemptions_total;
-    s.recompute_tokens = d.recompute_tokens;
-    if (d.preempted_completed > 0) {
-        s.ttft_mean_by_preemptions.resize(d.ttft_by_preempt_sum.size(),
-                                          0.0);
-        for (size_t k = 0; k < d.ttft_by_preempt_sum.size(); ++k) {
-            if (d.ttft_by_preempt_n[k] > 0)
-                s.ttft_mean_by_preemptions[k] =
-                    d.ttft_by_preempt_sum[k] /
-                    static_cast<double>(d.ttft_by_preempt_n[k]);
-        }
-    }
-    const double n = static_cast<double>(d.completed);
-    s.ttft_mean = d.ttft_sum / n;
-    s.e2e_mean = d.e2e_sum / n;
-    s.tpot_mean = d.tpot_sum / n;
-    s.queue_delay_mean = d.queue_sum / n;
-    s.ttft_p50 = histPercentile(d.ttft_hist, d.completed, 50.0);
-    s.ttft_p95 = histPercentile(d.ttft_hist, d.completed, 95.0);
-    s.ttft_p99 = histPercentile(d.ttft_hist, d.completed, 99.0);
-    s.e2e_p50 = histPercentile(d.e2e_hist, d.completed, 50.0);
-    s.e2e_p95 = histPercentile(d.e2e_hist, d.completed, 95.0);
-    s.e2e_p99 = histPercentile(d.e2e_hist, d.completed, 99.0);
-    if (makespan_seconds > 0.0)
-        s.throughput_tokens_per_s =
-            static_cast<double>(s.total_generated_tokens) /
-            makespan_seconds;
-    return s;
-}
-
-ServingSummary
 ServingMetrics::summarizeScoped(bool filter, int64_t replica,
                                 double makespan_seconds) const
 {
-    if (mode_ == SummaryMode::Streaming) {
-        const int64_t key =
-            filter ? replica : std::numeric_limits<int64_t>::min();
-        const auto it = digests_.find(key);
-        if (it == digests_.end()) {
-            ServingSummary s;
-            s.makespan_seconds = makespan_seconds;
-            return s; // empty-scope sentinel, as in Exact mode
-        }
-        return summarizeDigest(it->second, makespan_seconds);
-    }
     const std::vector<RequestRecord> &records = records_;
     ServingSummary s;
     s.makespan_seconds = makespan_seconds;

@@ -103,24 +103,6 @@ struct ServingSummary
     std::vector<double> ttft_mean_by_preemptions;
 };
 
-/**
- * How ServingMetrics::summarize() computes its percentiles.
- *
- *  - Exact (default): sort the full per-request series and read
- *    nearest-rank percentiles from it — bit-pinned, O(n log n) on the
- *    first read after new completions. Every bench and test baseline
- *    uses this mode.
- *  - Streaming: maintain per-scope digests incrementally at record()/
- *    merge() time — running sums for the means plus log-bucketed
- *    histograms (2% relative bucket width) for the percentiles — so
- *    each summarize() call costs O(buckets), independent of how many
- *    requests completed. Means stay bit-identical to Exact on an
- *    un-merged collector (same record-order accumulation); histogram
- *    percentiles carry the bucket's relative error (<= ~1%).
- *    Built for million-request sweeps polled mid-run.
- */
-enum class SummaryMode { Exact, Streaming };
-
 /** Collector of per-request records. */
 class ServingMetrics
 {
@@ -128,16 +110,6 @@ class ServingMetrics
     /** Record a finished request (state must be Finished) served by
      *  `replica` (0 for the single-server case). */
     void record(const Request &r, int64_t replica = 0);
-
-    /**
-     * Switch percentile computation (see SummaryMode). Switching to
-     * Streaming rebuilds the digests from the records seen so far in
-     * one pass, so the mode can be set at any time; switching back to
-     * Exact drops them. Records are always retained either way —
-     * records(), replicaIds() and merge() are mode-independent.
-     */
-    void setSummaryMode(SummaryMode mode);
-    SummaryMode summaryMode() const { return mode_; }
 
     int64_t count() const { return static_cast<int64_t>(records_.size()); }
     const std::vector<RequestRecord> &records() const { return records_; }
@@ -190,44 +162,10 @@ class ServingMetrics
     ServingSummary summarizeScoped(bool filter, int64_t replica,
                                    double makespan_seconds) const;
 
-    /**
-     * Streaming-mode per-scope digest: everything summarize() needs,
-     * maintained incrementally so a poll never rescans the records.
-     * Histograms are sparse log-spaced buckets (map bucket-index ->
-     * count); bucket i covers [MIN_LAT * G^i, MIN_LAT * G^(i+1)) and
-     * reports its geometric midpoint.
-     */
-    struct Digest
-    {
-        int64_t completed = 0;
-        int64_t total_generated_tokens = 0;
-        double ttft_sum = 0.0, e2e_sum = 0.0;
-        double tpot_sum = 0.0, queue_sum = 0.0;
-        int64_t preempted_completed = 0;
-        int64_t preemptions_total = 0;
-        int64_t recompute_tokens = 0;
-        std::vector<double> ttft_by_preempt_sum;
-        std::vector<int64_t> ttft_by_preempt_n;
-        std::map<int32_t, int64_t> ttft_hist;
-        std::map<int32_t, int64_t> e2e_hist;
-
-        void add(const RequestRecord &r);
-        void fold(const Digest &other);
-    };
-
-    /** Fold one record into the fleet digest and its replica's. */
-    void digestRecord(const RequestRecord &r);
-    ServingSummary summarizeDigest(const Digest &d,
-                                   double makespan_seconds) const;
-
     std::vector<RequestRecord> records_;
     /** Per-scope memo (key: replica id, INT64_MIN = fleet-wide);
      *  cleared whenever records_ changes. */
     mutable std::map<int64_t, SortedSeries> series_cache_;
-    SummaryMode mode_ = SummaryMode::Exact;
-    /** Streaming digests (same keying as series_cache_); live only
-     *  while mode_ == Streaming. */
-    std::map<int64_t, Digest> digests_;
 };
 
 } // namespace serving

@@ -141,10 +141,7 @@ void
 ReplicaEngine::setDecodeCostCache(bool on)
 {
     flushWindow();
-    decode_eval_ =
-        on ? engine_.makeDecodeEvaluator(cfg_.timing) : nullptr;
-    prefill_eval_ =
-        on ? engine_.makePrefillEvaluator(cfg_.timing) : nullptr;
+    pricer_ = on ? engine_.makePricer(cfg_.timing) : nullptr;
     win_live_ = false;
 }
 
@@ -655,8 +652,8 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         OBS_EVENT(trace_, obs::EventType::PrefillStart, now_,
                   static_cast<int32_t>(cfg_.id), r.id, prefill_tokens,
                   static_cast<int64_t>(active_.size()));
-        now_ += prefill_eval_
-                    ? prefill_eval_->seconds(
+        now_ += pricer_
+                    ? pricer_->prefillSeconds(
                           prefill_tokens,
                           static_cast<int64_t>(active_.size()),
                           resident + cached)
@@ -753,7 +750,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // same round. (opt_fit_rounds_ caches the proof across calls;
         // any admission, retirement or preemption voids it.)
         int64_t k_retire = 0;
-        if (decode_eval_) {
+        if (pricer_) {
             if (win_live_) {
                 // Continued window: the previous reconciliation
                 // already discounted the rounds run, no rescan.
@@ -766,7 +763,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
             }
         }
         int64_t bulk_k = k_retire;
-        if (decode_eval_ && optimistic_preempt) {
+        if (pricer_ && optimistic_preempt) {
             if (opt_fit_rounds_ <= 0)
                 opt_fit_rounds_ =
                     scheduler_.decodeFitRounds(active_, bulk_k);
@@ -780,7 +777,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         int64_t rounds = 0;
         const bool windowed = bulk_k >= 1;
         if (windowed) {
-            // Bulk decode window: the evaluator advances the reduced
+            // Bulk decode window: the pricer advances the reduced
             // KV integers incrementally, and one reconciliation pass
             // afterwards applies the window's worth of per-request
             // effects. Every round's seconds, every timestamp and
@@ -788,7 +785,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
             // loop's.
             const bool was_live = win_live_;
             if (!was_live)
-                decode_eval_->beginWindow(kv_scratch_);
+                pricer_->beginWindow(kv_scratch_);
             const int64_t R = static_cast<int64_t>(active_.size());
             const int64_t k = bulk_k;
             // Entered with queued work (admission denied this step)
@@ -810,7 +807,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                 // Traced run: per-round loop so every round's
                 // DecodeStep event carries its own timestamp.
                 for (;;) {
-                    now_ += decode_eval_->nextRoundSeconds();
+                    now_ += pricer_->nextRoundSeconds();
                     ++rounds;
                     if (rounds == 1)
                         first_now = now_;
@@ -830,9 +827,9 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                 // A non-empty queue breaks the loop after one round
                 // regardless of k; fold that into the round cap so the
                 // fused loop needs no queue check.
-                now_ = decode_eval_->runWindow(queue_empty ? k : 1,
-                                               now_, horizon, t_pending,
-                                               rounds, first_now);
+                now_ = pricer_->runWindow(queue_empty ? k : 1, now_,
+                                          horizon, t_pending, rounds,
+                                          first_now);
             }
             result_.iterations += rounds;
             if (counters_) {
@@ -876,8 +873,8 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
             first_token_t = first_now;
             win_k_retire_ = k_retire - rounds;
         } else {
-            now_ += decode_eval_
-                        ? decode_eval_->seconds(kv_scratch_)
+            now_ += pricer_
+                        ? pricer_->decodeSeconds(kv_scratch_)
                         : engine_.decodeIterationSeconds(cfg_.timing,
                                                          kv_scratch_);
             ++result_.iterations;
@@ -907,7 +904,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // retirement voids both — indices no longer line up,
         // recompute when next needed. A single round ran without a
         // proven fit window (single-request pressure fallback, or no
-        // cached evaluator); the contexts grew outside any window, so
+        // cached pricer); the contexts grew outside any window, so
         // stale predictions are void.
         win_live_ = windowed && keep == batch;
         if (optimistic_preempt)

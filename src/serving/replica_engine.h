@@ -291,7 +291,7 @@ class ReplicaEngine
      *    decode-fit window (decodeFitRounds) covering n more rounds
      *    and no in-flight request can retire within them, neither a
      *    preemption nor a retirement can touch the batch before n
-     *    rounds have run — each lasting at least the evaluator's
+     *    rounds have run — each lasting at least the pricer's
      *    structural minRoundSeconds() floor — so now() + n * floor is
      *    a sound lower bound (still clipped by the pending head's
      *    arrival: the round crossing it becomes an admission round).
@@ -310,8 +310,8 @@ class ReplicaEngine
             return now_;
         if (optimistic() && !active_.empty()) {
             double cap = now_;
-            if (decode_eval_ && opt_fit_rounds_ > 0) {
-                const double floor_s = decode_eval_->minRoundSeconds();
+            if (pricer_ && opt_fit_rounds_ > 0) {
+                const double floor_s = pricer_->minRoundSeconds();
                 if (floor_s > 0.0) {
                     int64_t n = opt_fit_rounds_;
                     // `generated` lags a deferred window's rounds
@@ -367,14 +367,14 @@ class ReplicaEngine
               double horizon = -std::numeric_limits<double>::infinity());
 
     /**
-     * Toggle the cached decode-cost evaluator
-     * (core::DecodeEvaluator): on, the per-iteration decode price
-     * comes from a per-lane evaluator that derives the cost/memory
-     * models once per batch size; off (the construction default), each
-     * iteration re-derives them through the TimingEngine façade — the
-     * pre-fast-path cost profile. Either way the simulated durations
-     * are bit-identical; drivers set this from
-     * SimFastPath::cache_decode_costs.
+     * Toggle the cached per-lane pricer (core::SystemPricer): on,
+     * every decode round and admission prefill is priced by one
+     * pricer that derives the cost/memory models once per batch size;
+     * off (the construction default), each call re-derives them
+     * through the TimingEngine façade — the pre-fast-path cost
+     * profile. Either way the simulated durations are bit-identical;
+     * drivers set this from SimFastPath::cache_decode_costs.
+     * Admission probes always go through the scheduler's own pricer.
      */
     void setDecodeCostCache(bool on);
 
@@ -389,11 +389,9 @@ class ReplicaEngine
     const core::TimingEngine &engine_;
     ReplicaConfig cfg_;
     Scheduler scheduler_;
-    /** Fast-path decode pricer (null = per-call façade path). */
-    std::unique_ptr<core::DecodeEvaluator> decode_eval_;
-    /** Cached admission-time prefill pricer (set with decode_eval_);
-     *  null = per-call requestPrefillSeconds, bit-identical. */
-    std::unique_ptr<core::PrefillEvaluator> prefill_eval_;
+    /** Fast-path decode and prefill pricer (null = per-call façade
+     *  path, bit-identical). */
+    std::unique_ptr<core::SystemPricer> pricer_;
 
     double now_ = 0.0;
     std::vector<Request> active_;
@@ -410,7 +408,7 @@ class ReplicaEngine
      * engines never read it.
      */
     int64_t opt_fit_rounds_ = -1;
-    /** The decode evaluator's bulk window is still open from the last
+    /** The pricer's bulk decode window is still open from the last
      *  step(): the batch composition has not changed since, so its
      *  incremental reduced integers (attended total, s_max, crossing
      *  bookkeeping) are exactly what a fresh beginWindow() on the
@@ -536,7 +534,7 @@ class ReplicaEngine
      *  code reads or mutates per-request live state directly:
      *  admission (resident scan, optimistic fitsCurrent), the
      *  optimistic pressure check, victim selection, and the per-round
-     *  fallback. The evaluator's window stays open — a flush restores
+     *  fallback. The pricer's window stays open — a flush restores
      *  the eager-reconciliation invariant without closing anything. */
     void flushWindow();
 

@@ -1,5 +1,8 @@
 #include "sim/hardware.h"
 
+#include <cmath>
+#include <stdexcept>
+
 namespace specontext {
 namespace sim {
 
@@ -51,6 +54,32 @@ HardwareSpec::edge4060Capped4G()
     hw.name = "RTX4060-Laptop-4GB-cap";
     hw.gpu_mem_bytes = 4LL << 30; // §7.3.2 limits usage to 4 GB
     return hw;
+}
+
+void
+HardwareSpec::validate() const
+{
+    const auto rate = [&](double v, const char *what) {
+        if (!(v > 0.0) || !std::isfinite(v))
+            throw std::invalid_argument(
+                "HardwareSpec '" + name + "': " + what +
+                " must be positive and finite");
+    };
+    rate(gpu_tflops_fp16, "gpu_tflops_fp16");
+    rate(hbm_bw_gbps, "hbm_bw_gbps");
+    rate(pcie_bw_gbps, "pcie_bw_gbps");
+    rate(cpu_dram_bw_gbps, "cpu_dram_bw_gbps");
+    if (gpu_mem_bytes <= 0 || cpu_mem_bytes <= 0)
+        throw std::invalid_argument("HardwareSpec '" + name +
+                                    "': non-positive memory size");
+    const auto latency = [&](double v, const char *what) {
+        if (!(v >= 0.0) || !std::isfinite(v))
+            throw std::invalid_argument(
+                "HardwareSpec '" + name + "': " + what +
+                " must be finite and non-negative");
+    };
+    latency(kernel_launch_us, "kernel_launch_us");
+    latency(sync_us, "sync_us");
 }
 
 BackendEfficiency

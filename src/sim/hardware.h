@@ -52,6 +52,14 @@ struct HardwareSpec
     /** Edge platform with the 4 GB cap used in §7.3.2. */
     static HardwareSpec edge4060Capped4G();
 
+    /**
+     * Throws std::invalid_argument unless every rate the cost model
+     * divides by (FP16 TFLOPS, HBM, PCIe and DRAM bandwidth) is
+     * positive and finite, both memory capacities are positive, and
+     * the launch/sync latencies are finite and non-negative.
+     */
+    void validate() const;
+
     /** Exact fieldwise equality (pricing memoization keys). */
     bool operator==(const HardwareSpec &o) const
     {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "serving/cluster.h"
@@ -756,6 +757,29 @@ TEST(Cluster, RejectsEmptyOrInvalidFleets)
     bad.replicas = {cloudReplica()};
     bad.replicas[0].max_batch = 0;
     EXPECT_THROW(Cluster(e, bad), std::invalid_argument);
+
+    // Invalid hardware fails at construction. (Regression: a zero rate
+    // priced every round at +inf, so requests never reached a terminal
+    // state, and a NaN one threw from deep inside run().)
+    const auto badHw = [](void (*mutate)(sim::HardwareSpec &)) {
+        ClusterConfig cc;
+        cc.replicas = {cloudReplica()};
+        mutate(cc.replicas[0].timing.hw);
+        return cc;
+    };
+    EXPECT_THROW(Cluster(e, badHw([](sim::HardwareSpec &hw) {
+                     hw.hbm_bw_gbps = 0.0;
+                 })),
+                 std::invalid_argument);
+    EXPECT_THROW(Cluster(e, badHw([](sim::HardwareSpec &hw) {
+                     hw.gpu_tflops_fp16 = 0.0;
+                 })),
+                 std::invalid_argument);
+    EXPECT_THROW(Cluster(e, badHw([](sim::HardwareSpec &hw) {
+                     hw.hbm_bw_gbps =
+                         std::numeric_limits<double>::quiet_NaN();
+                 })),
+                 std::invalid_argument);
 }
 
 TEST(ReplicaEngine, StepOnIdleReplicaThrows)

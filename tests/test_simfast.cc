@@ -2,15 +2,17 @@
  * @file
  * Tests of the simulator fast path: the SimFastPath switches
  * (skip-ahead decode stepping with era stepping across unobserved
- * fleets, cached decode evaluators) must never change a single
+ * fleets, cached per-lane pricers) must never change a single
  * simulated quantity — only how fast the simulator derives it. Every
  * parity test here runs the reference loop (both switches off) as the
  * oracle and compares full ClusterResults with exact ==, not
  * tolerances: a fast path that is "close" is wrong.
  *
  * Also pinned here because the fast path leans on them:
- *  - DecodeEvaluator bulk windows (beginWindow + k nextRoundSeconds ==
- *    k seconds() calls on elementwise-grown KV, bit for bit);
+ *  - SystemPricer bulk windows (beginWindow + k nextRoundSeconds ==
+ *    k decodeSeconds() calls on elementwise-grown KV, bit for bit),
+ *    and every pricer query == the per-call SystemModel method on a
+ *    grid of shapes for every continuous-batching system;
  *  - MemoryModel::allResidentMaxTokens() as the exact integer
  *    inversion of the all-layers-resident fit test;
  *  - AdmissionController::sameAdmissionShape(), the router's
@@ -19,13 +21,15 @@
  *    add/retire under skip-ahead;
  *  - ServingMetrics summary-cache invalidation on merge-into-nonempty
  *    (regression: a polled collector must never serve pre-merge
- *    percentiles) and Streaming-mode digest parity.
+ *    percentiles).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/timing_engine.h"
@@ -51,7 +55,6 @@ using serving::RouterPolicy;
 using serving::SchedulerMode;
 using serving::ServingMetrics;
 using serving::ServingSummary;
-using serving::SummaryMode;
 
 // ------------------------------------------------------------ helpers
 
@@ -238,10 +241,10 @@ TEST(SimFast, SkipAheadParityPreemptionHeavyOptimistic)
     EXPECT_GT(preemptions_seen, 0);
 }
 
-TEST(SimFast, EvaluatorCacheAloneIsBitIdentical)
+TEST(SimFast, PricerCacheAloneIsBitIdentical)
 {
     // cache_decode_costs isolated from skip_ahead: the cached
-    // evaluator must reproduce the re-derive-per-iteration costs
+    // pricer must reproduce the re-derive-per-iteration costs
     // exactly even when every round still goes through the event loop.
     core::TimingEngine engine;
     const auto trace = diurnal(64, 5);
@@ -445,7 +448,7 @@ TEST(EventClockFast, AddAndRetireLanesKeepFireLaneSound)
     EXPECT_EQ(c.liveLanes(), 2u);
 }
 
-// ------------------------------------------- DecodeEvaluator windows
+// ------------------------------------------------ SystemPricer windows
 
 core::TimingConfig
 timingFor(const char *system, int64_t budget = 2048)
@@ -461,8 +464,8 @@ timingFor(const char *system, int64_t budget = 2048)
 
 TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
 {
-    // beginWindow(kv) + k nextRoundSeconds() == k seconds() calls on
-    // kv, kv+1, ..., kv+(k-1), exactly. The KV mix is chosen so the
+    // beginWindow(kv) + k nextRoundSeconds() == k decodeSeconds()
+    // calls on kv, kv+1, ..., kv+(k-1), exactly. The KV mix is chosen so the
     // window crosses both interesting lines mid-run: short contexts
     // pass the attention budget (attended-token growth stops) and the
     // batch eventually spills past the all-resident fit limit.
@@ -470,13 +473,13 @@ TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
     for (const char *system :
          {"SpeContext", "FullAttn(FlashAttn)", "H2O"}) {
         const core::TimingConfig cfg = timingFor(system, 512);
-        auto window = engine.makeDecodeEvaluator(cfg);
-        auto oracle = engine.makeDecodeEvaluator(cfg);
+        auto window = engine.makePricer(cfg);
+        auto oracle = engine.makePricer(cfg);
         std::vector<int64_t> kv = {100, 500, 505, 2048, 9000, 40000};
         window->beginWindow(kv);
         for (int round = 0; round < 64; ++round) {
             const double got = window->nextRoundSeconds();
-            const double want = oracle->seconds(kv);
+            const double want = oracle->decodeSeconds(kv);
             ASSERT_EQ(got, want)
                 << system << " diverged at round " << round;
             for (int64_t &s : kv)
@@ -486,7 +489,8 @@ TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
         std::vector<int64_t> kv2 = {1, 511, 512, 513};
         window->beginWindow(kv2);
         for (int round = 0; round < 8; ++round) {
-            ASSERT_EQ(window->nextRoundSeconds(), oracle->seconds(kv2));
+            ASSERT_EQ(window->nextRoundSeconds(),
+                      oracle->decodeSeconds(kv2));
             for (int64_t &s : kv2)
                 ++s;
         }
@@ -496,10 +500,174 @@ TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
 TEST(DecodeWindow, EmptyBatchWindowIsZero)
 {
     core::TimingEngine engine;
-    auto ev = engine.makeDecodeEvaluator(timingFor("SpeContext"));
+    auto ev = engine.makePricer(timingFor("SpeContext"));
     ev->beginWindow({});
     EXPECT_EQ(ev->nextRoundSeconds(), 0.0);
     EXPECT_EQ(ev->nextRoundSeconds(), 0.0);
+}
+
+/** The three shapes the pricer-vs-per-call grid runs on: the cloud
+ *  8B default, the same at 24 GiB of HBM (SpeContext offloads), and
+ *  the edge 1B. */
+std::vector<core::TimingConfig>
+pricerShapes(const std::string &system)
+{
+    core::TimingConfig cloud = timingFor(system.c_str());
+    core::TimingConfig small_hbm = cloud;
+    small_hbm.hw.gpu_mem_bytes = 24LL << 30;
+    core::TimingConfig edge = cloud;
+    edge.hw = sim::HardwareSpec::edge4060();
+    edge.llm = model::reasoningLlama32_1bGeometry();
+    return {cloud, small_hbm, edge};
+}
+
+/** Every registered system the continuous batcher can drive. */
+std::vector<std::string>
+continuousSystems()
+{
+    std::vector<std::string> out;
+    for (const std::string &name : core::SystemRegistry::names())
+        if (core::SystemRegistry::create(name)
+                ->supportsContinuousBatching())
+            out.push_back(name);
+    return out;
+}
+
+TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
+{
+    // The pricer caches per-(config, batch size) derivations; each of
+    // its queries must still equal the per-call method exactly — on
+    // doubles, and on admission decision plus reason.
+    core::TimingEngine engine;
+    const std::vector<std::string> systems = continuousSystems();
+    ASSERT_GE(systems.size(), 6u); // SpeContext, 3x FullAttn, H2O, SLLM
+    const std::vector<std::vector<int64_t>> batches = {
+        {},
+        {4096},
+        {2048, 8192, 32768},
+        std::vector<int64_t>(8, 65536),
+        std::vector<int64_t>(32, 131072),
+    };
+    const int64_t prompts[] = {1, 512, 4096, 32768};
+    const int64_t in_flights[] = {0, 1, 3, 15};
+    const int64_t residents[] = {0, 30000, 500000};
+    int64_t spe_offloading_prefills = 0;
+    for (const std::string &system : systems) {
+        int64_t admitted = 0, denied = 0;
+        for (const core::TimingConfig &cfg : pricerShapes(system)) {
+            SCOPED_TRACE(system + " on " + cfg.hw.name + " / " +
+                         cfg.llm.name + " @ " +
+                         std::to_string(cfg.hw.gpu_mem_bytes >> 30) +
+                         " GiB");
+            const core::SystemModel &sys = *cfg.system;
+            auto pricer = engine.makePricer(cfg);
+            for (int64_t prompt : prompts)
+                for (int64_t in_flight : in_flights)
+                    for (int64_t resident : residents) {
+                        EXPECT_EQ(pricer->prefillSeconds(prompt, in_flight,
+                                                         resident),
+                                  engine.requestPrefillSeconds(
+                                      cfg, prompt, in_flight, resident));
+                        if (system != "SpeContext")
+                            continue;
+                        // The joined batch's uniformized shape parks
+                        // KV in DRAM exactly when the prefill pays an
+                        // eviction.
+                        const int64_t r = in_flight + 1;
+                        const int64_t s = std::max(
+                            prompt, (resident + prompt) / r);
+                        if (sys.dramFootprintBytes(cfg, r, s) > 0)
+                            ++spe_offloading_prefills;
+                    }
+            for (const std::vector<int64_t> &batch : batches) {
+                EXPECT_EQ(pricer->decodeSeconds(batch),
+                          engine.decodeIterationSeconds(cfg, batch));
+                const core::AdmissionDecision fit =
+                    pricer->fitsCurrent(batch);
+                const core::AdmissionDecision fit_ref =
+                    sys.fitsCurrent(cfg, batch);
+                EXPECT_EQ(fit.admit, fit_ref.admit);
+                EXPECT_EQ(fit.reason, fit_ref.reason);
+                for (int64_t prompt : prompts)
+                    for (int64_t gen : {int64_t{1}, int64_t{16384}}) {
+                        const core::AdmissionDecision got =
+                            pricer->admit(batch, prompt, prompt + gen);
+                        const core::AdmissionDecision want =
+                            sys.admit(cfg, batch, prompt, prompt + gen);
+                        EXPECT_EQ(got.admit, want.admit);
+                        EXPECT_EQ(got.reason, want.reason);
+                        ++(want.admit ? admitted : denied);
+                    }
+            }
+            // Straddle the fit frontier: the longest uniform length n
+            // contexts fit at (per-call oracle, bisected), and one
+            // token past it — where an off-by-one in the pricer's
+            // reductions would flip the verdict.
+            for (int64_t n : {1, 4, 16}) {
+                const auto fitsAt = [&](int64_t len) {
+                    return sys.fitsCurrent(
+                                  cfg, std::vector<int64_t>(n, len))
+                        .admit;
+                };
+                int64_t lo = 1, hi = int64_t{1} << 26;
+                if (!fitsAt(lo) || fitsAt(hi))
+                    continue; // no frontier in range
+                while (hi - lo > 1) {
+                    const int64_t mid = lo + (hi - lo) / 2;
+                    (fitsAt(mid) ? lo : hi) = mid;
+                }
+                for (int64_t len : {lo, hi}) {
+                    const std::vector<int64_t> kv(n, len);
+                    const std::vector<int64_t> rest(n - 1, len);
+                    EXPECT_EQ(pricer->fitsCurrent(kv).admit, len == lo);
+                    EXPECT_EQ(pricer->fitsCurrent(kv).reason,
+                              sys.fitsCurrent(cfg, kv).reason);
+                    const core::AdmissionDecision got =
+                        pricer->admit(rest, len, len);
+                    const core::AdmissionDecision want =
+                        sys.admit(cfg, rest, len, len);
+                    EXPECT_EQ(got.admit, want.admit);
+                    EXPECT_EQ(got.reason, want.reason);
+                }
+            }
+        }
+        // Both admission outcomes are exercised for every system.
+        EXPECT_GT(admitted, 0) << system;
+        EXPECT_GT(denied, 0) << system;
+    }
+    // The grid reaches SpeContext's offloading prefill branch.
+    EXPECT_GT(spe_offloading_prefills, 0);
+}
+
+TEST(SystemPricer, OpenWindowSurvivesTableGrowth)
+{
+    // A prefill or admission query between window rounds may grow the
+    // pricer's per-batch-size table; the open window must keep pricing
+    // exactly what decodeSeconds() prices on the grown lengths.
+    core::TimingEngine engine;
+    for (const std::string &system : continuousSystems()) {
+        for (const core::TimingConfig &cfg : pricerShapes(system)) {
+            SCOPED_TRACE(system + " on " + cfg.hw.name);
+            auto pricer = engine.makePricer(cfg);
+            std::vector<int64_t> kv = {100, 2047, 9000};
+            pricer->beginWindow(kv);
+            for (int round = 0; round < 24; ++round) {
+                if (round == 8) {
+                    // Larger R than the window's: grows the table.
+                    EXPECT_EQ(pricer->prefillSeconds(4096, 63, 200000),
+                              engine.requestPrefillSeconds(cfg, 4096, 63,
+                                                           200000));
+                    (void)pricer->admit(
+                        std::vector<int64_t>(127, 1024), 512, 1024);
+                }
+                ASSERT_EQ(pricer->nextRoundSeconds(),
+                          engine.decodeIterationSeconds(cfg, kv))
+                    << "round " << round;
+                for (int64_t &s : kv)
+                    ++s;
+            }
+        }
+    }
 }
 
 // ----------------------------------------- all-resident fit shortcut
@@ -578,7 +746,7 @@ TEST(AdmissionShape, AnyDecisionRelevantDifferenceBreaksTheMatch)
     EXPECT_FALSE(cbase.sameAdmissionShape(AdmissionController(llm)));
 }
 
-// --------------------------------- ServingMetrics cache + streaming
+// ------------------------------------------- ServingMetrics cache
 
 Request
 finished(int64_t id, double arrival, double admit, double first,
@@ -644,33 +812,6 @@ TEST(ServingMetricsCache, MergeIntoNonEmptyInvalidatesEveryScope)
         EXPECT_EQ(mr.ttft_p99, fr.ttft_p99);
         EXPECT_EQ(mr.e2e_p99, fr.e2e_p99);
     }
-}
-
-TEST(ServingMetricsStreaming, DigestMeansExactPercentilesBounded)
-{
-    // Streaming mode: means bit-identical to Exact on an un-merged
-    // collector; histogram percentiles within the documented ~2%
-    // bucket width.
-    ServingMetrics exact, streaming;
-    streaming.setSummaryMode(SummaryMode::Streaming);
-    for (int i = 0; i < 200; ++i) {
-        const double first = 0.5 + 0.01 * i;
-        const double finish = first + 2.0 + 0.05 * i;
-        const Request r = finished(i, 0.0, 0.1, first, finish, 8);
-        exact.record(r, i % 3);
-        streaming.record(r, i % 3);
-    }
-    const ServingSummary se = exact.summarize(50.0);
-    const ServingSummary ss = streaming.summarize(50.0);
-    EXPECT_EQ(ss.completed, se.completed);
-    EXPECT_EQ(ss.ttft_mean, se.ttft_mean);
-    EXPECT_EQ(ss.e2e_mean, se.e2e_mean);
-    EXPECT_EQ(ss.tpot_mean, se.tpot_mean);
-    EXPECT_EQ(ss.queue_delay_mean, se.queue_delay_mean);
-    EXPECT_EQ(ss.throughput_tokens_per_s, se.throughput_tokens_per_s);
-    EXPECT_NEAR(ss.ttft_p99, se.ttft_p99, 0.02 * se.ttft_p99);
-    EXPECT_NEAR(ss.e2e_p50, se.e2e_p50, 0.02 * se.e2e_p50);
-    EXPECT_NEAR(ss.e2e_p99, se.e2e_p99, 0.02 * se.e2e_p99);
 }
 
 } // namespace

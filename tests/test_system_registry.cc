@@ -278,7 +278,8 @@ TEST(SystemParity, SteppingHooksMatchLegacyEnumPathBitForBit)
 {
     // requestPrefillSeconds(4096 joining 3 requests / 30000 resident
     // KV tokens) and decodeIterationSeconds({2048, 8192, 32768}),
-    // captured from the enum implementation.
+    // captured from the enum implementation; checked through both the
+    // per-call façade and a SystemPricer.
     struct StepGolden
     {
         const char *system;
@@ -298,6 +299,14 @@ TEST(SystemParity, SteppingHooksMatchLegacyEnumPathBitForBit)
                   g.prefill)
             << g.system;
         EXPECT_EQ(e.decodeIterationSeconds(cfg, {2048, 8192, 32768}),
+                  g.decode_iter)
+            << g.system;
+        // The cached pricer the serving fast path uses must hit the
+        // same goldens.
+        auto pricer = e.makePricer(cfg);
+        EXPECT_EQ(pricer->prefillSeconds(4096, 3, 30000), g.prefill)
+            << g.system;
+        EXPECT_EQ(pricer->decodeSeconds({2048, 8192, 32768}),
                   g.decode_iter)
             << g.system;
     }
