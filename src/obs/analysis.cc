@@ -187,7 +187,7 @@ finalize(Builder &b, TraceAnalysis &out)
         b.complete_gen != tl.gen_len)
         return fail("generation length mismatch vs enqueue event");
     if (tl.first_token_seconds < 0.0)
-        return fail("no decode step after prefill");
+        return fail("no decode window after prefill");
 
     tl.arrival_seconds =
         b.has_route ? tl.arrival_seconds : tl.enqueue_seconds;
@@ -225,9 +225,9 @@ analyzeTrace(const Trace &trace)
 
     std::unordered_map<int64_t, Builder> builders;
     // Requests whose prefill finished but whose first decode round
-    // hasn't landed yet, per replica: the next DecodeStep event on
-    // that replica stamps their first token (exactly where the engine
-    // stamps first_token_seconds).
+    // hasn't landed yet, per replica: the next DecodeWindow event on
+    // that replica stamps their first token at the window's first
+    // round (exactly where the engine stamps first_token_seconds).
     std::unordered_map<int32_t, std::vector<int64_t>> awaiting;
 
     auto builderFor = [&](const TraceEvent &e,
@@ -245,7 +245,7 @@ analyzeTrace(const Trace &trace)
 
     for (const TraceEvent &e : trace.snapshot()) {
         if (e.request < 0) {
-            if (e.type == EventType::DecodeStep) {
+            if (e.type == EventType::DecodeWindow) {
                 const auto it = awaiting.find(e.replica);
                 if (it == awaiting.end())
                     continue;

@@ -37,9 +37,9 @@ eventArgNames(EventType t, const char *&a, const char *&b)
         a = "prefill_tokens";
         b = "batch_size";
         return;
-      case EventType::DecodeStep:
+      case EventType::DecodeWindow:
         a = "batch_size";
-        b = "kv_tokens";
+        b = "rounds";
         return;
       case EventType::Preempt:
         a = "generated";

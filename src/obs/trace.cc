@@ -13,7 +13,7 @@ eventTypeName(EventType t)
       case EventType::Admit: return "Admit";
       case EventType::PrefillStart: return "PrefillStart";
       case EventType::PrefillEnd: return "PrefillEnd";
-      case EventType::DecodeStep: return "DecodeStep";
+      case EventType::DecodeWindow: return "DecodeWindow";
       case EventType::Preempt: return "Preempt";
       case EventType::Restore: return "Restore";
       case EventType::Complete: return "Complete";

@@ -35,7 +35,7 @@ enum class EventType : uint8_t {
     Admit,        ///< joined the in-flight batch; a=prefix-cache hit tokens, b=current context (kvLen)
     PrefillStart, ///< prefill iteration begins; a=tokens to prefill, b=in-flight batch size before the join
     PrefillEnd,   ///< prefill iteration done; a=tokens prefilled, b=in-flight batch size after the join
-    DecodeStep,   ///< one decode iteration (batch-level, request=-1); a=batch size, b=sum of context lengths
+    DecodeWindow, ///< a window of decode rounds on an unchanged batch (request=-1), stamped at its first round; a=batch size, b=rounds run
     Preempt,      ///< evicted under KV pressure; a=generated tokens at eviction, b=lifetime preemption count
     Restore,      ///< re-admission of a preempted request; a=generated tokens recomputed, b=prefix-cache hit tokens
     Complete,     ///< retired with all tokens generated; a=gen_len, b=lifetime preemption count

@@ -337,14 +337,14 @@ Cluster::run(std::vector<Request> trace) const
     // pure-decode rounds up to the earliest boundary this loop owns;
     // era stepping additionally runs *all* eligible lanes' bulk
     // windows in one pass, inline in lane-index order, when nothing
-    // below the barrier could interact. Era stepping stays off on
-    // observed runs: their trace events, counter updates and sampler
-    // rows keep the lane-at-a-time order, so an observed run (elastic
-    // and autoscaled ones included) never takes the era path.
-    // Simulated results are the same either way: pure-decode rounds
-    // are engine-local.
+    // below the barrier could interact. Observed fleets take eras
+    // too: an era's trace events arrive lane by lane (per-lane time
+    // order, which is all analyzeTrace needs), counters only add, and
+    // the barrier stops at the next sampler crossing, so every row
+    // reads what lane-at-a-time stepping would have left. Simulated
+    // results are the same either way: pure-decode rounds are
+    // engine-local.
     const bool skip_ahead = cfg_.fast_path.skip_ahead;
-    const bool era_mode = skip_ahead && !cfg_.obs.enabled();
 
     // One std::function conversion for the whole run: passing the
     // routing lambda to ReplicaEngine::step by const reference
@@ -464,8 +464,8 @@ Cluster::run(std::vector<Request> trace) const
         // Era stepping: when every lane with an event below the
         // barrier is an independently advancing pure-decode lane,
         // their bulk runs cannot interact — no routing, no admission,
-        // no shared observability — so one scan steps all of them
-        // through their windows. The barrier includes every lane's
+        // no sampler row inside the barrier — so one scan steps all of
+        // them through their windows. The barrier includes every lane's
         // admission cap, so a lane about to admit (cap == its event)
         // is simply above the barrier rather than disqualifying; it
         // fires on its own right after the era. Warming lanes below
@@ -481,7 +481,7 @@ Cluster::run(std::vector<Request> trace) const
         // see them yet), so chunk boundaries differ from
         // lane-at-a-time stepping but every simulated quantity is
         // bit-identical.
-        if (era_mode && std::isfinite(t_replica)) {
+        if (skip_ahead && std::isfinite(t_replica)) {
             const double barrier = std::min(horizon, cap_min1);
             bool era_ok = true;
             size_t bulk_lanes = 0;

@@ -126,7 +126,7 @@ struct ClusterConfig
     /** Elastic scaling; default (null controller) is the fixed fleet. */
     ElasticConfig elastic;
     /** Simulator speed switches: skip-ahead stepping (with era
-     *  stepping on unobserved fleets) and cached decode costs, both
+     *  stepping across lanes) and cached decode costs, both
      *  on by default. Simulated results are bit-identical at every
      *  setting. */
     SimFastPath fast_path;

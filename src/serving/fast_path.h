@@ -14,7 +14,7 @@
  *    at any internal boundary (admission work, preemption re-entry,
  *    drain) — so every simulated quantity is bit-identical to
  *    one-round-per-step execution; tests/test_simfast.cc pins it.
- *    On an unobserved multi-replica fleet it also enables *era
+ *    On a multi-replica fleet, observed or not, it also enables *era
  *    stepping* in Cluster::run: when every lane with an event below
  *    the router barrier is an independently advancing pure-decode
  *    lane, one booking scan runs ALL of them through their bulk
@@ -43,7 +43,7 @@ namespace serving {
 struct SimFastPath
 {
     /** Bulk pure-decode stepping between external boundaries, plus
-     *  era stepping across unobserved fleets. */
+     *  era stepping across multi-replica fleets. */
     bool skip_ahead = true;
     /** Cached per-lane decode/prefill pricer (bit-identical). */
     bool cache_decode_costs = true;

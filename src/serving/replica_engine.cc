@@ -769,74 +769,51 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                     scheduler_.decodeFitRounds(active_, bulk_k);
             bulk_k = std::min(bulk_k, opt_fit_rounds_);
         }
-        // What the advance-and-retire pass below applies: `grow`
-        // rounds per request, first tokens stamped at `first_token_t`.
-        // Only a bulk window (`windowed`) can stay open past it.
-        int64_t grow = 1;
-        double first_token_t = 0.0;
-        int64_t rounds = 0;
+        // One decode window: `rounds` rounds on the batch as-is, the
+        // first finishing at `first_now`. A bulk window (`windowed`)
+        // has the pricer advance the reduced KV integers incrementally
+        // and can stay open past this pass; otherwise one round is
+        // priced on the mirrored lengths. Every round's seconds and
+        // every timestamp is bit-identical to the single-round loop's.
+        int64_t rounds = 1;
+        double first_now = 0.0;
         const bool windowed = bulk_k >= 1;
+        const bool was_live = win_live_;
         if (windowed) {
-            // Bulk decode window: the pricer advances the reduced
-            // KV integers incrementally, and one reconciliation pass
-            // afterwards applies the window's worth of per-request
-            // effects. Every round's seconds, every timestamp and
-            // every trace event is bit-identical to the single-round
-            // loop's.
-            const bool was_live = win_live_;
             if (!was_live)
                 pricer_->beginWindow(kv_scratch_);
-            const int64_t R = static_cast<int64_t>(active_.size());
-            const int64_t k = bulk_k;
             // Entered with queued work (admission denied this step)
-            // the single-round loop breaks after one round; match it.
-            const bool queue_empty = scheduler_.queueEmpty();
+            // the single-round loop breaks after one round; fold that
+            // into the round cap so the fused loop needs no queue
+            // check.
             const double t_pending =
                 pending_next_ < static_cast<int64_t>(pending_.size())
                     ? pending_[pending_next_].arrival_seconds
                     : std::numeric_limits<double>::infinity();
-#if SPECONTEXT_OBS_ENABLED
-            int64_t kv_sum0 = 0;
-            if (trace_)
-                for (int64_t kv : kv_scratch_)
-                    kv_sum0 += kv;
-#endif
-            double first_now = now_;
-#if SPECONTEXT_OBS_ENABLED
-            if (trace_) {
-                // Traced run: per-round loop so every round's
-                // DecodeStep event carries its own timestamp.
-                for (;;) {
-                    now_ += pricer_->nextRoundSeconds();
-                    ++rounds;
-                    if (rounds == 1)
-                        first_now = now_;
-                    // Round j prices lengths grown j-1 tokens past the
-                    // window base — the same sum the rebuild loop
-                    // reads.
-                    trace_->emit(obs::EventType::DecodeStep, now_,
-                                 static_cast<int32_t>(cfg_.id), -1, R,
-                                 kv_sum0 + (rounds - 1) * R);
-                    if (rounds >= k || !queue_empty ||
-                        !(now_ < horizon) || t_pending <= now_)
-                        break;
-                }
-            } else
-#endif
-            {
-                // A non-empty queue breaks the loop after one round
-                // regardless of k; fold that into the round cap so the
-                // fused loop needs no queue check.
-                now_ = pricer_->runWindow(queue_empty ? k : 1, now_,
-                                          horizon, t_pending, rounds,
-                                          first_now);
-            }
-            result_.iterations += rounds;
-            if (counters_) {
-                counters_->add(slots_.decode_iterations, rounds);
-                counters_->add(slots_.generated_tokens, rounds * R);
-            }
-            if (!trace_ && rounds < k_retire) {
+            now_ = pricer_->runWindow(scheduler_.queueEmpty() ? bulk_k
+                                                              : 1,
+                                      now_, horizon, t_pending, rounds,
+                                      first_now);
+        } else {
+            now_ += pricer_
+                        ? pricer_->decodeSeconds(kv_scratch_)
+                        : engine_.decodeIterationSeconds(cfg_.timing,
+                                                         kv_scratch_);
+            first_now = now_;
+        }
+        const int64_t R = static_cast<int64_t>(active_.size());
+        result_.iterations += rounds;
+        if (counters_) {
+            counters_->add(slots_.decode_iterations, rounds);
+            counters_->add(slots_.generated_tokens, rounds * R);
+        }
+        OBS_EVENT(trace_, obs::EventType::DecodeWindow, first_now,
+                  static_cast<int32_t>(cfg_.id), -1, R, rounds);
+        // What the advance-and-retire pass below applies: `grow`
+        // rounds per request, first tokens stamped at `first_now`.
+        int64_t grow = 1;
+        if (windowed) {
+            if (rounds < k_retire) {
                 // Deferred reconciliation: the window stopped short of
                 // the retirement bound, so no request finished and the
                 // only per-request effects are the uniform
@@ -864,40 +841,16 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
             // Eager reconciliation: the pass below applies the
             // window's generated / TTFT stamps / KV growth in one go.
             // Retirement is only reachable on the final planned round
-            // (rounds == k), and a retiring request finishes at the
-            // current (post-window) instant — exactly where the
+            // (rounds == k_retire), and a retiring request finishes at
+            // the current (post-window) instant — exactly where the
             // per-round loop would retire it. Any rounds a prior
             // deferred window banked apply here too.
             grow = win_defer_rounds_ + rounds;
             win_defer_rounds_ = 0;
-            first_token_t = first_now;
             win_k_retire_ = k_retire - rounds;
-        } else {
-            now_ += pricer_
-                        ? pricer_->decodeSeconds(kv_scratch_)
-                        : engine_.decodeIterationSeconds(cfg_.timing,
-                                                         kv_scratch_);
-            ++result_.iterations;
-#if SPECONTEXT_OBS_ENABLED
-            if (trace_) {
-                int64_t kv_sum = 0;
-                for (int64_t k : kv_scratch_)
-                    kv_sum += k;
-                trace_->emit(obs::EventType::DecodeStep, now_,
-                             static_cast<int32_t>(cfg_.id), -1,
-                             static_cast<int64_t>(kv_scratch_.size()),
-                             kv_sum);
-            }
-#endif
-            if (counters_) {
-                counters_->add(slots_.decode_iterations, 1);
-                counters_->add(slots_.generated_tokens,
-                               static_cast<int64_t>(active_.size()));
-            }
-            first_token_t = now_;
         }
         const size_t batch = active_.size();
-        const size_t keep = advanceAndRetire(grow, first_token_t);
+        const size_t keep = advanceAndRetire(grow, first_now);
         kv_ready = true; // the pass above refreshed it for next round
         // An unchanged batch keeps a bulk window (and the fit proof,
         // one round spent per round run) open across steps;

@@ -356,10 +356,12 @@ class ReplicaEngine
      * owns (next unrouted arrival, control tick, sampler cadence
      * crossing). The default (-infinity) runs exactly one round.
      *
-     * Observability is exact under skip-ahead: DecodeStep events and
-     * decode counters are emitted per iteration inside the loop;
-     * gauges publish once at exit with last-round values, which is
-     * what a boundary reader would have seen anyway.
+     * Observability is exact under skip-ahead and takes the same
+     * decode path as an unobserved run: one DecodeWindow event per
+     * decode window (stamped at its first round, carrying the batch
+     * size and the rounds run) and the decode counters bumped by the
+     * window's rounds; gauges publish once at exit with last-round
+     * values, which is what a boundary reader would have seen anyway.
      *
      * @throws std::logic_error when invoked on a fully idle replica.
      */
@@ -434,9 +436,9 @@ class ReplicaEngine
      *  is deferred: `generated` lags every active request by exactly
      *  this count, and the few readers that look at live lengths
      *  between flushes compensate arithmetically (integer-exact).
-     *  flushWindow() applies the lag; retirement windows, traced
-     *  runs and any batch mutation flush eagerly. Non-zero only
-     *  while win_live_ is true. */
+     *  flushWindow() applies the lag; retirement windows and any
+     *  batch mutation flush eagerly. Non-zero only while win_live_
+     *  is true. */
     int64_t win_defer_rounds_ = 0;
     /** Decode-iteration kv_lens buffer, reused across rounds so the
      *  hot loop allocates nothing in steady state. */

@@ -60,7 +60,7 @@ TEST(ObsTrace, WrapsKeepingMostRecentAndCountsDropped)
 {
     Trace t({4});
     for (int64_t i = 0; i < 7; ++i)
-        t.emit(EventType::DecodeStep, static_cast<double>(i), 0, -1, i);
+        t.emit(EventType::DecodeWindow, static_cast<double>(i), 0, -1, i);
     EXPECT_EQ(t.size(), 4u);
     EXPECT_EQ(t.emitted(), 7u);
     EXPECT_EQ(t.dropped(), 3u);
@@ -539,7 +539,7 @@ TEST(ObsFullStack, ChromeTraceExportParsesWithSpansOnReplicaLanes)
     }
     // The overload run must land the headline lifecycle markers.
     for (const char *name :
-         {"Admit", "Preempt", "Restore", "Complete", "DecodeStep"})
+         {"Admit", "Preempt", "Restore", "Complete", "DecodeWindow"})
         EXPECT_TRUE(instant_names.count(name))
             << name << " missing from trace";
     // Admissions happen on both replica lanes (distinct tids).

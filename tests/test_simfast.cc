@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the simulator fast path: the SimFastPath switches
- * (skip-ahead decode stepping with era stepping across unobserved
+ * (skip-ahead decode stepping with era stepping across multi-replica
  * fleets, cached per-lane pricers) must never change a single
  * simulated quantity — only how fast the simulator derives it. Every
  * parity test here runs the reference loop (both switches off) as the
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/timing_engine.h"
+#include "obs/analysis.h"
 #include "obs/obs.h"
 #include "serving/admission.h"
 #include "serving/cluster.h"
@@ -124,6 +125,39 @@ preemptTrace(uint64_t seed)
     mt.gen_lo = 4096;
     mt.gen_hi = 16384;
     return workload::multiTurnTrace(mt);
+}
+
+/** Shared-prefix trace whose 16 families far exceed a 1 GiB
+ *  per-replica prefix cache (see prefixChurnFleet). */
+std::vector<Request>
+prefixChurnTrace()
+{
+    workload::SharedPrefixTraceConfig pc;
+    pc.base.num_requests = 160;
+    pc.base.arrival_rate_per_s = 4.0;
+    pc.base.seed = 37;
+    pc.num_families = 16;
+    pc.prefix_len = 2048;
+    pc.gen_lo = 64;
+    pc.gen_hi = 512;
+    return workload::sharedPrefixTrace(pc);
+}
+
+/** Four full-attention replicas under PrefixAffinity routing, each
+ *  with a prefix cache far smaller than prefixChurnTrace()'s working
+ *  set: LRU eviction, affinity spills and pin churn interleave with
+ *  the fast path's windows. */
+ClusterConfig
+prefixChurnFleet(SchedulerMode mode)
+{
+    ClusterConfig cc;
+    for (int i = 0; i < 4; ++i) {
+        cc.replicas.push_back(preemptReplica());
+        cc.replicas.back().prefix_cache.budget_bytes = 1LL << 30;
+        cc.replicas.back().scheduler_mode = mode;
+    }
+    cc.router.policy = RouterPolicy::PrefixAffinity;
+    return cc;
 }
 
 /** Exact comparison of every simulated quantity two runs expose.
@@ -267,26 +301,12 @@ TEST(SimFast, PrefixChurnFleetMatchesReference)
     // itself; under Reserve the same fleet also dispatches eras (an
     // Optimistic lane's admission cap rarely clears its own clock).
     core::TimingEngine engine;
-    workload::SharedPrefixTraceConfig pc;
-    pc.base.num_requests = 160;
-    pc.base.arrival_rate_per_s = 4.0;
-    pc.base.seed = 37;
-    pc.num_families = 16;
-    pc.prefix_len = 2048;
-    pc.gen_lo = 64;
-    pc.gen_hi = 512;
-    const auto trace = workload::sharedPrefixTrace(pc);
+    const auto trace = prefixChurnTrace();
     for (SchedulerMode mode :
          {SchedulerMode::Optimistic, SchedulerMode::Reserve}) {
         SCOPED_TRACE(mode == SchedulerMode::Optimistic ? "Optimistic"
                                                        : "Reserve");
-        ClusterConfig cc;
-        for (int i = 0; i < 4; ++i) {
-            cc.replicas.push_back(preemptReplica());
-            cc.replicas.back().prefix_cache.budget_bytes = 1LL << 30;
-            cc.replicas.back().scheduler_mode = mode;
-        }
-        cc.router.policy = RouterPolicy::PrefixAffinity;
+        const ClusterConfig cc = prefixChurnFleet(mode);
         const ClusterResult reference =
             runFleet(engine, cc, trace, false, false);
         const ClusterResult fast =
@@ -307,11 +327,11 @@ TEST(SimFast, PrefixChurnFleetMatchesReference)
 
 TEST(SimFast, ObservedRunMatchesUnobservedSimulation)
 {
-    // Attaching trace + counters keeps lane-at-a-time stepping (era
-    // stepping is off on observed runs, so event emission and counter
-    // updates keep their order), but simulated quantities must not
-    // move, and the decode-iteration counter must agree with the
-    // unobserved (era-stepped) iteration count.
+    // Attaching trace + counters runs the same decode path as an
+    // unobserved run (bulk windows, deferred reconciliation and era
+    // stepping included): simulated quantities must not move, and the
+    // decode-iteration counter must agree with the unobserved
+    // iteration count.
     core::TimingEngine engine;
     const auto trace = diurnal(64, 19);
     ClusterConfig cc;
@@ -391,6 +411,217 @@ TEST(SimFast, ElasticLaneAddRetireParityUnderSkipAhead)
     EXPECT_TRUE(attached);
     EXPECT_TRUE(retired);
     expectSameSimulation(slow, fast);
+}
+
+// ------------------------- observed fast path vs observed reference
+
+/** One observed run: the fleet's result plus the trace ring and
+ *  counter registry it recorded into. */
+struct ObservedRun
+{
+    obs::Trace ring{obs::TraceConfig{1 << 20}};
+    obs::CounterRegistry counters;
+    ClusterResult result;
+};
+
+std::unique_ptr<ObservedRun>
+runObserved(const core::TimingEngine &engine, ClusterConfig cfg,
+            const std::vector<Request> &trace, bool fast)
+{
+    auto run = std::make_unique<ObservedRun>();
+    cfg.obs.trace = &run->ring;
+    cfg.obs.counters = &run->counters;
+    run->result = runFleet(engine, cfg, trace, fast, fast);
+    return run;
+}
+
+/** Bitwise equality of two analyzeTrace() timeline sets. */
+void
+expectSameTimelines(const std::vector<obs::RequestTimeline> &a,
+                    const std::vector<obs::RequestTimeline> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(a[i].request));
+        EXPECT_EQ(a[i].request, b[i].request);
+        EXPECT_EQ(a[i].first_token_seconds, b[i].first_token_seconds);
+        EXPECT_EQ(a[i].finish_seconds, b[i].finish_seconds);
+        for (size_t p = 0; p < obs::kPhaseCount; ++p) {
+            EXPECT_EQ(a[i].phases.seconds[p], b[i].phases.seconds[p]);
+            EXPECT_EQ(a[i].ttft_phases.seconds[p],
+                      b[i].ttft_phases.seconds[p]);
+        }
+    }
+}
+
+/** Σ DecodeWindow.b per replica, and the number of decode events. */
+std::vector<int64_t>
+decodeRoundsPerReplica(const obs::Trace &ring, size_t replicas,
+                       size_t &decode_events)
+{
+    std::vector<int64_t> rounds(replicas, 0);
+    decode_events = 0;
+    for (const obs::TraceEvent &e : ring.snapshot()) {
+        if (e.type != obs::EventType::DecodeWindow)
+            continue;
+        ++decode_events;
+        rounds.at(static_cast<size_t>(e.replica)) += e.b;
+    }
+    return rounds;
+}
+
+/** The observed default fast path against the observed reference loop:
+ *  same simulation, bitwise-equal timelines, window round counts that
+ *  add up to every replica's iterations, and fewer decode events.
+ *  Returns the reference result. */
+ClusterResult
+expectObservedFastMatchesReference(const core::TimingEngine &engine,
+                                   const ClusterConfig &cc,
+                                   const std::vector<Request> &trace)
+{
+    const auto ref = runObserved(engine, cc, trace, false);
+    const auto fast = runObserved(engine, cc, trace, true);
+    EXPECT_GT(ref->result.completed(), 0);
+    expectSameSimulation(ref->result, fast->result);
+
+    const obs::TraceAnalysis ra = obs::analyzeTrace(ref->ring);
+    const obs::TraceAnalysis fa = obs::analyzeTrace(fast->ring);
+    expectSameTimelines(ra.complete, fa.complete);
+    expectSameTimelines(ra.incomplete, fa.incomplete);
+
+    const size_t n = cc.replicas.size();
+    for (const ObservedRun *run : {ref.get(), fast.get()}) {
+        for (size_t r = 0; r < n; ++r)
+            EXPECT_EQ(run->counters.valueOf(
+                          "replica" + std::to_string(r) +
+                          ".decode_iterations"),
+                      run->result.per_replica[r].iterations)
+                << "replica " << r;
+    }
+    if (ref->ring.emitted() == 0) // observability compiled out
+        return std::move(ref->result);
+    EXPECT_EQ(ref->ring.dropped(), 0u);
+    EXPECT_EQ(fast->ring.dropped(), 0u);
+    EXPECT_FALSE(ra.complete.empty());
+    size_t ref_events = 0, fast_events = 0;
+    const std::vector<int64_t> ref_rounds =
+        decodeRoundsPerReplica(ref->ring, n, ref_events);
+    const std::vector<int64_t> fast_rounds =
+        decodeRoundsPerReplica(fast->ring, n, fast_events);
+    for (size_t r = 0; r < n; ++r) {
+        SCOPED_TRACE("replica " + std::to_string(r));
+        EXPECT_EQ(ref_rounds[r], ref->result.per_replica[r].iterations);
+        EXPECT_EQ(fast_rounds[r],
+                  fast->result.per_replica[r].iterations);
+    }
+    EXPECT_LT(fast_events, ref_events);
+    return std::move(ref->result);
+}
+
+TEST(SimFastObserved, ReserveSpeContextFleetMatchesReference)
+{
+    core::TimingEngine engine;
+    ClusterConfig cc;
+    cc.replicas = {speReplica(), speReplica()};
+    cc.router.policy = RouterPolicy::LeastKvLoad;
+    expectObservedFastMatchesReference(engine, cc, diurnal(64, 19));
+}
+
+TEST(SimFastObserved, PreemptingOptimisticFleetMatchesReference)
+{
+    core::TimingEngine engine;
+    ClusterConfig cc;
+    cc.replicas = {preemptReplica(), preemptReplica()};
+    cc.router.policy = RouterPolicy::JoinShortestQueue;
+    const ClusterResult ref =
+        expectObservedFastMatchesReference(engine, cc, preemptTrace(11));
+    EXPECT_GT(ref.fleet.preempt.preemptions, 0);
+}
+
+TEST(SimFastObserved, PrefixChurnFleetMatchesReference)
+{
+    core::TimingEngine engine;
+    const auto trace = prefixChurnTrace();
+    for (SchedulerMode mode :
+         {SchedulerMode::Optimistic, SchedulerMode::Reserve}) {
+        SCOPED_TRACE(mode == SchedulerMode::Optimistic ? "Optimistic"
+                                                       : "Reserve");
+        expectObservedFastMatchesReference(engine, prefixChurnFleet(mode),
+                                           trace);
+    }
+}
+
+TEST(SimFastObserved, SamplerRowsMatchReferenceUnderEraStepping)
+{
+    // An elastic fleet with every observability layer attached: era
+    // stepping must stop at each sampler crossing, so every row reads
+    // what the reference loop left. The clock.* columns count host
+    // event-loop work (rounds, lane fires), which the fast path cuts
+    // by design, so they are the one exception. The control period is
+    // off the 5 s sampler grid, so control ticks alone cannot bound
+    // the eras at the crossings.
+    core::TimingEngine engine;
+    const auto trace = diurnal(96, 31);
+    ClusterConfig cc;
+    cc.replicas = {speReplica()};
+    cc.router.policy = RouterPolicy::LeastKvLoad;
+    cc.elastic.min_replicas = 1;
+    cc.elastic.max_replicas = 3;
+    cc.elastic.control_period_seconds = 7.0;
+
+    struct Run
+    {
+        PulseController ctl;
+        obs::Trace ring{obs::TraceConfig{1 << 18}};
+        obs::CounterRegistry counters;
+        std::unique_ptr<obs::TimeseriesSampler> sampler;
+        ClusterResult result;
+    };
+    auto observe = [&](bool fast) {
+        auto run = std::make_unique<Run>();
+        run->sampler = std::make_unique<obs::TimeseriesSampler>(
+            &run->counters, obs::TimeseriesSamplerConfig{5.0, 1 << 16});
+        ClusterConfig c = cc;
+        c.elastic.controller = &run->ctl;
+        c.obs = {&run->ring, &run->counters, run->sampler.get()};
+        run->result = runFleet(engine, c, trace, fast, fast);
+        return run;
+    };
+    const auto ref = observe(false);
+    const auto fast = observe(true);
+    ASSERT_FALSE(ref->result.scale_events.empty());
+    expectSameSimulation(ref->result, fast->result);
+
+    // Compare by column name: lanes register their slots as they
+    // attach, so a row may be shorter than the final registry.
+    auto column = [](const obs::CounterRegistry &reg,
+                     const obs::SamplePoint &row,
+                     const std::string &name) -> int64_t {
+        const std::vector<std::string> &names = reg.names();
+        const size_t i = static_cast<size_t>(
+            std::find(names.begin(), names.end(), name) - names.begin());
+        return i < row.values.size() ? row.values[i] : 0;
+    };
+    const auto &rr = ref->sampler->samples();
+    const auto &fr = fast->sampler->samples();
+    ASSERT_GT(rr.size(), 2u);
+    ASSERT_EQ(rr.size(), fr.size());
+    std::vector<std::string> names = ref->counters.names();
+    std::vector<std::string> fast_names = fast->counters.names();
+    std::sort(names.begin(), names.end());
+    std::sort(fast_names.begin(), fast_names.end());
+    ASSERT_EQ(names, fast_names);
+    for (size_t i = 0; i < rr.size(); ++i) {
+        SCOPED_TRACE("row " + std::to_string(i));
+        EXPECT_EQ(rr[i].t_seconds, fr[i].t_seconds);
+        for (const std::string &name : names) {
+            if (name.rfind("clock.", 0) == 0)
+                continue;
+            EXPECT_EQ(column(ref->counters, rr[i], name),
+                      column(fast->counters, fr[i], name))
+                << name;
+        }
+    }
 }
 
 // ------------------------------------------------- EventClock fast ops
