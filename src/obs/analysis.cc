@@ -243,7 +243,8 @@ analyzeTrace(const Trace &trace)
         return it->second;
     };
 
-    for (const TraceEvent &e : trace.snapshot()) {
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const TraceEvent &e = trace.at(i);
         if (e.request < 0) {
             if (e.type == EventType::DecodeWindow) {
                 const auto it = awaiting.find(e.replica);

@@ -41,7 +41,7 @@ Trace::snapshot() const
     std::vector<TraceEvent> out;
     out.reserve(ring_.size());
     for (size_t i = 0; i < ring_.size(); ++i)
-        out.push_back(ring_[(head_ + i) % ring_.size()]);
+        out.push_back(at(i));
     return out;
 }
 

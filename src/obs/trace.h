@@ -114,6 +114,14 @@ class Trace
     /** Events overwritten by ring wrap-around. */
     uint64_t dropped() const { return emitted_ - ring_.size(); }
 
+    /** The i-th retained event, oldest first (i < size()), read in
+     *  place: analysis walks the ring without copying it. */
+    const TraceEvent &at(size_t i) const
+    {
+        const size_t j = head_ + i;
+        return ring_[j < ring_.size() ? j : j - ring_.size()];
+    }
+
     /** Retained events, oldest first (linearizes the ring). */
     std::vector<TraceEvent> snapshot() const;
 
