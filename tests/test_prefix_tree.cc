@@ -8,10 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "kvcache/prefix_tree.h"
@@ -250,6 +253,16 @@ TEST(PrefixTree, ReleaseRestampsAPinnedAncestorWithoutMakingItEvictable)
     tree.release(hp); // now P is an unpinned leaf: evicted at once
     EXPECT_EQ(tree.residentTokens(), 0);
     EXPECT_EQ(tree.nodeCount(), 0);
+}
+
+TEST(PrefixTree, ReleaseWithoutPinThrows)
+{
+    PrefixTree tree(cfgWith(16)); // large enough that nothing is evicted
+    PrefixHandle h = tree.insert(seq(0, 8));
+    PrefixHandle copy = h;
+    tree.release(h);
+    EXPECT_EQ(tree.pinnedTokens(), 0);
+    EXPECT_THROW(tree.release(copy), std::logic_error);
 }
 
 // ------------------------------------------------------------ budget
@@ -616,75 +629,151 @@ promptPool(std::mt19937 &rng)
     return pool;
 }
 
+/**
+ * Drive `tree`-vs-ModelTree through `ops` random operations over `pool`
+ * (admissions with and without a resize callback, releases, budget
+ * changes; at most `max_live` live handles) and assert after every op
+ * that hits on every seen prompt and all accounting agree. `budget`
+ * draws a budget in blocks; `deepest_hit` receives the deepest hit
+ * seen, in tokens.
+ */
+void
+runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
+                std::mt19937 &rng, const std::function<int64_t()> &budget,
+                size_t max_live, int ops, int64_t *deepest_hit = nullptr)
+{
+    const int64_t start = budget();
+    PrefixTree tree(cfgWith(start));
+    ModelTree model(pool, start);
+    std::set<size_t> seen;
+    std::vector<std::pair<PrefixHandle, int>> live;
+
+    for (int op = 0; op < ops; ++op) {
+        const uint32_t r = rng() % 100;
+        if (r < 50 && live.size() < max_live) {
+            const size_t i = rng() % pool.size();
+            seen.insert(i);
+            const int64_t resize = rng() % 2 ? budget() : -1;
+            const ModelTree::Pin want = model.matchAndPin(i, resize);
+            kv::MatchAndPinResult got;
+            if (resize >= 0) {
+                got = tree.matchAndPin(
+                    pool[i], [&](const PrefixMatch &estimate) {
+                        EXPECT_EQ(estimate.hit_tokens, want.estimate);
+                        tree.setBudget(resize * kBlockBytes);
+                    });
+            } else {
+                got = tree.matchAndPin(pool[i]);
+            }
+            EXPECT_EQ(got.estimate.hit_tokens, want.estimate);
+            EXPECT_EQ(got.match.hit_tokens, want.hit);
+            EXPECT_EQ(got.handle.pinnedTokens(), want.pinned);
+            live.emplace_back(std::move(got.handle), want.deepest);
+        } else if (r < 85 && !live.empty()) {
+            const size_t k = rng() % live.size();
+            tree.release(live[k].first);
+            model.release(live[k].second);
+            live.erase(live.begin() + static_cast<long>(k));
+        } else {
+            const int64_t b = budget();
+            tree.setBudget(b * kBlockBytes);
+            model.setBudget(b);
+        }
+
+        std::vector<int64_t> got_hits, want_hits;
+        for (size_t i : seen) {
+            got_hits.push_back(tree.match(pool[i]).hit_tokens);
+            want_hits.push_back(model.match(i));
+        }
+        ASSERT_EQ(got_hits, want_hits) << "op " << op;
+        ASSERT_EQ(tree.residentTokens(), model.resident()) << "op " << op;
+        ASSERT_EQ(tree.pinnedTokens(), model.pinned()) << "op " << op;
+        ASSERT_EQ(tree.nodeCount(), model.nodes()) << "op " << op;
+        ASSERT_EQ(tree.evictedTokens(), model.evicted()) << "op " << op;
+        ASSERT_EQ(tree.insertedTokens(), model.inserted())
+            << "op " << op;
+        if (deepest_hit) {
+            for (int64_t hit : got_hits)
+                *deepest_hit = std::max(*deepest_hit, hit);
+        }
+    }
+    EXPECT_GT(tree.evictedTokens(), 0);
+    for (auto &[handle, deepest] : live) {
+        tree.release(handle);
+        model.release(deepest);
+    }
+    EXPECT_EQ(tree.pinnedTokens(), 0);
+    EXPECT_EQ(tree.residentTokens(), model.resident());
+    EXPECT_EQ(tree.evictedTokens(), model.evicted());
+}
+
 TEST(PrefixTree, RandomOperationsMatchFullScanModel)
 {
     for (uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
         SCOPED_TRACE(::testing::Message() << "seed " << seed);
         std::mt19937 rng(seed);
         const std::vector<std::vector<int32_t>> pool = promptPool(rng);
-        const auto budget = [&] {
-            return rng() % 16 == 0 ? 0 : static_cast<int64_t>(rng() % 24);
-        };
+        runAgainstModel(
+            pool, rng,
+            [&] {
+                return rng() % 16 == 0 ? 0
+                                       : static_cast<int64_t>(rng() % 24);
+            },
+            6, 1500);
+    }
+}
 
-        const int64_t start = budget();
-        PrefixTree tree(cfgWith(start));
-        ModelTree model(pool, start);
-        std::set<size_t> seen;
-        std::vector<std::pair<PrefixHandle, int>> live;
-
-        for (int op = 0; op < 1500; ++op) {
-            const uint32_t r = rng() % 100;
-            if (r < 50 && live.size() < 6) {
-                const size_t i = rng() % pool.size();
-                seen.insert(i);
-                const int64_t resize = rng() % 2 ? budget() : -1;
-                const ModelTree::Pin want = model.matchAndPin(i, resize);
-                kv::MatchAndPinResult got;
-                if (resize >= 0) {
-                    got = tree.matchAndPin(
-                        pool[i], [&](const PrefixMatch &estimate) {
-                            EXPECT_EQ(estimate.hit_tokens, want.estimate);
-                            tree.setBudget(resize * kBlockBytes);
-                        });
-                } else {
-                    got = tree.matchAndPin(pool[i]);
-                }
-                EXPECT_EQ(got.estimate.hit_tokens, want.estimate);
-                EXPECT_EQ(got.match.hit_tokens, want.hit);
-                EXPECT_EQ(got.handle.pinnedTokens(), want.pinned);
-                live.emplace_back(std::move(got.handle), want.deepest);
-            } else if (r < 85 && !live.empty()) {
-                const size_t k = rng() % live.size();
-                tree.release(live[k].first);
-                model.release(live[k].second);
-                live.erase(live.begin() + static_cast<long>(k));
-            } else {
-                const int64_t b = budget();
-                tree.setBudget(b * kBlockBytes);
-                model.setBudget(b);
-            }
-
-            std::vector<int64_t> got_hits, want_hits;
-            for (size_t i : seen) {
-                got_hits.push_back(tree.match(pool[i]).hit_tokens);
-                want_hits.push_back(model.match(i));
-            }
-            ASSERT_EQ(got_hits, want_hits) << "op " << op;
-            ASSERT_EQ(tree.residentTokens(), model.resident()) << "op " << op;
-            ASSERT_EQ(tree.pinnedTokens(), model.pinned()) << "op " << op;
-            ASSERT_EQ(tree.nodeCount(), model.nodes()) << "op " << op;
-            ASSERT_EQ(tree.evictedTokens(), model.evicted()) << "op " << op;
-            ASSERT_EQ(tree.insertedTokens(), model.inserted())
-                << "op " << op;
+/** Deep prompt pool: 2-3 families whose shared prefixes are 16-48
+ *  blocks long. Each family contributes its full prefix, truncations
+ *  that end mid-chain (ragged tails), and variants that leave the
+ *  prefix at random depths with two-symbol suffixes (so variants that
+ *  diverge at the same depth may share further blocks). */
+std::vector<std::vector<int32_t>>
+deepPromptPool(std::mt19937 &rng)
+{
+    std::vector<std::vector<int32_t>> pool;
+    const int32_t families = 2 + static_cast<int32_t>(rng() % 2);
+    for (int32_t f = 0; f < families; ++f) {
+        const int64_t blocks = 16 + rng() % 33;
+        const std::vector<int32_t> shared = seq(10000 * f, blocks * kPage);
+        pool.push_back(shared);
+        for (int v = 0; v < 3; ++v) {
+            std::vector<int32_t> p = shared;
+            p.resize(kPage * (1 + rng() % (blocks - 1)) + rng() % kPage);
+            pool.push_back(p);
         }
-        EXPECT_GT(tree.evictedTokens(), 0);
-        for (auto &[handle, deepest] : live) {
-            tree.release(handle);
-            model.release(deepest);
+        for (int v = 0; v < 5; ++v) {
+            const int64_t keep = kPage * (rng() % blocks) + rng() % kPage;
+            std::vector<int32_t> p(shared.begin(), shared.begin() + keep);
+            const int64_t extra = kPage * (1 + rng() % 8) + rng() % kPage;
+            for (int64_t i = 0; i < extra; ++i)
+                p.push_back(static_cast<int32_t>(rng() % 2));
+            pool.push_back(p);
         }
-        EXPECT_EQ(tree.pinnedTokens(), 0);
-        EXPECT_EQ(tree.residentTokens(), model.resident());
-        EXPECT_EQ(tree.evictedTokens(), model.evicted());
+    }
+    return pool;
+}
+
+TEST(PrefixTree, DeepChainsMatchFullScanModel)
+{
+    // Long single-child chains with branch points at many depths and
+    // up to 12 live handles: pins that stop at an already-pinned
+    // ancestor, releases that unpin a long chain at once, and
+    // evictions that walk a chain bottom-up leaf by leaf.
+    for (uint32_t seed : {11u, 12u, 13u, 14u, 15u, 16u, 17u, 18u}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        std::mt19937 rng(seed);
+        const std::vector<std::vector<int32_t>> pool = deepPromptPool(rng);
+        int64_t deepest_hit = 0;
+        runAgainstModel(
+            pool, rng,
+            [&] {
+                return rng() % 16 == 0
+                           ? 0
+                           : static_cast<int64_t>(8 + rng() % 120);
+            },
+            12, 1500, &deepest_hit);
+        EXPECT_GE(deepest_hit, 16 * kPage);
     }
 }
 
