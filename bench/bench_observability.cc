@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,16 @@ identicalResults(const serving::ClusterResult &x,
     return true;
 }
 
+/** Everything an observed run records into. Each run gets a fresh
+ *  one: a sampler reused across runs would start past its last
+ *  cadence point and cut the decode windows at fewer boundaries. */
+struct ObservedState
+{
+    obs::Trace ring{{1 << 20}};
+    obs::CounterRegistry counters;
+    obs::TimeseriesSampler sampler{&counters, {10.0, 1 << 16}};
+};
+
 /** Median of `v` (mean of the middle two for even counts). */
 double
 medianMs(std::vector<double> v)
@@ -155,34 +166,51 @@ main(int argc, char **argv)
 
     // Two stacks: baseline with all hooks null — the shipping default
     // every BENCH_*.json is generated under — and observed with every
-    // layer attached.
+    // layer attached. Each observed run builds its cluster on a fresh
+    // ObservedState (untimed).
     serving::ClusterResult base_result = cluster.run(trace);
-    obs::Trace ring({1 << 20});
-    obs::CounterRegistry counters;
-    obs::TimeseriesSampler sampler(&counters, {10.0, 1 << 16});
-    serving::ClusterConfig oc = cc;
-    oc.obs = {&ring, &counters, &sampler};
-    const serving::Cluster observed(engine, oc);
-    serving::ClusterResult obs_result = observed.run(trace);
-    const uint64_t events_per_run = ring.emitted();
+    serving::ClusterResult obs_result;
+    std::unique_ptr<ObservedState> state;
+    const auto observedRun = [&](std::vector<double> *wall_reps) {
+        state.reset(); // one 40 MB ring alive at a time
+        state = std::make_unique<ObservedState>();
+        serving::ClusterConfig oc = cc;
+        oc.obs = {&state->ring, &state->counters, &state->sampler};
+        const serving::Cluster observed(engine, oc);
+        const auto t0 = std::chrono::steady_clock::now();
+        obs_result = observed.run(trace);
+        if (wall_reps)
+            wall_reps->push_back(wallMs(t0));
+    };
+    observedRun(nullptr);
+    const uint64_t events_per_run = state->ring.emitted();
 
     // Interleaved timed reps after the untimed warmups above: pairing
     // the sides inside each rep exposes both to the same machine
     // drift, and the median per side keeps one noisy rep from setting
     // the headline (best-of used to let the *baseline's* luckiest rep
-    // drive wall_delta_pct negative). Fresh ring state per rep so
-    // each observed run records the same stream (emitted() proves it:
-    // reps * per-run).
+    // drive wall_delta_pct negative). Every observed rep must record
+    // exactly the warmup's stream.
     std::vector<double> base_reps, obs_reps;
     for (int i = 0; i < reps; ++i) {
-        auto t0 = std::chrono::steady_clock::now();
+        const auto t0 = std::chrono::steady_clock::now();
         base_result = cluster.run(trace);
         base_reps.push_back(wallMs(t0));
-        ring.clear();
-        t0 = std::chrono::steady_clock::now();
-        obs_result = observed.run(trace);
-        obs_reps.push_back(wallMs(t0));
+        observedRun(&obs_reps);
+        if (state->ring.emitted() != events_per_run) {
+            std::fprintf(stderr,
+                         "FAIL: observed rep %d emitted %llu events, "
+                         "the first observed run %llu\n",
+                         i,
+                         static_cast<unsigned long long>(
+                             state->ring.emitted()),
+                         static_cast<unsigned long long>(events_per_run));
+            return 1;
+        }
     }
+    const obs::Trace &ring = state->ring;
+    const obs::CounterRegistry &counters = state->counters;
+    const obs::TimeseriesSampler &sampler = state->sampler;
     const double base_ms = medianMs(base_reps);
     const double obs_ms = medianMs(obs_reps);
     // Rep-to-rep spread of the baseline (the delta's denominator): a

@@ -1,70 +1,45 @@
 #include "kvcache/prefix_tree.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 namespace specontext {
 namespace kv {
 
 namespace {
 
-/** One block of a prompt, borrowed in place: children are looked up
- *  through it so a walk never copies tokens. */
-struct BlockView
-{
-    const int32_t *data;
-    size_t size;
-};
+constexpr int32_t kChunkShift = 8;
+/** Nodes per storage chunk: 256 nodes (~14 KiB) plus their token
+ *  slab (16 KiB at page 16) — each chunk a small malloc. */
+constexpr int32_t kChunk = int32_t{1} << kChunkShift;
+constexpr int32_t kRoot = 0;
 
-/** Lexicographic token order — std::vector's own operator< — made
- *  transparent so a map keyed by stored blocks can find a BlockView. */
-struct BlockLess
+/** Lexicographic token order (std::vector's operator<), the order
+ *  children are kept in. */
+bool
+blockLess(const int32_t *a, const int32_t *b, size_t n)
 {
-    using is_transparent = void;
-
-    static bool less(const int32_t *a, size_t na, const int32_t *b,
-                     size_t nb)
-    {
-        return std::lexicographical_compare(a, a + na, b, b + nb);
-    }
-    bool operator()(const std::vector<int32_t> &a,
-                    const std::vector<int32_t> &b) const
-    {
-        return a < b;
-    }
-    bool operator()(const std::vector<int32_t> &a, BlockView b) const
-    {
-        return less(a.data(), a.size(), b.data, b.size);
-    }
-    bool operator()(BlockView a, const std::vector<int32_t> &b) const
-    {
-        return less(a.data, a.size, b.data(), b.size());
-    }
-};
+    return std::lexicographical_compare(a, a + n, b, b + n);
+}
 
 } // namespace
 
-/**
- * One cached block. Children are keyed by their block's token content
- * (std::map, so traversal order is deterministic); the key doubles as
- * the stored tokens, which a simulator never needs to read back.
- */
+/** One cached block; its tokens live in the tree's token slab. */
 struct PrefixTree::Node
 {
-    using Children = std::map<std::vector<int32_t>, Node *, BlockLess>;
-
-    Node *parent = nullptr;
-    /** Raw pointers: node lifetime is owned by the tree's Pool, so
-     *  eviction recycles slots instead of freeing them. */
-    Children children;
-    /** This node's entry in parent->children (unset on the root), so
-     *  eviction unlinks without searching the siblings. */
-    Children::iterator self;
-    int64_t refcount = 0;     ///< in-flight requests pinning this block
-    uint64_t last_use = 0;    ///< lru_clock_ at the last release
+    /** Parent index (-1 on the root); on a free slot, the next free
+     *  slot. */
+    int32_t parent = -1;
+    int32_t handles = 0;     ///< live handles whose deepest node this is
+    int32_t pinned_kids = 0; ///< children that are pinned
+    uint64_t last_use = 0;   ///< newest release stamp seen (see file doc)
     int64_t depth_tokens = 0; ///< tokens from root through this block
+    /** Child indices, sorted by block content. */
+    std::vector<int32_t> kids;
+
+    bool pinned() const { return handles > 0 || pinned_kids > 0; }
 };
 
 PrefixTree::PrefixTree(PrefixTreeConfig cfg) : cfg_(cfg)
@@ -76,35 +51,57 @@ PrefixTree::PrefixTree(PrefixTreeConfig cfg) : cfg_(cfg)
     if (cfg_.budget_bytes > 0 && cfg_.bytes_per_token <= 0)
         throw std::invalid_argument(
             "PrefixTree: enabled cache needs positive bytes_per_token");
-    pool_ = std::make_unique<util::Pool<Node>>();
-    root_ = newNode();
+    nodes_.push_back(std::make_unique<Node[]>(kChunk));
+    tokens_.push_back(
+        std::make_unique<int32_t[]>(kChunk * cfg_.page_size));
+    slots_ = 1; // the root, kRoot
 }
 
-PrefixTree::~PrefixTree()
+PrefixTree::~PrefixTree() = default;
+
+PrefixTree::Node &
+PrefixTree::node(int32_t i) const
 {
-    // Nodes own heap state (the children map keys), so each must be
-    // destroyed through the pool — iteratively, to keep deep chains
-    // off the call stack.
-    std::vector<Node *> stack = {root_};
-    while (!stack.empty()) {
-        Node *n = stack.back();
-        stack.pop_back();
-        for (auto &kv_pair : n->children)
-            stack.push_back(kv_pair.second);
-        freeNode(n);
+    return nodes_[i >> kChunkShift][i & (kChunk - 1)];
+}
+
+const int32_t *
+PrefixTree::blockTokens(int32_t i) const
+{
+    return tokens_[i >> kChunkShift].get() +
+           (i & (kChunk - 1)) * cfg_.page_size;
+}
+
+int32_t
+PrefixTree::newNode(int32_t parent, const int32_t *block)
+{
+    int32_t i = free_head_;
+    if (i >= 0) {
+        free_head_ = node(i).parent;
+    } else {
+        i = slots_++;
+        if ((i & (kChunk - 1)) == 0) {
+            nodes_.push_back(std::make_unique<Node[]>(kChunk));
+            tokens_.push_back(
+                std::make_unique<int32_t[]>(kChunk * cfg_.page_size));
+        }
     }
-}
-
-PrefixTree::Node *
-PrefixTree::newNode()
-{
-    return pool_->create();
-}
-
-void
-PrefixTree::freeNode(Node *n)
-{
-    pool_->destroy(n);
+    const size_t page = static_cast<size_t>(cfg_.page_size);
+    std::copy(block, block + page,
+              tokens_[i >> kChunkShift].get() + (i & (kChunk - 1)) * page);
+    Node &n = node(i);
+    Node &p = node(parent);
+    n.parent = parent;
+    n.last_use = 0;
+    n.depth_tokens = p.depth_tokens + cfg_.page_size;
+    std::vector<int32_t> &kids = p.kids;
+    kids.insert(std::lower_bound(kids.begin(), kids.end(), block,
+                                 [&](int32_t kid, const int32_t *b) {
+                                     return blockLess(blockTokens(kid), b,
+                                                      page);
+                                 }),
+                i);
+    return i;
 }
 
 void
@@ -118,20 +115,34 @@ PrefixTree::setObserver(const PrefixTreeObserver &observer)
     }
 }
 
-PrefixTree::Node *
+int32_t
 PrefixTree::walkMatch(const std::vector<int32_t> &tokens) const
 {
-    Node *node = root_;
     const size_t page = static_cast<size_t>(cfg_.page_size);
-    const size_t full_blocks = tokens.size() / page;
-    for (size_t b = 0; b < full_blocks; ++b) {
-        const auto it =
-            node->children.find(BlockView{tokens.data() + b * page, page});
-        if (it == node->children.end())
+    const size_t bytes = page * sizeof(int32_t);
+    const int32_t *block = tokens.data();
+    const int32_t *const end = block + tokens.size() / page * page;
+    int32_t at = kRoot;
+    for (; block != end; block += page) {
+        const std::vector<int32_t> &kids = node(at).kids;
+        int32_t next;
+        if (kids.size() == 1) {
+            next = kids.front();
+        } else {
+            const auto it = std::lower_bound(
+                kids.begin(), kids.end(), block,
+                [&](int32_t kid, const int32_t *b) {
+                    return blockLess(blockTokens(kid), b, page);
+                });
+            if (it == kids.end())
+                break;
+            next = *it;
+        }
+        if (std::memcmp(blockTokens(next), block, bytes) != 0)
             break;
-        node = it->second;
+        at = next;
     }
-    return node;
+    return at;
 }
 
 PrefixMatch
@@ -140,7 +151,7 @@ PrefixTree::match(const std::vector<int32_t> &tokens) const
     PrefixMatch m;
     if (!enabled())
         return m;
-    m.hit_tokens = walkMatch(tokens)->depth_tokens;
+    m.hit_tokens = node(walkMatch(tokens)).depth_tokens;
     m.reserved_bytes = m.hit_tokens * cfg_.bytes_per_token;
     return m;
 }
@@ -160,10 +171,10 @@ PrefixTree::matchAndPin(
 
     // Walk 1 (fused): the pre-resize cached prefix, remembered as its
     // deepest node so the post-callback phases need no second descent.
-    Node *node = nullptr;
+    int32_t at = -1;
     if (enabled()) {
-        node = walkMatch(tokens);
-        out.estimate.hit_tokens = node->depth_tokens;
+        at = walkMatch(tokens);
+        out.estimate.hit_tokens = node(at).depth_tokens;
         out.estimate.reserved_bytes =
             out.estimate.hit_tokens * cfg_.bytes_per_token;
     }
@@ -175,86 +186,93 @@ PrefixTree::matchAndPin(
         return out; // budget (still) 0 after the callback: no-op pin
 
     // Walk 2 (usually skipped): the held node is stale only when the
-    // callback evicted — or when the cache was disabled at entry so
-    // walk 1 never ran (the callback may just have revived it).
-    if (!node || eviction_epoch_ != epoch)
-        node = walkMatch(tokens);
-    out.match.hit_tokens = node->depth_tokens;
+    // callback evicted (its slot may have been recycled) — or when the
+    // cache was disabled at entry so walk 1 never ran (the callback
+    // may just have revived it).
+    if (at < 0 || eviction_epoch_ != epoch)
+        at = walkMatch(tokens);
+    out.match.hit_tokens = node(at).depth_tokens;
     out.match.reserved_bytes =
         out.match.hit_tokens * cfg_.bytes_per_token;
 
-    // Pin the matched prefix (insert()'s accounting); an idle leaf
-    // among it leaves the evictable index.
-    for (Node *n = node; n != root_; n = n->parent) {
-        if (n->refcount == 0) {
-            pinned_tokens_ += cfg_.page_size;
-            if (n->children.empty())
-                evictable_.erase({n->last_use, n});
-        }
-        ++n->refcount;
-    }
-    // Extend it with the remaining full blocks while the budget lasts.
+    // Pin the matched prefix; the pin makes the whole path
+    // eviction-proof while it is extended below.
+    pin(at);
     const size_t page = static_cast<size_t>(cfg_.page_size);
     const size_t full_blocks = tokens.size() / page;
     const int64_t block_bytes = cfg_.page_size * cfg_.bytes_per_token;
-    for (size_t b = static_cast<size_t>(node->depth_tokens) / page;
+    for (size_t b = static_cast<size_t>(node(at).depth_tokens) / page;
          b < full_blocks; ++b) {
-        // New block: make room first. Nodes on the pinned path
-        // (including everything this walk already pinned) have
-        // refcount > 0 and are eviction-proof.
+        // New block: make room first.
         while (bytes() + block_bytes > cfg_.budget_bytes) {
             if (!evictOne())
                 break;
         }
         if (bytes() + block_bytes > cfg_.budget_bytes)
             break; // budget exhausted; pin what we have
-        // The parent is pinned, so it is not (and stays not) evictable.
-        const int32_t *begin = tokens.data() + b * page;
-        Node *child = newNode();
-        child->parent = node;
-        child->depth_tokens = node->depth_tokens + cfg_.page_size;
-        child->self = node->children.emplace_hint(
-            node->children.lower_bound(BlockView{begin, page}),
-            std::piecewise_construct,
-            std::forward_as_tuple(begin, begin + page),
-            std::forward_as_tuple(child));
-        node = child;
+        // The request's pin moves from the parent onto its fresh
+        // child; the parent stays pinned through its pinned child.
+        const int32_t child = newNode(at, tokens.data() + b * page);
+        Node &parent = node(at);
+        --parent.handles;
+        ++parent.pinned_kids;
+        node(child).handles = 1;
+        at = child;
         resident_tokens_ += cfg_.page_size;
         inserted_tokens_ += cfg_.page_size;
+        pinned_tokens_ += cfg_.page_size;
         ++node_count_;
-        pinned_tokens_ += cfg_.page_size; // fresh block: refcount 0 -> 1
-        ++node->refcount;
     }
-    if (node != root_) {
-        out.handle.node_ = node;
-        out.handle.pinned_tokens_ = node->depth_tokens;
+    if (at == kRoot) {
+        --node(kRoot).handles; // nothing cached: nothing to hand out
+    } else {
+        out.handle.node_ = at;
+        out.handle.pinned_tokens_ = node(at).depth_tokens;
     }
     return out;
 }
 
 void
+PrefixTree::pin(int32_t at)
+{
+    bool was_pinned = node(at).pinned();
+    ++node(at).handles;
+    while (!was_pinned && at != kRoot) {
+        Node &n = node(at);
+        pinned_tokens_ += cfg_.page_size;
+        if (n.kids.empty())
+            evictable_.erase({n.last_use, at});
+        at = n.parent;
+        Node &parent = node(at);
+        was_pinned = parent.pinned();
+        ++parent.pinned_kids;
+    }
+}
+
+void
 PrefixTree::release(PrefixHandle &handle)
 {
-    Node *node = static_cast<Node *>(handle.node_);
-    handle.node_ = nullptr;
+    int32_t at = handle.node_;
+    handle.node_ = -1;
     handle.pinned_tokens_ = 0;
-    if (!node)
+    if (at < 0)
         return;
-    // One stamp per release keeps whole paths ordered: deeper nodes
-    // share the stamp, and leaves are evicted before their parents
-    // regardless.
-    const uint64_t stamp = ++lru_clock_;
-    for (; node != root_; node = node->parent) {
-        if (node->refcount <= 0)
-            throw std::logic_error("PrefixTree: release without pin");
-        --node->refcount;
-        if (node->refcount == 0)
-            pinned_tokens_ -= cfg_.page_size;
-        node->last_use = stamp;
-        // Only the handle's own node can be a leaf here; an ancestor
-        // still pinned by another handle is re-stamped but stays out.
-        if (node->refcount == 0 && node->children.empty())
-            evictable_.emplace(stamp, node);
+    Node &held = node(at);
+    if (held.handles <= 0)
+        throw std::logic_error("PrefixTree: release without pin");
+    --held.handles;
+    // Only the handle's node is stamped; ancestors learn the stamp
+    // when their descendants are evicted (see evictOne()).
+    held.last_use = ++lru_clock_;
+    // Unpin upward while nodes flip: the first ancestor still pinned
+    // by another handle or child stops the walk.
+    while (at != kRoot && !node(at).pinned()) {
+        Node &n = node(at);
+        pinned_tokens_ -= cfg_.page_size;
+        if (n.kids.empty())
+            evictable_.emplace(n.last_use, at);
+        at = n.parent;
+        --node(at).pinned_kids;
     }
     enforceBudget();
 }
@@ -274,22 +292,31 @@ PrefixTree::setBudget(int64_t budget_bytes)
 bool
 PrefixTree::evictOne()
 {
-    // The oldest release stamp among evictable leaves. Stamps are
-    // unique among them (see the file comment), so this is exactly
-    // the leaf a full scan for the minimum stamp would pick.
+    // The oldest stamp among evictable leaves. Stamps are unique among
+    // them (see the file comment), so this is exactly the leaf a full
+    // scan for the minimum stamp would pick.
     if (evictable_.empty())
         return false;
-    Node *victim = evictable_.begin()->second;
-    evictable_.erase(evictable_.begin());
-    Node *parent = victim->parent;
-    parent->children.erase(victim->self);
-    // An unpinned parent left childless becomes evictable under its
-    // own stamp, which can be older than leaves already listed — so
-    // it may be the very next victim (no append-to-tail LRU list).
-    if (parent != root_ && parent->refcount == 0 &&
-        parent->children.empty())
-        evictable_.emplace(parent->last_use, parent);
-    freeNode(victim);
+    auto entry = evictable_.extract(evictable_.begin());
+    const int32_t victim = entry.value().second;
+    Node &v = node(victim);
+    Node &parent = node(v.parent);
+    parent.kids.erase(
+        std::find(parent.kids.begin(), parent.kids.end(), victim));
+    // Fold the victim's stamp in before the parent can become
+    // evictable: it then carries the newest release of its subtree.
+    parent.last_use = std::max(parent.last_use, v.last_use);
+    // An unpinned parent left childless becomes evictable under that
+    // stamp, which can be older than leaves already listed — so it
+    // may be the very next victim (no append-to-tail LRU list).
+    // (It reuses the victim's index entry: a chain evicted bottom-up
+    // allocates nothing.)
+    if (v.parent != kRoot && !parent.pinned() && parent.kids.empty()) {
+        entry.value() = {parent.last_use, v.parent};
+        evictable_.insert(std::move(entry));
+    }
+    v.parent = free_head_;
+    free_head_ = victim;
     resident_tokens_ -= cfg_.page_size;
     evicted_tokens_ += cfg_.page_size;
     --node_count_;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared-prefix KV cache model: a per-replica radix tree over token-id
- * sequences with block-granular nodes, reference counts and LRU
- * eviction under a byte budget — the memory-side model behind
- * prefix-affinity routing (serving::RouterPolicy::PrefixAffinity).
+ * sequences with block-granular nodes, pin counts and LRU eviction
+ * under a byte budget — the memory-side model behind prefix-affinity
+ * routing (serving::RouterPolicy::PrefixAffinity).
  *
  * Production traffic is dominated by requests that share long prompt
  * prefixes (system prompts, few-shot templates, multi-turn history).
@@ -17,33 +17,59 @@
  *    and maps one-to-one onto paged KV storage.
  *  - match(tokens) returns the longest cached block-aligned prefix
  *    and the HBM bytes it occupies; it never mutates the tree.
- *  - insert(tokens) pins (refcounts) the cached prefix path and
- *    extends it with the remaining full blocks while the byte budget
- *    lasts, returning a handle the caller releases at retirement.
- *    Pinned nodes are never evicted — they are the KV of an in-flight
- *    request and freeing them would fabricate memory.
- *  - release(handle) unpins the path and stamps it with a logical
- *    LRU timestamp; unreferenced leaves are then evictable,
- *    bottom-up, least-recently-released first. Evictable leaves sit
- *    in an index ordered by that stamp, so one eviction costs
+ *  - insert(tokens) pins the cached prefix path and extends it with
+ *    the remaining full blocks while the byte budget lasts, returning
+ *    a handle the caller releases at retirement. Pinned nodes are
+ *    never evicted — they are the KV of an in-flight request and
+ *    freeing them would fabricate memory.
+ *  - release(handle) unpins the path and stamps the handle's node
+ *    with a logical LRU timestamp; unpinned leaves are then
+ *    evictable, bottom-up, least-recently-released first. Evictable
+ *    leaves sit in an index ordered by stamp, so one eviction costs
  *    O(log n) in the number of evictable leaves, not a tree scan.
  *  - setBudget() re-clamps the budget (the serving layer shrinks it
  *    to the HBM headroom left by live KV reservations, priced through
- *    sim::MemoryModel); shrinking evicts unreferenced subtrees
+ *    sim::MemoryModel); shrinking evicts unpinned subtrees
  *    immediately. Budget 0 disables the cache entirely.
+ *
+ * Layout. Nodes are addressed by int32 index and live in fixed-size
+ * chunks (256 nodes each); each node's block tokens sit in a parallel
+ * chunked slab, so a block is page_size contiguous int32s. Freed slots
+ * go onto a free list and are reused. Apart from the chunk tables (one
+ * pointer per 256 nodes) no allocation grows with the tree: at page 16
+ * a chunk is 14 KiB of nodes plus 16 KiB of tokens, far below glibc's
+ * 128 KiB mmap threshold, which a growing buffer would cross (each
+ * freed copy then raises the threshold and strands later large blocks
+ * on the heap). A node's children are a small vector of indices
+ * sorted by block content: a walk through a single-child node is one
+ * memcmp of the block, a wide node takes a lower_bound, then a memcmp
+ * for equality. Matching always compares the actual tokens.
+ *
+ * Pins. A node counts the live handles that end on it and its pinned
+ * children; it is pinned iff either count is non-zero. pin and
+ * release walk upward only while a node flips between unpinned and
+ * pinned, so a request whose prefix is already pinned by another
+ * touches only its own new blocks.
+ *
+ * Stamps. release stamps only the handle's node; eviction folds the
+ * victim's stamp into its parent (max) before the parent can become
+ * an evictable leaf. By then every descendant has been evicted and
+ * folded in, so a leaf's stamp is the newest release among the
+ * handles that ended in its subtree — the stamp an eager root-path
+ * write would have given it. Stamps are unique per release, two
+ * evictable leaves have disjoint subtrees, and every evictable leaf
+ * has seen a release in its subtree (nodes are born pinned), so no
+ * two evictable leaves ever tie: the victim order is total and
+ * independent of where nodes live.
  *
  * Everything is deterministic: children are kept in token-content
  * order and LRU stamps come from a logical counter, so identical
  * operation sequences give identical trees, matches and evictions.
- * The victim order is total: one release stamps one root path, so
- * nodes sharing a stamp lie on one path and at most one of them is a
- * leaf — no two evictable leaves ever tie.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -51,7 +77,6 @@
 
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "util/pool.h"
 
 namespace specontext {
 namespace kv {
@@ -104,7 +129,7 @@ class PrefixHandle
 
   private:
     friend class PrefixTree;
-    void *node_ = nullptr; ///< deepest pinned node
+    int32_t node_ = -1; ///< deepest pinned node (-1: none)
     int64_t pinned_tokens_ = 0;
 };
 
@@ -230,10 +255,13 @@ class PrefixTree
     struct Node;
 
     PrefixTreeConfig cfg_;
-    /** All nodes (root included) live in the pool; eviction recycles
-     *  their slots, so steady-state block churn never mallocs. */
-    std::unique_ptr<util::Pool<Node>> pool_;
-    Node *root_ = nullptr;
+    /** Node slots (root = index 0) in fixed chunks of kChunk nodes,
+     *  with the block tokens of slot i at tokens_ chunk i / kChunk,
+     *  offset (i % kChunk) * page_size. */
+    std::vector<std::unique_ptr<Node[]>> nodes_;
+    std::vector<std::unique_ptr<int32_t[]>> tokens_;
+    int32_t slots_ = 0;     ///< slots handed out so far
+    int32_t free_head_ = -1; ///< recycled slots, linked through parent
     int64_t resident_tokens_ = 0;
     int64_t pinned_tokens_ = 0;
     int64_t node_count_ = 0;
@@ -241,29 +269,34 @@ class PrefixTree
     int64_t inserted_tokens_ = 0;
     uint64_t lru_clock_ = 0; ///< logical time, bumped on release
     /** Exactly the evictable blocks — unpinned, childless, non-root —
-     *  keyed by their release stamp; begin() is the next victim. */
-    std::set<std::pair<uint64_t, Node *>> evictable_;
+     *  keyed by (stamp, index); begin() is the next victim. */
+    std::set<std::pair<uint64_t, int32_t>> evictable_;
     /** Bumped on every eviction; matchAndPin() uses it to detect that
-     *  a node path held across the resize callback may have become
-     *  stale and must be re-walked. */
+     *  a node held across the resize callback may have been recycled
+     *  and must be re-walked. */
     uint64_t eviction_epoch_ = 0;
     PrefixTreeObserver observer_;
     obs::CounterRegistry::Handle evicted_counter_ = 0;
 
-    /** Node storage: create/recycle a slot in the slab pool. */
-    Node *newNode();
-    void freeNode(Node *n);
+    Node &node(int32_t i) const;
+    const int32_t *blockTokens(int32_t i) const;
+
+    /** A fresh child of `parent` holding `block`, linked into the
+     *  parent's sorted child list. */
+    int32_t newNode(int32_t parent, const int32_t *block);
 
     /** Deepest node of the cached block-aligned prefix of `tokens`
-     *  (root_ when nothing matches). */
-    Node *walkMatch(const std::vector<int32_t> &tokens) const;
+     *  (the root when nothing matches). */
+    int32_t walkMatch(const std::vector<int32_t> &tokens) const;
 
-    /** Evict unreferenced LRU leaves until bytes() <= budget. */
+    /** Add one handle on `n`, pinning the ancestors that flip. */
+    void pin(int32_t n);
+
+    /** Evict unpinned LRU leaves until bytes() <= budget. */
     void enforceBudget();
 
-    /** Evict the least-recently-released unreferenced leaf (the
-     *  minimum of evictable_, O(log n)); false when nothing is
-     *  evictable. */
+    /** Evict the least-recently-released unpinned leaf (the minimum
+     *  of evictable_, O(log n)); false when nothing is evictable. */
     bool evictOne();
 };
 

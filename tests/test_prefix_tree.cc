@@ -3,8 +3,9 @@
  * Tests of the shared-prefix KV cache radix tree: block-aligned
  * match/insert/release, refcount-protected eviction, LRU ordering,
  * and byte-budget enforcement (including the budget-0 disabled mode
- * and shrink-under-pressure via setBudget), plus a seeded differential
- * run against a brute-force full-scan model tree.
+ * and shrink-under-pressure via setBudget), plus seeded differential
+ * runs (a shallow and a deep prompt pool) against a brute-force
+ * full-scan model tree.
  */
 #include <gtest/gtest.h>
 
