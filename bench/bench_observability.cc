@@ -171,7 +171,7 @@ main(int argc, char **argv)
     serving::ClusterResult base_result = cluster.run(trace);
     serving::ClusterResult obs_result;
     std::unique_ptr<ObservedState> state;
-    const auto observedRun = [&](std::vector<double> *wall_reps) {
+    const auto observedRun = [&] {
         state.reset(); // one 40 MB ring alive at a time
         state = std::make_unique<ObservedState>();
         serving::ClusterConfig oc = cc;
@@ -179,10 +179,9 @@ main(int argc, char **argv)
         const serving::Cluster observed(engine, oc);
         const auto t0 = std::chrono::steady_clock::now();
         obs_result = observed.run(trace);
-        if (wall_reps)
-            wall_reps->push_back(wallMs(t0));
+        return wallMs(t0);
     };
-    observedRun(nullptr);
+    observedRun();
     const uint64_t events_per_run = state->ring.emitted();
 
     // Interleaved timed reps after the untimed warmups above: pairing
@@ -196,7 +195,7 @@ main(int argc, char **argv)
         const auto t0 = std::chrono::steady_clock::now();
         base_result = cluster.run(trace);
         base_reps.push_back(wallMs(t0));
-        observedRun(&obs_reps);
+        obs_reps.push_back(observedRun());
         if (state->ring.emitted() != events_per_run) {
             std::fprintf(stderr,
                          "FAIL: observed rep %d emitted %llu events, "
