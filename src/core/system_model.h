@@ -257,9 +257,14 @@ class SystemPricer
      * run uninterrupted to bound how soon a lane could next interact
      * — the bound only widens skip-ahead windows, it never feeds the
      * simulated arithmetic, so any value that truly lower-bounds the
-     * rounds is bit-safe. The base returns 0.0 (no bound, the
-     * historical behavior); systems with a structural floor (e.g. a
-     * weight-streaming minimum) override it.
+     * rounds is bit-safe. ReplicaEngine::nextPossibleAdmissionSeconds
+     * uses it that way: an Optimistic lane caps its next admission at
+     * now + n * floor, and with a floor of 0 that cap is the lane's own
+     * clock, which holds every peer's window to about one round. The
+     * SpeContext and full-attention pricers return the
+     * weight-streaming time, the max() floor of every round they
+     * price; the base (and so the delegating pricer H2O, StreamingLLM and
+     * plugin systems get) returns 0.0, no bound.
      */
     virtual double minRoundSeconds() const { return 0.0; }
 

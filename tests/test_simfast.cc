@@ -130,12 +130,12 @@ preemptTrace(uint64_t seed)
 /** Shared-prefix trace whose 16 families far exceed a 1 GiB
  *  per-replica prefix cache (see prefixChurnFleet). */
 std::vector<Request>
-prefixChurnTrace()
+prefixChurnTrace(int64_t n = 160, uint64_t seed = 37)
 {
     workload::SharedPrefixTraceConfig pc;
-    pc.base.num_requests = 160;
+    pc.base.num_requests = n;
     pc.base.arrival_rate_per_s = 4.0;
-    pc.base.seed = 37;
+    pc.base.seed = seed;
     pc.num_families = 16;
     pc.prefix_len = 2048;
     pc.gen_lo = 64;
@@ -297,9 +297,11 @@ TEST(SimFast, PrefixChurnFleetMatchesReference)
     // per-replica cache far smaller than the families' working set,
     // so LRU eviction, affinity spills and pin churn interleave with
     // the fast path's windows. The default fast path must match the
-    // reference loop bit for bit. Optimistic is the prefix-churn shape
-    // itself; under Reserve the same fleet also dispatches eras (an
-    // Optimistic lane's admission cap rarely clears its own clock).
+    // reference loop bit for bit, under both admission modes:
+    // Optimistic is the prefix-churn shape itself, where each lane's
+    // admission cap rides the full-attention pricer's weight-streaming
+    // floor; a Reserve lane with nothing queued caps only at its next
+    // pending arrival.
     core::TimingEngine engine;
     const auto trace = prefixChurnTrace();
     for (SchedulerMode mode :
@@ -323,6 +325,54 @@ TEST(SimFast, PrefixChurnFleetMatchesReference)
         EXPECT_EQ(reference.fleet.prefix.inserted_tokens,
                   fast.fleet.prefix.inserted_tokens);
     }
+}
+
+TEST(SimFast, EraLanesStopAtPeerAdmissionCapsOnLargerPrefixChurn)
+{
+    // Optimistic full-attention lanes publish admission caps a few
+    // weight-streaming floors past their clocks, so eras engage on
+    // this fleet and every era lane must stop at the uniform barrier
+    // (the earliest peer cap), not run on to the routing horizon. The
+    // small PrefixChurnFleetMatchesReference trace happens to place
+    // identically even when an era lane overruns a peer's cap; this
+    // longer, busier one does not.
+    core::TimingEngine engine;
+    const auto trace = prefixChurnTrace(300, 11);
+    const ClusterConfig cc = prefixChurnFleet(SchedulerMode::Optimistic);
+    const ClusterResult reference =
+        runFleet(engine, cc, trace, false, false);
+    const ClusterResult fast = runFleet(engine, cc, trace, true, true);
+    ASSERT_GT(reference.completed(), 0);
+    EXPECT_GT(reference.fleet.prefix.evicted_tokens, 0);
+    expectSameSimulation(reference, fast);
+}
+
+TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
+{
+    // Host-independent engagement gate: on the Optimistic prefix-churn
+    // fleet the default fast path must retire several decode rounds
+    // per event-loop fire. Each lane's admission cap sits a
+    // weight-streaming floor per provably uninterrupted round past its
+    // clock (SystemPricer::minRoundSeconds); with no floor every cap
+    // equals its lane's clock and peers step about one round per fire.
+    // Counters are never compiled out, so this holds in every build.
+    core::TimingEngine engine;
+    obs::CounterRegistry counters;
+    ClusterConfig cc = prefixChurnFleet(SchedulerMode::Optimistic);
+    cc.obs.counters = &counters;
+    const ClusterResult result =
+        Cluster(engine, cc).run(prefixChurnTrace());
+    ASSERT_GT(result.completed(), 0);
+
+    int64_t decode_iters = 0;
+    for (size_t r = 0; r < cc.replicas.size(); ++r)
+        decode_iters += counters.valueOf(
+            "replica" + std::to_string(r) + ".decode_iterations");
+    EXPECT_EQ(decode_iters, result.fleet.iterations);
+    const int64_t fires = counters.valueOf("clock.rounds");
+    ASSERT_GT(fires, 0);
+    EXPECT_GE(decode_iters, 4 * fires)
+        << decode_iters << " decode rounds in " << fires << " fires";
 }
 
 TEST(SimFast, ObservedRunMatchesUnobservedSimulation)
@@ -693,6 +743,56 @@ timingFor(const char *system, int64_t budget = 2048)
     return cfg;
 }
 
+/** FullAttn(FlashInfer) on the cloud 8B at 24 GiB of HBM with complete
+ *  offloading allowed: a batch holding more than spillLimitTokens()
+ *  pays the full-KV PCIe transfer every decode round. */
+core::TimingConfig
+offloadingFullAttn()
+{
+    core::TimingConfig cfg = timingFor("FullAttn(FlashInfer)");
+    core::SystemOptions opts;
+    opts.allow_full_attention_offload = true;
+    cfg.system = core::SystemRegistry::create("FullAttn(FlashInfer)", opts);
+    cfg.hw.gpu_mem_bytes = 24LL << 30;
+    return cfg;
+}
+
+/** Largest total KV tokens a full-attention batch keeps resident on
+ *  `cfg`; one token more and the batch spills. */
+int64_t
+spillLimitTokens(const core::TimingConfig &cfg)
+{
+    return (cfg.hw.gpu_mem_bytes - core::weightFootprintBytes(cfg.llm)) /
+           (core::kvBytesPerTokenPerLayer(cfg.llm) * cfg.llm.layers);
+}
+
+/** Opens a window on `kv` and checks `rounds` nextRoundSeconds() calls
+ *  against a fresh pricer's decodeSeconds() and the per-call method on
+ *  kv, kv+1, ..., exactly. Returns the window's per-round prices. */
+std::vector<double>
+expectWindowMatches(const core::TimingEngine &engine,
+                    const core::TimingConfig &cfg,
+                    core::SystemPricer &window, std::vector<int64_t> kv,
+                    int rounds)
+{
+    auto oracle = engine.makePricer(cfg);
+    std::vector<double> prices;
+    window.beginWindow(kv);
+    for (int round = 0; round < rounds; ++round) {
+        const double got = window.nextRoundSeconds();
+        if (got != oracle->decodeSeconds(kv) ||
+            got != engine.decodeIterationSeconds(cfg, kv)) {
+            ADD_FAILURE() << cfg.system->name() << " diverged at round "
+                          << round;
+            break;
+        }
+        prices.push_back(got);
+        for (int64_t &s : kv)
+            ++s;
+    }
+    return prices;
+}
+
 TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
 {
     // beginWindow(kv) + k nextRoundSeconds() == k decodeSeconds()
@@ -705,27 +805,47 @@ TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
          {"SpeContext", "FullAttn(FlashAttn)", "H2O"}) {
         const core::TimingConfig cfg = timingFor(system, 512);
         auto window = engine.makePricer(cfg);
-        auto oracle = engine.makePricer(cfg);
-        std::vector<int64_t> kv = {100, 500, 505, 2048, 9000, 40000};
-        window->beginWindow(kv);
-        for (int round = 0; round < 64; ++round) {
-            const double got = window->nextRoundSeconds();
-            const double want = oracle->decodeSeconds(kv);
-            ASSERT_EQ(got, want)
-                << system << " diverged at round " << round;
-            for (int64_t &s : kv)
-                ++s;
-        }
+        expectWindowMatches(engine, cfg, *window,
+                            {100, 500, 505, 2048, 9000, 40000}, 64);
         // Re-beginning resets cleanly (the batch changed shape).
-        std::vector<int64_t> kv2 = {1, 511, 512, 513};
-        window->beginWindow(kv2);
-        for (int round = 0; round < 8; ++round) {
-            ASSERT_EQ(window->nextRoundSeconds(),
-                      oracle->decodeSeconds(kv2));
-            for (int64_t &s : kv2)
-                ++s;
-        }
+        expectWindowMatches(engine, cfg, *window, {1, 511, 512, 513}, 8);
     }
+
+    // Complete offloading inside a window: five contexts whose total
+    // sits 20 rounds of growth under the spill limit, so rounds 0-20
+    // stay resident and rounds 21-63 pay the full-KV transfer — the
+    // window's per-round spill test must flip exactly there.
+    const core::TimingConfig spill = offloadingFullAttn();
+    std::vector<int64_t> kv = {100, 2048, 9000, 40};
+    int64_t total = 0;
+    for (int64_t s : kv)
+        total += s;
+    const int64_t R = 5;
+    kv.push_back(spillLimitTokens(spill) - total - 20 * R);
+
+    auto window = engine.makePricer(spill);
+    const std::vector<double> prices =
+        expectWindowMatches(engine, spill, *window, kv, 64);
+    ASSERT_EQ(prices.size(), 64u);
+
+    // The same lengths priced without offloading: equal while
+    // resident, strictly cheaper once the spill charge applies.
+    core::TimingConfig resident = spill;
+    resident.system = core::SystemRegistry::create("FullAttn(FlashInfer)");
+    int64_t spilled_rounds = 0;
+    for (int round = 0; round < 64; ++round) {
+        const double no_spill =
+            engine.decodeIterationSeconds(resident, kv);
+        if (round <= 20) {
+            EXPECT_EQ(prices[round], no_spill) << "round " << round;
+        } else {
+            EXPECT_GT(prices[round], no_spill) << "round " << round;
+            ++spilled_rounds;
+        }
+        for (int64_t &s : kv)
+            ++s;
+    }
+    EXPECT_EQ(spilled_rounds, 43);
 }
 
 TEST(DecodeWindow, EmptyBatchWindowIsZero)
@@ -737,9 +857,10 @@ TEST(DecodeWindow, EmptyBatchWindowIsZero)
     EXPECT_EQ(ev->nextRoundSeconds(), 0.0);
 }
 
-/** The three shapes the pricer-vs-per-call grid runs on: the cloud
- *  8B default, the same at 24 GiB of HBM (SpeContext offloads), and
- *  the edge 1B. */
+/** The shapes the pricer-vs-per-call grid runs on: the cloud 8B
+ *  default, the same at 24 GiB of HBM (SpeContext offloads), and the
+ *  edge 1B — plus, for FullAttn(FlashInfer), offloadingFullAttn(), so
+ *  the grid reaches the complete-offloading spill charge. */
 std::vector<core::TimingConfig>
 pricerShapes(const std::string &system)
 {
@@ -749,7 +870,24 @@ pricerShapes(const std::string &system)
     core::TimingConfig edge = cloud;
     edge.hw = sim::HardwareSpec::edge4060();
     edge.llm = model::reasoningLlama32_1bGeometry();
+    if (system == "FullAttn(FlashInfer)")
+        return {cloud, small_hbm, edge, offloadingFullAttn()};
     return {cloud, small_hbm, edge};
+}
+
+/** Decode batches the pricer grids run on, from empty to 32 long
+ *  contexts. */
+const std::vector<std::vector<int64_t>> &
+pricerBatches()
+{
+    static const std::vector<std::vector<int64_t>> batches = {
+        {},
+        {4096},
+        {2048, 8192, 32768},
+        std::vector<int64_t>(8, 65536),
+        std::vector<int64_t>(32, 131072),
+    };
+    return batches;
 }
 
 /** Every registered system the continuous batcher can drive. */
@@ -772,25 +910,20 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
     core::TimingEngine engine;
     const std::vector<std::string> systems = continuousSystems();
     ASSERT_GE(systems.size(), 6u); // SpeContext, 3x FullAttn, H2O, SLLM
-    const std::vector<std::vector<int64_t>> batches = {
-        {},
-        {4096},
-        {2048, 8192, 32768},
-        std::vector<int64_t>(8, 65536),
-        std::vector<int64_t>(32, 131072),
-    };
     const int64_t prompts[] = {1, 512, 4096, 32768};
     const int64_t in_flights[] = {0, 1, 3, 15};
     const int64_t residents[] = {0, 30000, 500000};
     int64_t spe_offloading_prefills = 0;
+    int64_t full_attn_spilling_batches = 0;
     for (const std::string &system : systems) {
         int64_t admitted = 0, denied = 0;
         for (const core::TimingConfig &cfg : pricerShapes(system)) {
+            const core::SystemModel &sys = *cfg.system;
+            const bool offload = sys.options().allow_full_attention_offload;
             SCOPED_TRACE(system + " on " + cfg.hw.name + " / " +
                          cfg.llm.name + " @ " +
                          std::to_string(cfg.hw.gpu_mem_bytes >> 30) +
-                         " GiB");
-            const core::SystemModel &sys = *cfg.system;
+                         " GiB" + (offload ? " (offload)" : ""));
             auto pricer = engine.makePricer(cfg);
             for (int64_t prompt : prompts)
                 for (int64_t in_flight : in_flights)
@@ -810,9 +943,14 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
                         if (sys.dramFootprintBytes(cfg, r, s) > 0)
                             ++spe_offloading_prefills;
                     }
-            for (const std::vector<int64_t> &batch : batches) {
+            for (const std::vector<int64_t> &batch : pricerBatches()) {
                 EXPECT_EQ(pricer->decodeSeconds(batch),
                           engine.decodeIterationSeconds(cfg, batch));
+                int64_t total = 0;
+                for (int64_t s : batch)
+                    total += s;
+                if (offload && total > spillLimitTokens(cfg))
+                    ++full_attn_spilling_batches;
                 const core::AdmissionDecision fit =
                     pricer->fitsCurrent(batch);
                 const core::AdmissionDecision fit_ref =
@@ -866,8 +1004,44 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
         EXPECT_GT(admitted, 0) << system;
         EXPECT_GT(denied, 0) << system;
     }
-    // The grid reaches SpeContext's offloading prefill branch.
+    // The grid reaches SpeContext's offloading prefill branch and the
+    // full-attention decode spill charge.
     EXPECT_GT(spe_offloading_prefills, 0);
+    EXPECT_GT(full_attn_spilling_batches, 0);
+}
+
+TEST(SystemPricer, MinRoundSecondsLowerBoundsEveryRound)
+{
+    // A fleet driver multiplies minRoundSeconds() by a count of rounds
+    // proven to run uninterrupted to cap how soon a lane could next
+    // admit (ReplicaEngine::nextPossibleAdmissionSeconds), so the
+    // floor must hold for every round of every batch: single queries
+    // and every round of a window opened on the batch.
+    core::TimingEngine engine;
+    for (const std::string &system : continuousSystems()) {
+        for (const core::TimingConfig &cfg : pricerShapes(system)) {
+            SCOPED_TRACE(system + " on " + cfg.hw.name + " @ " +
+                         std::to_string(cfg.hw.gpu_mem_bytes >> 30) +
+                         " GiB");
+            auto pricer = engine.makePricer(cfg);
+            const double floor_s = pricer->minRoundSeconds();
+            // The four systems with a weight-streaming floor report it,
+            // so Optimistic lanes publish caps past their clocks.
+            if (system == "SpeContext" ||
+                system.rfind("FullAttn(", 0) == 0) {
+                EXPECT_GT(floor_s, 0.0);
+            }
+            for (const std::vector<int64_t> &batch : pricerBatches()) {
+                if (batch.empty())
+                    continue; // no round to price
+                EXPECT_GE(pricer->decodeSeconds(batch), floor_s);
+                pricer->beginWindow(batch);
+                for (int round = 0; round < 64; ++round)
+                    ASSERT_GE(pricer->nextRoundSeconds(), floor_s)
+                        << "round " << round;
+            }
+        }
+    }
 }
 
 TEST(SystemPricer, OpenWindowSurvivesTableGrowth)
