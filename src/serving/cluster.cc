@@ -368,7 +368,7 @@ Cluster::run(std::vector<Request> trace) const
         // — which reads every replica's state — and the router must
         // see each peer exactly where one-round-per-step execution
         // would have it. Tracking the two smallest caps lets the fired
-        // lane exclude its own (a lane with queued work reports now()
+        // lane exclude its own (a lane that can admit reports now()
         // and would otherwise never bulk at all).
         double cap_min1 = inf, cap_min2 = inf;
         size_t cap_min1_lane = fleet.size();
@@ -468,7 +468,11 @@ Cluster::run(std::vector<Request> trace) const
         // them through their windows. The barrier includes every lane's
         // admission cap, so a lane about to admit (cap == its event)
         // is simply above the barrier rather than disqualifying; it
-        // fires on its own right after the era. Warming lanes below
+        // fires on its own right after the era. A lane whose queue is
+        // backlogged behind a full batch is pure decode too: it cannot
+        // admit before its next retirement (or Optimistic preemption),
+        // so it joins the era and its cap sits that many
+        // weight-streaming floors past its clock. Warming lanes below
         // the barrier are fine to leave booked (their WarmComplete
         // fires right after the era, at its own instant); a draining
         // lane below the barrier falls back to the sequential path,
@@ -533,7 +537,7 @@ Cluster::run(std::vector<Request> trace) const
         }
         // The fired lane's bulk horizon additionally respects every
         // OTHER lane's admission cap (its own is excluded — a lane
-        // with queued work reports now() and still gets to run its
+        // that can admit reports now() and still gets to run its
         // admission round plus any pure-decode rounds that follow).
         // Draining lanes step one round at a time even under
         // skip-ahead: their Retire transition must interleave with

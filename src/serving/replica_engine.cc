@@ -510,8 +510,7 @@ ReplicaEngine::preemptVictim()
 bool
 ReplicaEngine::mustYield(double horizon) const
 {
-    return !(now_ < horizon) || active_.empty() ||
-           !scheduler_.queueEmpty() ||
+    return !(now_ < horizon) || active_.empty() || admissionPossible() ||
            (pending_next_ < static_cast<int64_t>(pending_.size()) &&
             pending_[pending_next_].arrival_seconds <= now_);
 }
@@ -575,10 +574,9 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
     // request can never fit here. Admission reads live per-request
     // state (the resident scan, optimistic fitsCurrent), so any
     // deferred window rounds apply first.
-    if (!scheduler_.queueEmpty())
+    if (admissionPossible())
         flushWindow();
-    while (!scheduler_.queueEmpty() &&
-           scheduler_.hasBatchSlot(active_)) {
+    while (admissionPossible()) {
         const AdmissionDecision d =
             scheduler_.admit(active_, scheduler_.peek());
         if (!d.admit) {
@@ -782,16 +780,19 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         if (windowed) {
             if (!was_live)
                 pricer_->beginWindow(kv_scratch_);
-            // Entered with queued work (admission denied this step)
-            // the single-round loop breaks after one round; fold that
-            // into the round cap so the fused loop needs no queue
-            // check.
+            // Entered with admissible queued work (a free slot, but
+            // admission denied on memory this step, or a preemption
+            // just freed one) the single-round loop breaks after one
+            // round; fold that into the round cap so the fused loop
+            // needs no queue check. A backlog behind a full batch
+            // cannot admit before the window's retirement (or, in
+            // Optimistic mode, its predicted preemption), so it runs
+            // the full bulk window like an empty queue.
             const double t_pending =
                 pending_next_ < static_cast<int64_t>(pending_.size())
                     ? pending_[pending_next_].arrival_seconds
                     : std::numeric_limits<double>::infinity();
-            now_ = pricer_->runWindow(scheduler_.queueEmpty() ? bulk_k
-                                                              : 1,
+            now_ = pricer_->runWindow(admissionPossible() ? 1 : bulk_k,
                                       now_, horizon, t_pending, rounds,
                                       first_now);
         } else {
@@ -867,15 +868,16 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // call while nothing external can observe or perturb the
         // replica. The single-round loop would come straight back here
         // — its round head would ingest nothing (no pending delivery
-        // has arrived), admit nothing (empty queue) and jump the clock
-        // nowhere (active work keeps nextEventSeconds() == now) — so
-        // running the next round now, with the identical preempt/
-        // decode/retire arithmetic above, is bit-exact. Stop at the
-        // caller's horizon (the next arrival / control tick / sampler
-        // crossing it owns), on drain, or when the next round needs
-        // admission (queued work, or a pending delivery whose arrival
-        // the clock just passed — including a preemption victim this
-        // round re-enqueued).
+        // has arrived), admit nothing (empty queue, or a backlog with
+        // no free batch slot) and jump the clock nowhere (active work
+        // keeps nextEventSeconds() == now) — so running the next round
+        // now, with the identical preempt/decode/retire arithmetic
+        // above, is bit-exact. Stop at the caller's horizon (the next
+        // arrival / control tick / sampler crossing it owns), on
+        // drain, or when the next round may admit (queued work with a
+        // free batch slot — this round retired a request, or preempted
+        // one and re-enqueued it — or a pending delivery whose arrival
+        // the clock just passed).
         if (mustYield(horizon))
             break;
     }

@@ -144,6 +144,29 @@ struct ServeResult
     }
 };
 
+/**
+ * Sound lower bound on a clock that starts at `now` and then adds
+ * `rounds` durations, each at least `floor_s`, one rounded addition at
+ * a time. The plain now + rounds * floor_s is one multiply-add and can
+ * exceed that clock by a few ulps: every addition may round down by up
+ * to half an ulp (relative u = DBL_EPSILON / 2), so the clock is at
+ * least (now + rounds * floor_s)(1 - rounds * u), while the computed
+ * product and sum each round up by at most u. Shrinking the sum by
+ * (rounds + 2) * DBL_EPSILON of itself covers all of that with slack
+ * to absorb the margin's own rounding. Returns `now` when `rounds` or
+ * `floor_s` is not positive.
+ */
+inline double
+roundFloorLowerBound(double now, int64_t rounds, double floor_s)
+{
+    if (rounds <= 0 || !(floor_s > 0.0))
+        return now;
+    const double n = static_cast<double>(rounds);
+    const double cap = now + n * floor_s;
+    return std::max(
+        now, cap - (n + 2.0) * std::numeric_limits<double>::epsilon() * cap);
+}
+
 /** One steppable continuous-batching replica. */
 class ReplicaEngine
 {
@@ -261,16 +284,17 @@ class ReplicaEngine
 
     /**
      * True when the next step() round would be *pure decode*: requests
-     * are in flight, nothing is admissible (empty queue) and no
-     * pending delivery has arrived yet. Such a round touches only this
-     * engine's own state — no ingest callback can route, no admission
-     * can prefill — which is what makes it safe to run ahead of the
-     * global event order (skip-ahead) or in one era with other
-     * replicas' pure-decode rounds (Cluster's era stepping).
+     * are in flight, nothing is admissible (the queue is empty, or
+     * backlogged behind a full batch) and no pending delivery has
+     * arrived yet. Such a round touches only this engine's own state —
+     * no ingest callback can route, no admission can prefill — which
+     * is what makes it safe to run ahead of the global event order
+     * (skip-ahead) or in one era with other replicas' pure-decode
+     * rounds (Cluster's era stepping).
      */
     bool pureDecodeReady() const
     {
-        return !active_.empty() && scheduler_.queueEmpty() &&
+        return !active_.empty() && !admissionPossible() &&
                (pending_next_ >= static_cast<int64_t>(pending_.size()) ||
                 pending_[pending_next_].arrival_seconds > now_);
     }
@@ -284,17 +308,24 @@ class ReplicaEngine
      * any OTHER lane must therefore never advance past this instant —
      * it is the fleet-internal component of the bulk-stepping horizon.
      *
-     *  - queued work: now() — the very next round admits;
-     *  - Optimistic with a live batch: a preemption (whose restore
-     *    puts an admission one round later) is the hazard. Without
-     *    lookahead that forces now(); when step() has a live
-     *    decode-fit window (decodeFitRounds) covering n more rounds
-     *    and no in-flight request can retire within them, neither a
-     *    preemption nor a retirement can touch the batch before n
-     *    rounds have run — each lasting at least the pricer's
-     *    structural minRoundSeconds() floor — so now() + n * floor is
-     *    a sound lower bound (still clipped by the pending head's
-     *    arrival: the round crossing it becomes an admission round).
+     *  - queued work with a free batch slot: now() — the very next
+     *    round admits;
+     *  - queued work behind a full batch (a backlog): nothing can be
+     *    admitted before a retirement frees a slot (or, Optimistic, a
+     *    preemption does). No request can retire within the next n
+     *    rounds (the smallest remaining generation length), and in
+     *    Optimistic mode no preemption either while step() holds a
+     *    live decode-fit window (decodeFitRounds) covering them; each
+     *    round lasts at least the pricer's structural
+     *    minRoundSeconds() floor, so roundFloorLowerBound(now(), n,
+     *    floor) is a sound lower bound. A pending delivery does not
+     *    clip it: without a slot it only joins the queue.
+     *  - Optimistic with a live batch and an empty queue: a preemption
+     *    (whose restore puts an admission one round later) is the
+     *    hazard — the same n-round bound (a fit window holds only
+     *    while no retirement changes the batch), clipped by the
+     *    pending head's arrival (the round crossing it becomes an
+     *    admission round). Without a decode-fit window it is now().
      *    The bound widens skip-ahead windows only; it never feeds
      *    simulated arithmetic.
      *  - pending deliveries only: the head's arrival time (the round
@@ -306,33 +337,21 @@ class ReplicaEngine
      */
     double nextPossibleAdmissionSeconds() const
     {
-        if (!scheduler_.queueEmpty())
+        if (admissionPossible())
             return now_;
-        if (optimistic() && !active_.empty()) {
-            double cap = now_;
-            if (pricer_ && opt_fit_rounds_ > 0) {
-                const double floor_s = pricer_->minRoundSeconds();
-                if (floor_s > 0.0) {
-                    int64_t n = opt_fit_rounds_;
-                    // `generated` lags a deferred window's rounds
-                    // (see win_defer_rounds_); discount them so the
-                    // bound is what an eager reconciliation would
-                    // have read.
-                    for (const Request &r : active_)
-                        n = std::min(n, r.gen_len - r.generated -
-                                            win_defer_rounds_);
-                    if (n > 0)
-                        cap = now_ + static_cast<double>(n) * floor_s;
-                }
-            }
-            if (pending_next_ < static_cast<int64_t>(pending_.size())) {
+        const bool backlogged = !scheduler_.queueEmpty();
+        const bool has_pending =
+            pending_next_ < static_cast<int64_t>(pending_.size());
+        if (backlogged || (optimistic() && !active_.empty())) {
+            double cap = batchChangeBoundSeconds();
+            if (!backlogged && has_pending) {
                 const double arr =
                     pending_[pending_next_].arrival_seconds;
                 cap = std::min(cap, arr > now_ ? arr : now_);
             }
             return cap;
         }
-        if (pending_next_ < static_cast<int64_t>(pending_.size()))
+        if (has_pending)
             return pending_[pending_next_].arrival_seconds > now_
                        ? pending_[pending_next_].arrival_seconds
                        : now_;
@@ -348,13 +367,14 @@ class ReplicaEngine
      * (preempt-check, decode iteration, retire — the exact per-round
      * arithmetic, in the exact order) inside this one call instead of
      * returning to the event loop after each token. The loop stops the
-     * moment a round needs the outside world again — the queue or an
-     * arrived pending delivery makes the next round an admission
-     * round, the batch drains idle, or the clock reaches `horizon` —
-     * so results are bit-identical to single-round stepping provided
-     * the caller bounds `horizon` by the next external boundary it
-     * owns (next unrouted arrival, control tick, sampler cadence
-     * crossing). The default (-infinity) runs exactly one round.
+     * moment a round needs the outside world again — queued work with
+     * a free batch slot or an arrived pending delivery makes the next
+     * round an admission round, the batch drains idle, or the clock
+     * reaches `horizon` — so results are bit-identical to single-round
+     * stepping provided the caller bounds `horizon` by the next
+     * external boundary it owns (next unrouted arrival, control tick,
+     * sampler cadence crossing). The default (-infinity) runs exactly
+     * one round.
      *
      * Observability is exact under skip-ahead and takes the same
      * decode path as an unobserved run: one DecodeWindow event per
@@ -503,6 +523,40 @@ class ReplicaEngine
      *  budget *changes*, not every admission's re-clamp. */
     int64_t last_clamp_emitted_ = -1;
 
+    /** The next round head would admit: work is queued and the batch
+     *  has a free slot. A backlog behind a full batch cannot admit
+     *  before a retirement or preemption frees one, so such a lane
+     *  decodes exactly like one with an empty queue. */
+    bool admissionPossible() const
+    {
+        return !scheduler_.queueEmpty() && scheduler_.hasBatchSlot(active_);
+    }
+
+    /** Sound lower bound on the instant this replica's batch can next
+     *  change (precondition: requests in flight): n rounds of at least
+     *  minRoundSeconds() each, where n is the smallest remaining
+     *  generation length (discounting win_defer_rounds_, so it is what
+     *  an eager reconciliation would read), further capped by the live
+     *  decode-fit window in Optimistic mode. now() when no pricer,
+     *  floor or fit window proves anything. */
+    double batchChangeBoundSeconds() const
+    {
+        if (!pricer_)
+            return now_;
+        const double floor_s = pricer_->minRoundSeconds();
+        if (!(floor_s > 0.0))
+            return now_;
+        int64_t n = std::numeric_limits<int64_t>::max();
+        if (optimistic()) {
+            if (opt_fit_rounds_ <= 0)
+                return now_;
+            n = opt_fit_rounds_;
+        }
+        for (const Request &r : active_)
+            n = std::min(n, r.gen_len - r.generated - win_defer_rounds_);
+        return roundFloorLowerBound(now_, n, floor_s);
+    }
+
     /** Move pending requests with arrival <= t into the queue. */
     void ingestPending(double t);
 
@@ -541,8 +595,10 @@ class ReplicaEngine
     void flushWindow();
 
     /** step() must hand control back to the driver: the horizon is
-     *  reached, the batch drained, work is queued for admission, or a
-     *  pending delivery's arrival is due. */
+     *  reached, the batch drained, queued work has a free batch slot
+     *  to be admitted into, or a pending delivery's arrival is due. A
+     *  backlog behind a full batch does not yield: the round that
+     *  retires (or preempts) a request frees the slot and yields. */
     bool mustYield(double horizon) const;
 
     /** Reconcile `grow` decode rounds into active_ in one pass: each

@@ -13,6 +13,8 @@
  *    k decodeSeconds() calls on elementwise-grown KV, bit for bit),
  *    and every pricer query == the per-call SystemModel method on a
  *    grid of shapes for every continuous-batching system;
+ *  - serving::roundFloorLowerBound(), the admission cap peers' windows
+ *    stop at, never above a clock stepped by n rounded additions;
  *  - MemoryModel::allResidentMaxTokens() as the exact integer
  *    inversion of the all-layers-resident fit test;
  *  - AdmissionController::sameAdmissionShape(), the router's
@@ -38,6 +40,8 @@
 #include "serving/admission.h"
 #include "serving/cluster.h"
 #include "serving/metrics.h"
+#include "serving/replica_engine.h"
+#include "serving/server.h"
 #include "sim/event_clock.h"
 #include "sim/memory_model.h"
 #include "workload/trace.h"
@@ -158,6 +162,29 @@ prefixChurnFleet(SchedulerMode mode)
     }
     cc.router.policy = RouterPolicy::PrefixAffinity;
     return cc;
+}
+
+/** SpeContext lanes with a 4-request batch under LeastKvLoad routing;
+ *  backloggedTrace() peaks queue work behind their full batches, so
+ *  lanes decode with a backlog that cannot be admitted before the
+ *  next retirement (or, Optimistic, preemption). */
+ClusterConfig
+backloggedFleet(SchedulerMode mode, size_t lanes)
+{
+    ClusterConfig cc;
+    for (size_t i = 0; i < lanes; ++i) {
+        cc.replicas.push_back(speReplica());
+        cc.replicas.back().max_batch = 4;
+        cc.replicas.back().scheduler_mode = mode;
+    }
+    cc.router.policy = RouterPolicy::LeastKvLoad;
+    return cc;
+}
+
+std::vector<Request>
+backloggedTrace(size_t lanes)
+{
+    return diurnal(400, 19, 2.0 * static_cast<double>(lanes));
 }
 
 /** Exact comparison of every simulated quantity two runs expose.
@@ -345,6 +372,87 @@ TEST(SimFast, EraLanesStopAtPeerAdmissionCapsOnLargerPrefixChurn)
     ASSERT_GT(reference.completed(), 0);
     EXPECT_GT(reference.fleet.prefix.evicted_tokens, 0);
     expectSameSimulation(reference, fast);
+}
+
+TEST(SimFast, BackloggedFleetsMatchReference)
+{
+    // A lane whose queue is backlogged behind a full batch runs bulk
+    // windows to its next retirement (or predicted preemption) and
+    // publishes an admission cap that many round floors past its
+    // clock, so its peers keep their windows and eras engage. The
+    // default fast path must still match the reference loop bit for
+    // bit, on one lane and across fleets where peers' caps bound each
+    // other's windows.
+    core::TimingEngine engine;
+    for (SchedulerMode mode :
+         {SchedulerMode::Reserve, SchedulerMode::Optimistic}) {
+        for (size_t lanes : {1u, 2u, 4u}) {
+            SCOPED_TRACE(std::string(mode == SchedulerMode::Optimistic
+                                         ? "Optimistic "
+                                         : "Reserve ") +
+                         std::to_string(lanes) + " lanes");
+            const ClusterConfig cc = backloggedFleet(mode, lanes);
+            const auto trace = backloggedTrace(lanes);
+            const ClusterResult reference =
+                runFleet(engine, cc, trace, false, false);
+            const ClusterResult fast =
+                runFleet(engine, cc, trace, true, true);
+            ASSERT_GT(reference.completed(), 0);
+            // Every batch filled and work queued behind them, so the
+            // case cannot pass vacuously.
+            EXPECT_EQ(reference.fleet.peak_in_flight,
+                      4 * static_cast<int64_t>(lanes));
+            EXPECT_GT(reference.summary().queue_delay_mean, 0.0);
+            expectSameSimulation(reference, fast);
+        }
+    }
+}
+
+TEST(SimFast, BackloggedReserveFleetRunsMultiRoundWindows)
+{
+    // Host-independent engagement gate: a backlog behind a full batch
+    // cannot be admitted before the next retirement, so it must not
+    // cut its lane's decode window to one round, nor hold every peer's
+    // window to its clock. Counters are never compiled out, so this
+    // holds in every build.
+    core::TimingEngine engine;
+    {
+        SCOPED_TRACE("2-lane Reserve fleet");
+        obs::CounterRegistry counters;
+        ClusterConfig cc = backloggedFleet(SchedulerMode::Reserve, 2);
+        cc.obs.counters = &counters;
+        const ClusterResult result =
+            Cluster(engine, cc).run(backloggedTrace(2));
+        ASSERT_GT(result.completed(), 0);
+        int64_t decode_iters = 0;
+        for (size_t r = 0; r < cc.replicas.size(); ++r)
+            decode_iters += counters.valueOf(
+                "replica" + std::to_string(r) + ".decode_iterations");
+        EXPECT_EQ(decode_iters, result.fleet.iterations);
+        const int64_t fires = counters.valueOf("clock.rounds");
+        ASSERT_GT(fires, 0);
+        EXPECT_GE(decode_iters, 10 * fires)
+            << decode_iters << " decode rounds in " << fires << " fires";
+    }
+    {
+        SCOPED_TRACE("1-lane Server");
+        obs::CounterRegistry counters;
+        const ReplicaConfig rc = speReplica();
+        serving::ServerConfig sc;
+        sc.timing = rc.timing;
+        sc.max_batch = 4;
+        sc.obs.counters = &counters;
+        const serving::ServeResult result =
+            serving::Server(engine, sc).run(backloggedTrace(1));
+        ASSERT_GT(result.completed(), 0);
+        const int64_t decode_iters =
+            counters.valueOf("replica0.decode_iterations");
+        EXPECT_EQ(decode_iters, result.iterations);
+        const int64_t fires = counters.valueOf("clock.rounds");
+        ASSERT_GT(fires, 0);
+        EXPECT_GE(decode_iters, 10 * fires)
+            << decode_iters << " decode rounds in " << fires << " fires";
+    }
 }
 
 TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
@@ -586,6 +694,15 @@ TEST(SimFastObserved, PreemptingOptimisticFleetMatchesReference)
     const ClusterResult ref =
         expectObservedFastMatchesReference(engine, cc, preemptTrace(11));
     EXPECT_GT(ref.fleet.preempt.preemptions, 0);
+}
+
+TEST(SimFastObserved, BackloggedReserveFleetMatchesReference)
+{
+    core::TimingEngine engine;
+    const ClusterResult ref = expectObservedFastMatchesReference(
+        engine, backloggedFleet(SchedulerMode::Reserve, 2),
+        backloggedTrace(2));
+    EXPECT_EQ(ref.fleet.peak_in_flight, 8);
 }
 
 TEST(SimFastObserved, PrefixChurnFleetMatchesReference)
@@ -1042,6 +1159,57 @@ TEST(SystemPricer, MinRoundSecondsLowerBoundsEveryRound)
             }
         }
     }
+}
+
+TEST(AdmissionCap, RoundFloorLowerBoundNeverOvershootsTheSteppedClock)
+{
+    // A lane's clock after n floor-priced rounds is n rounded
+    // additions, while now + n * floor is one multiply-add. Pick a
+    // floor whose fraction of the clock's ulp is 0.4, so every
+    // addition rounds down: the plain multiply-add then overshoots
+    // the stepped clock, and the bound a peer lane's window stops at
+    // must not.
+    const double now = 1e4;
+    const double ulp = std::nextafter(now, 2 * now) - now;
+    const double floor_s = (std::floor(0.01 / ulp) + 0.4) * ulp;
+    const int64_t n = 512;
+    double clock = now;
+    for (int64_t i = 0; i < n; ++i)
+        clock += floor_s;
+    ASSERT_GT(now + static_cast<double>(n) * floor_s, clock)
+        << "the case is not adversarial";
+    const double bound = serving::roundFloorLowerBound(now, n, floor_s);
+    EXPECT_LE(bound, clock);
+    EXPECT_GT(bound, now); // still a cap past the clock
+
+    // Deterministic sweep over magnitudes, round counts and ulp
+    // fractions of the floor.
+    uint64_t x = 0x9e3779b97f4a7c15ULL;
+    auto unit = [&x] {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<double>(x >> 11) * 0x1.0p-53;
+    };
+    int64_t naive_overshoots = 0;
+    for (int c = 0; c < 4000; ++c) {
+        const double t0 = std::pow(10.0, 6.0 * unit() - 1.0);
+        const double u0 = std::nextafter(t0, 2 * t0) - t0;
+        const double f =
+            (std::floor(std::pow(10.0, -5.0 + 4.0 * unit()) / u0) +
+             unit()) *
+            u0;
+        const int64_t rounds = 1 + static_cast<int64_t>(unit() * 2048);
+        double t = t0;
+        for (int64_t i = 0; i < rounds; ++i)
+            t += f;
+        naive_overshoots += t0 + static_cast<double>(rounds) * f > t;
+        ASSERT_LE(serving::roundFloorLowerBound(t0, rounds, f), t)
+            << "now " << t0 << " floor " << f << " rounds " << rounds;
+    }
+    EXPECT_GT(naive_overshoots, 0);
+
+    // No rounds or no floor: the clock itself.
+    EXPECT_EQ(serving::roundFloorLowerBound(now, 0, floor_s), now);
+    EXPECT_EQ(serving::roundFloorLowerBound(now, n, 0.0), now);
 }
 
 TEST(SystemPricer, OpenWindowSurvivesTableGrowth)
