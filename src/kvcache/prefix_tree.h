@@ -12,9 +12,9 @@
  * pays instead is HBM residency for the cached blocks, which competes
  * with live KV headroom. This tree models exactly that trade:
  *
- *  - Nodes are page-size-aligned token blocks (vLLM-style): only
- *    complete blocks are cached, so a match is always block-aligned
- *    and maps one-to-one onto paged KV storage.
+ *  - The cache unit is a page-size-aligned token block (vLLM-style):
+ *    only complete blocks are cached, so a match is always
+ *    block-aligned and maps one-to-one onto paged KV storage.
  *  - match(tokens) returns the longest cached block-aligned prefix
  *    and the HBM bytes it occupies; it never mutates the tree.
  *  - insert(tokens) pins the cached prefix path and extends it with
@@ -32,26 +32,39 @@
  *    sim::MemoryModel); shrinking evicts unpinned subtrees
  *    immediately. Budget 0 disables the cache entirely.
  *
- * Layout. Nodes are addressed by int32 index and live in fixed-size
- * chunks (256 nodes each); each node's block tokens sit in a parallel
- * chunked slab, so a block is page_size contiguous int32s. Freed slots
- * go onto a free list and are reused. Apart from the chunk tables (one
- * pointer per 256 nodes) no allocation grows with the tree: at page 16
- * a chunk is 14 KiB of nodes plus 16 KiB of tokens, far below glibc's
- * 128 KiB mmap threshold, which a growing buffer would cross (each
- * freed copy then raises the threshold and strands later large blocks
- * on the heap). A node's children are a small vector of indices
- * sorted by block content: a walk through a single-child node is one
- * memcmp of the block, a wide node takes a lower_bound, then a memcmp
- * for equality. Matching always compares the actual tokens.
+ * Layout. The tree is path-compressed (the radix layout of SGLang's
+ * RadixAttention): each node is an edge, a run of one or more blocks
+ * whose tokens sit contiguously in the edge's own buffer. A walk
+ * therefore costs one memcmp per edge rather than one node hop per
+ * block: at a node with several children a lower_bound on the first
+ * block picks the edge, then a single memcmp compares as much of it
+ * as the query has full blocks; on a mismatch std::mismatch, floored
+ * to a block, says where inside the edge the match stops. Matching
+ * always compares the actual tokens. Nodes are addressed by int32
+ * index and live in fixed-size chunks (256 nodes each); freed slots
+ * go onto a free list and are reused, buffers and all. An edge's
+ * buffer is reserved once for the blocks its insertion may add.
+ * nodeCount() still counts blocks; edgeCount() counts edges.
  *
- * Pins. A node counts the live handles that end on it and its pinned
- * children; it is pinned iff either count is non-zero. pin and
- * release walk upward only while a node flips between unpinned and
- * pinned, so a request whose prefix is already pinned by another
- * touches only its own new blocks.
+ * Split rule. Edges split at branch points and wherever a handle
+ * ends, so no block inside an edge has ever had a second child or
+ * ended a handle. A match that ends inside an edge splits it there:
+ * the *upper* part moves to a new slot (stamp 0, no handles, pinned
+ * through its one child iff the edge was pinned) and the lower part
+ * keeps the old index, so live handles, child links and index entries
+ * stay valid. An insertion's new blocks all go into one new child
+ * edge, appended block by block while the budget lasts. Edges never
+ * merge.
  *
- * Stamps. release stamps only the handle's node; eviction folds the
+ * Pins. An edge counts the live handles that end on its last block
+ * and its pinned children; it is pinned iff either count is non-zero.
+ * Every block of an edge is pinned exactly when the edge is (inner
+ * blocks end no handle and have one child). pin and release walk
+ * upward only while an edge flips between unpinned and pinned, adding
+ * or subtracting its whole length, so a request whose prefix is
+ * already pinned by another touches only its own new edge.
+ *
+ * Stamps. release stamps only the handle's edge; eviction folds the
  * victim's stamp into its parent (max) before the parent can become
  * an evictable leaf. By then every descendant has been evicted and
  * folded in, so a leaf's stamp is the newest release among the
@@ -61,6 +74,16 @@
  * has seen a release in its subtree (nodes are born pinned), so no
  * two evictable leaves ever tie: the victim order is total and
  * independent of where nodes live.
+ *
+ * Eviction is per block. The victim is the oldest unpinned leaf edge;
+ * it loses only its last block and keeps its index entry (same key)
+ * until it is empty, when it is unlinked and its stamp folded into
+ * the parent. This is exactly the per-block LRU order: an inner block
+ * never ended a handle and its only child was the next block, so when
+ * it becomes a leaf its per-block stamp equals the edge's stamp, and
+ * per-block eviction of the oldest leaf is "trim the tail of the
+ * oldest leaf edge" until the edge is gone. Each block evicted emits
+ * one PrefixEvict event and one counter add.
  *
  * Everything is deterministic: children are kept in token-content
  * order and LRU stamps come from a logical counter, so identical
@@ -129,7 +152,8 @@ class PrefixHandle
 
   private:
     friend class PrefixTree;
-    int32_t node_ = -1; ///< deepest pinned node (-1: none)
+    int32_t node_ = -1; ///< edge ending on the deepest pinned block
+                        ///< (-1: none)
     int64_t pinned_tokens_ = 0;
 };
 
@@ -242,8 +266,13 @@ class PrefixTree
         return pinned_tokens_ * cfg_.bytes_per_token;
     }
 
-    /** Cached blocks (tree nodes, root excluded). */
+    /** Cached blocks (root excluded). */
     int64_t nodeCount() const { return node_count_; }
+
+    /** Edges (runs of blocks stored together, root excluded); at most
+     *  nodeCount(), and far fewer while cached prompts share long
+     *  unbranched runs. */
+    int64_t edgeCount() const { return edge_count_; }
 
     /** Tokens evicted over the tree's lifetime. */
     int64_t evictedTokens() const { return evicted_tokens_; }
@@ -255,48 +284,63 @@ class PrefixTree
     struct Node;
 
     PrefixTreeConfig cfg_;
-    /** Node slots (root = index 0) in fixed chunks of kChunk nodes,
-     *  with the block tokens of slot i at tokens_ chunk i / kChunk,
-     *  offset (i % kChunk) * page_size. */
+    /** Edge slots (root = index 0) in fixed chunks of kChunk. */
     std::vector<std::unique_ptr<Node[]>> nodes_;
-    std::vector<std::unique_ptr<int32_t[]>> tokens_;
     int32_t slots_ = 0;     ///< slots handed out so far
     int32_t free_head_ = -1; ///< recycled slots, linked through parent
     int64_t resident_tokens_ = 0;
     int64_t pinned_tokens_ = 0;
     int64_t node_count_ = 0;
+    int64_t edge_count_ = 0;
     int64_t evicted_tokens_ = 0;
     int64_t inserted_tokens_ = 0;
     uint64_t lru_clock_ = 0; ///< logical time, bumped on release
-    /** Exactly the evictable blocks — unpinned, childless, non-root —
-     *  keyed by (stamp, index); begin() is the next victim. */
+    /** Exactly the evictable edges — unpinned, childless, non-root —
+     *  keyed by (stamp, index); begin()'s last block is the next
+     *  victim. */
     std::set<std::pair<uint64_t, int32_t>> evictable_;
     /** Bumped on every eviction; matchAndPin() uses it to detect that
-     *  a node held across the resize callback may have been recycled
-     *  and must be re-walked. */
+     *  an edge held across the resize callback may have lost its tail
+     *  or been recycled and must be re-walked. */
     uint64_t eviction_epoch_ = 0;
     PrefixTreeObserver observer_;
     obs::CounterRegistry::Handle evicted_counter_ = 0;
 
+    /** Where a walk stopped: the deepest edge it entered (the root
+     *  when nothing matches) and the tokens matched. A depth short of
+     *  the edge's depth_tokens means the match ends inside it. */
+    struct Walk
+    {
+        int32_t node;
+        int64_t depth;
+    };
+
     Node &node(int32_t i) const;
-    const int32_t *blockTokens(int32_t i) const;
 
-    /** A fresh child of `parent` holding `block`, linked into the
-     *  parent's sorted child list. */
-    int32_t newNode(int32_t parent, const int32_t *block);
+    /** An unlinked slot, recycled or new; counts one more edge. */
+    int32_t newSlot();
 
-    /** Deepest node of the cached block-aligned prefix of `tokens`
-     *  (the root when nothing matches). */
-    int32_t walkMatch(const std::vector<int32_t> &tokens) const;
+    /** A fresh one-block child edge of `parent` holding `block`, its
+     *  buffer reserved for `reserve` tokens, linked into the parent's
+     *  sorted child list. */
+    int32_t newEdge(int32_t parent, const int32_t *block, size_t reserve);
 
-    /** Add one handle on `n`, pinning the ancestors that flip. */
+    /** Split edge `lower` after the block ending at `depth` tokens:
+     *  the part above moves to a new slot, which is returned. */
+    int32_t splitAbove(int32_t lower, int64_t depth);
+
+    /** The cached block-aligned prefix of `tokens`. */
+    Walk walkMatch(const std::vector<int32_t> &tokens) const;
+
+    /** Add one handle on edge `n`, pinning the ancestors that flip. */
     void pin(int32_t n);
 
     /** Evict unpinned LRU leaves until bytes() <= budget. */
     void enforceBudget();
 
-    /** Evict the least-recently-released unpinned leaf (the minimum
-     *  of evictable_, O(log n)); false when nothing is evictable. */
+    /** Evict the last block of the least-recently-released unpinned
+     *  leaf edge (the minimum of evictable_, O(log n)); false when
+     *  nothing is evictable. */
     bool evictOne();
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <unordered_map>
 
@@ -368,17 +369,27 @@ analyzeTrace(const Trace &trace)
     return out;
 }
 
+namespace {
+
+/** 1-based nearest-rank index of percentile `pct` among `n` > 0
+ *  sorted values. */
+size_t
+nearestRank(double pct, size_t n)
+{
+    const double rank = std::ceil(pct / 100.0 * static_cast<double>(n));
+    return static_cast<size_t>(
+        std::max(1.0, std::min(rank, static_cast<double>(n))));
+}
+
+} // namespace
+
 double
 percentileSeconds(std::vector<double> values, double pct)
 {
     if (values.empty())
         return 0.0;
     std::sort(values.begin(), values.end());
-    const double rank =
-        std::ceil(pct / 100.0 * static_cast<double>(values.size()));
-    const size_t idx = static_cast<size_t>(std::max(
-        1.0, std::min(rank, static_cast<double>(values.size()))));
-    return values[idx - 1];
+    return values[nearestRank(pct, values.size()) - 1];
 }
 
 namespace {
@@ -395,48 +406,35 @@ breakdownOf(const RequestTimeline &tl, BlameMetric m)
     return m == BlameMetric::E2E ? tl.phases : tl.ttft_phases;
 }
 
-BlameRow
-buildRow(const std::string &bucket,
-         std::vector<const RequestTimeline *> members, BlameMetric m)
+/** Blame buckets in row order; "all" holds every timeline, and each
+ *  timeline lands in at most one preempt= and one prefix= bucket. */
+constexpr const char *kBlameBuckets[] = {
+    "all",         "preempt=0",  "preempt=1",  "preempt>=2",
+    "prefix=none", "prefix=low", "prefix=high",
+};
+constexpr size_t kBlameBucketCount = std::size(kBlameBuckets);
+
+/** Index of t's preempt= bucket, or -1 for none. */
+int
+preemptBucket(const RequestTimeline &t)
 {
-    BlameRow row;
-    row.bucket = bucket;
-    row.count = members.size();
-    if (members.empty())
-        return row;
-    std::sort(members.begin(), members.end(),
-              [&](const RequestTimeline *a, const RequestTimeline *b) {
-                  const double ma = metricOf(*a, m);
-                  const double mb = metricOf(*b, m);
-                  if (ma != mb)
-                      return ma < mb;
-                  return a->request < b->request; // deterministic ties
-              });
-    auto atPct = [&](double pct) -> const RequestTimeline & {
-        const double rank = std::ceil(
-            pct / 100.0 * static_cast<double>(members.size()));
-        const size_t idx = static_cast<size_t>(std::max(
-            1.0,
-            std::min(rank, static_cast<double>(members.size()))));
-        return *members[idx - 1];
-    };
-    const RequestTimeline &p50 = atPct(50.0);
-    const RequestTimeline &p99 = atPct(99.0);
-    row.p50_seconds = metricOf(p50, m);
-    row.p99_seconds = metricOf(p99, m);
-    row.dominant_p50 = breakdownOf(p50, m).dominant();
-    row.dominant_p99 = breakdownOf(p99, m).dominant();
-    for (const RequestTimeline *tl : members) {
-        const double total = metricOf(*tl, m);
-        if (!(total > 0.0))
-            continue;
-        const PhaseBreakdown &p = breakdownOf(*tl, m);
-        for (size_t i = 0; i < kPhaseCount; ++i)
-            row.mean_share[i] += p.seconds[i] / total;
-    }
-    for (size_t i = 0; i < kPhaseCount; ++i)
-        row.mean_share[i] /= static_cast<double>(members.size());
-    return row;
+    if (t.preemptions == 0)
+        return 1;
+    if (t.preemptions == 1)
+        return 2;
+    return t.preemptions >= 2 ? 3 : -1;
+}
+
+/** Index of t's prefix= bucket (split on first_hit_tokens /
+ *  prompt_len), or -1 for none. */
+int
+prefixBucket(const RequestTimeline &t)
+{
+    if (t.first_hit_tokens == 0)
+        return 4;
+    if (t.first_hit_tokens < 0)
+        return -1;
+    return t.first_hit_tokens * 2 < t.prompt_len ? 5 : 6;
 }
 
 } // namespace
@@ -445,50 +443,80 @@ BlameTable
 blameTable(const std::vector<RequestTimeline> &timelines,
            BlameMetric metric)
 {
+    // One sort of every timeline by (metric, request id) — a strict
+    // total order, so each bucket's members come out in exactly the
+    // order a per-bucket sort would give, and the share sums below add
+    // in that order.
+    struct Entry
+    {
+        double value;
+        int64_t request;
+        const RequestTimeline *tl;
+        int8_t buckets[2]; ///< preempt= and prefix= bucket (-1: none)
+    };
+    std::vector<Entry> sorted;
+    sorted.reserve(timelines.size());
+    size_t count[kBlameBucketCount] = {};
+    for (const RequestTimeline &tl : timelines) {
+        const Entry e{metricOf(tl, metric), tl.request, &tl,
+                      {static_cast<int8_t>(preemptBucket(tl)),
+                       static_cast<int8_t>(prefixBucket(tl))}};
+        ++count[0];
+        for (int8_t b : e.buckets)
+            if (b >= 0)
+                ++count[b];
+        sorted.push_back(e);
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Entry &a, const Entry &b) {
+                  if (a.value != b.value)
+                      return a.value < b.value;
+                  return a.request < b.request; // deterministic ties
+              });
+
+    BlameRow rows[kBlameBucketCount];
+    size_t rank50[kBlameBucketCount], rank99[kBlameBucketCount];
+    size_t seen[kBlameBucketCount] = {};
+    for (size_t b = 0; b < kBlameBucketCount; ++b) {
+        rows[b].bucket = kBlameBuckets[b];
+        rows[b].count = count[b];
+        rank50[b] = count[b] ? nearestRank(50.0, count[b]) : 0;
+        rank99[b] = count[b] ? nearestRank(99.0, count[b]) : 0;
+    }
+    for (const Entry &e : sorted) {
+        const PhaseBreakdown &p = breakdownOf(*e.tl, metric);
+        const int8_t member_of[3] = {0, e.buckets[0], e.buckets[1]};
+        for (int8_t b : member_of) {
+            if (b < 0)
+                continue;
+            BlameRow &row = rows[b];
+            const size_t k = ++seen[b];
+            if (k == rank50[b]) {
+                row.p50_seconds = e.value;
+                row.dominant_p50 = p.dominant();
+            }
+            if (k == rank99[b]) {
+                row.p99_seconds = e.value;
+                row.dominant_p99 = p.dominant();
+            }
+            if (!(e.value > 0.0))
+                continue;
+            for (size_t i = 0; i < kPhaseCount; ++i)
+                row.mean_share[i] += p.seconds[i] / e.value;
+        }
+    }
+
     BlameTable table;
     table.metric = metric;
-
-    std::vector<const RequestTimeline *> all;
-    all.reserve(timelines.size());
-    for (const RequestTimeline &tl : timelines)
-        all.push_back(&tl);
-    table.rows.push_back(buildRow("all", all, metric));
-
-    struct Bucket
-    {
-        const char *name;
-        bool (*match)(const RequestTimeline &);
-    };
-    const Bucket buckets[] = {
-        {"preempt=0",
-         [](const RequestTimeline &t) { return t.preemptions == 0; }},
-        {"preempt=1",
-         [](const RequestTimeline &t) { return t.preemptions == 1; }},
-        {"preempt>=2",
-         [](const RequestTimeline &t) { return t.preemptions >= 2; }},
-        {"prefix=none",
-         [](const RequestTimeline &t) {
-             return t.first_hit_tokens == 0;
-         }},
-        {"prefix=low",
-         [](const RequestTimeline &t) {
-             return t.first_hit_tokens > 0 &&
-                    t.first_hit_tokens * 2 < t.prompt_len;
-         }},
-        {"prefix=high",
-         [](const RequestTimeline &t) {
-             return t.first_hit_tokens > 0 &&
-                    t.first_hit_tokens * 2 >= t.prompt_len;
-         }},
-    };
-    for (const Bucket &bk : buckets) {
-        std::vector<const RequestTimeline *> members;
-        for (const RequestTimeline &tl : timelines)
-            if (bk.match(tl))
-                members.push_back(&tl);
-        if (!members.empty())
-            table.rows.push_back(
-                buildRow(bk.name, std::move(members), metric));
+    for (size_t b = 0; b < kBlameBucketCount; ++b) {
+        if (b > 0 && count[b] == 0)
+            continue; // only "all" is listed when empty
+        BlameRow &row = rows[b];
+        if (count[b] > 0) {
+            for (size_t i = 0; i < kPhaseCount; ++i)
+                row.mean_share[i] /= static_cast<double>(count[b]);
+        }
+        table.rows.push_back(std::move(row));
     }
     return table;
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests of the analysis engine over the obs feed: per-request phase
  * attribution (the bitwise accounting identity on a preemption-heavy
- * run), blame tables, ring-wrap truncation flagging (tiny ring, never
+ * run), blame tables (differential against a sort-per-bucket oracle,
+ * bitwise, on the run and on synthetic ties), ring-wrap truncation flagging (tiny ring, never
  * silently dropped, wrap marker in the Chrome trace), regime
  * classification (priority ladder pinned on hand-built signals,
  * determinism across identical runs, CSV export), and the purity
@@ -10,8 +11,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -275,6 +281,191 @@ TEST(AnalysisBlame, PhaseShareSignatureIsPhaseCountWide)
     EXPECT_NEAR(sum, 1.0, 1e-9);
     EXPECT_EQ(obs::phaseShareSignature({}, BlameMetric::E2E).size(),
               kPhaseCount);
+}
+
+/**
+ * Reference blame table: one filtered copy and one sort per bucket,
+ * then nearest-rank picks and share sums over each bucket's own
+ * sorted order. blameTable() sorts once and must give bitwise the
+ * same rows.
+ */
+BlameRow
+oracleRow(const std::string &bucket,
+          std::vector<const RequestTimeline *> members, BlameMetric m)
+{
+    auto metricOf = [m](const RequestTimeline &tl) {
+        return m == BlameMetric::E2E ? tl.e2eSeconds() : tl.ttftSeconds();
+    };
+    auto breakdownOf = [m](const RequestTimeline &tl)
+        -> const PhaseBreakdown & {
+        return m == BlameMetric::E2E ? tl.phases : tl.ttft_phases;
+    };
+    BlameRow row;
+    row.bucket = bucket;
+    row.count = members.size();
+    if (members.empty())
+        return row;
+    std::sort(members.begin(), members.end(),
+              [&](const RequestTimeline *a, const RequestTimeline *b) {
+                  const double ma = metricOf(*a);
+                  const double mb = metricOf(*b);
+                  if (ma != mb)
+                      return ma < mb;
+                  return a->request < b->request;
+              });
+    auto atPct = [&](double pct) -> const RequestTimeline & {
+        const double rank = std::ceil(
+            pct / 100.0 * static_cast<double>(members.size()));
+        const size_t idx = static_cast<size_t>(std::max(
+            1.0, std::min(rank, static_cast<double>(members.size()))));
+        return *members[idx - 1];
+    };
+    const RequestTimeline &p50 = atPct(50.0);
+    const RequestTimeline &p99 = atPct(99.0);
+    row.p50_seconds = metricOf(p50);
+    row.p99_seconds = metricOf(p99);
+    row.dominant_p50 = breakdownOf(p50).dominant();
+    row.dominant_p99 = breakdownOf(p99).dominant();
+    for (const RequestTimeline *tl : members) {
+        const double total = metricOf(*tl);
+        if (!(total > 0.0))
+            continue;
+        const PhaseBreakdown &p = breakdownOf(*tl);
+        for (size_t i = 0; i < kPhaseCount; ++i)
+            row.mean_share[i] += p.seconds[i] / total;
+    }
+    for (size_t i = 0; i < kPhaseCount; ++i)
+        row.mean_share[i] /= static_cast<double>(members.size());
+    return row;
+}
+
+BlameTable
+oracleBlameTable(const std::vector<RequestTimeline> &timelines,
+                 BlameMetric metric)
+{
+    BlameTable table;
+    table.metric = metric;
+    std::vector<const RequestTimeline *> all;
+    for (const RequestTimeline &tl : timelines)
+        all.push_back(&tl);
+    table.rows.push_back(oracleRow("all", all, metric));
+    const std::pair<const char *,
+                    std::function<bool(const RequestTimeline &)>>
+        buckets[] = {
+            {"preempt=0", [](auto &t) { return t.preemptions == 0; }},
+            {"preempt=1", [](auto &t) { return t.preemptions == 1; }},
+            {"preempt>=2", [](auto &t) { return t.preemptions >= 2; }},
+            {"prefix=none",
+             [](auto &t) { return t.first_hit_tokens == 0; }},
+            {"prefix=low",
+             [](auto &t) {
+                 return t.first_hit_tokens > 0 &&
+                        t.first_hit_tokens * 2 < t.prompt_len;
+             }},
+            {"prefix=high",
+             [](auto &t) {
+                 return t.first_hit_tokens > 0 &&
+                        t.first_hit_tokens * 2 >= t.prompt_len;
+             }},
+        };
+    for (const auto &[name, match] : buckets) {
+        std::vector<const RequestTimeline *> members;
+        for (const RequestTimeline &tl : timelines)
+            if (match(tl))
+                members.push_back(&tl);
+        if (!members.empty())
+            table.rows.push_back(oracleRow(name, std::move(members), metric));
+    }
+    return table;
+}
+
+/** blameTable() equals the oracle bitwise, row by row, for both
+ *  metrics. */
+void
+expectBlameMatchesOracle(const std::vector<RequestTimeline> &timelines)
+{
+    for (const BlameMetric metric :
+         {BlameMetric::E2E, BlameMetric::TTFT}) {
+        SCOPED_TRACE(obs::blameMetricName(metric));
+        const BlameTable got = obs::blameTable(timelines, metric);
+        const BlameTable want = oracleBlameTable(timelines, metric);
+        EXPECT_EQ(got.metric, want.metric);
+        ASSERT_EQ(got.rows.size(), want.rows.size());
+        for (size_t r = 0; r < want.rows.size(); ++r) {
+            const BlameRow &g = got.rows[r];
+            const BlameRow &w = want.rows[r];
+            SCOPED_TRACE(w.bucket);
+            EXPECT_EQ(g.bucket, w.bucket);
+            EXPECT_EQ(g.count, w.count);
+            EXPECT_EQ(std::memcmp(&g.p50_seconds, &w.p50_seconds,
+                                  sizeof(double)),
+                      0);
+            EXPECT_EQ(std::memcmp(&g.p99_seconds, &w.p99_seconds,
+                                  sizeof(double)),
+                      0);
+            EXPECT_EQ(g.dominant_p50, w.dominant_p50);
+            EXPECT_EQ(g.dominant_p99, w.dominant_p99);
+            EXPECT_EQ(std::memcmp(g.mean_share, w.mean_share,
+                                  sizeof(w.mean_share)),
+                      0);
+        }
+    }
+}
+
+TEST(AnalysisBlame, OneSortTableEqualsPerBucketSortsOnPreemptingRun)
+{
+    if (obsDisabled())
+        GTEST_SKIP() << "observability compiled out";
+    const AnalyzedRun &run = analyzedRun();
+    ASSERT_FALSE(run.analysis.complete.empty());
+    expectBlameMatchesOracle(run.analysis.complete);
+}
+
+TEST(AnalysisBlame, OneSortTableEqualsPerBucketSortsOnSyntheticTies)
+{
+    // Hand-made timelines filling all seven buckets, with many metric
+    // ties (broken by request id, listed out of id order) and a few
+    // zero-length ones (skipped by the share sums).
+    std::mt19937 rng(5);
+    std::vector<RequestTimeline> timelines;
+    for (int64_t i = 0; i < 400; ++i) {
+        RequestTimeline tl;
+        tl.request = (i * 7919) % 400; // a permutation of 0..399
+        tl.complete = true;
+        tl.arrival_seconds = 0.25 * static_cast<double>(rng() % 4);
+        tl.finish_seconds = tl.arrival_seconds +
+                            (rng() % 10 == 0 ? 0.0
+                                             : 0.5 * double(rng() % 6));
+        tl.first_token_seconds =
+            tl.arrival_seconds + 0.125 * static_cast<double>(rng() % 3);
+        tl.prompt_len = 64 + static_cast<int64_t>(rng() % 64);
+        tl.preemptions = static_cast<int64_t>(rng() % 4);
+        switch (rng() % 3) {
+        case 0:
+            tl.first_hit_tokens = 0;
+            break;
+        case 1: // low: under half the prompt
+            tl.first_hit_tokens = 1 + int64_t(rng() % (tl.prompt_len / 2));
+            break;
+        default: // high: half or more
+            tl.first_hit_tokens =
+                tl.prompt_len / 2 +
+                int64_t(rng() % (tl.prompt_len / 2 + 1));
+            break;
+        }
+        for (size_t p = 0; p < kPhaseCount; ++p) {
+            tl.phases.seconds[p] = 0.001 * double(rng() % 1000);
+            tl.ttft_phases.seconds[p] = 0.001 * double(rng() % 1000);
+        }
+        timelines.push_back(tl);
+    }
+    for (const BlameMetric metric :
+         {BlameMetric::E2E, BlameMetric::TTFT}) {
+        EXPECT_EQ(obs::blameTable(timelines, metric).rows.size(), 7u);
+    }
+    expectBlameMatchesOracle(timelines);
+    expectBlameMatchesOracle({});
+    expectBlameMatchesOracle({timelines.front()});
 }
 
 // ---------------------------------------------------------------------

@@ -3,9 +3,11 @@
  * Tests of the shared-prefix KV cache radix tree: block-aligned
  * match/insert/release, refcount-protected eviction, LRU ordering,
  * and byte-budget enforcement (including the budget-0 disabled mode
- * and shrink-under-pressure via setBudget), plus seeded differential
- * runs (a shallow and a deep prompt pool) against a brute-force
- * full-scan model tree.
+ * and shrink-under-pressure via setBudget), path compression (one
+ * edge per unbranched run, splits inside an edge, mid-edge re-walks
+ * and budget cut-offs), plus seeded differential runs (a shallow and
+ * a deep prompt pool) against a brute-force per-block full-scan model
+ * tree, eviction events included.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "kvcache/prefix_tree.h"
+#include "obs/trace.h"
 
 namespace specontext {
 namespace {
@@ -443,6 +446,152 @@ TEST(PrefixTree, MatchAndPinOnDisabledTreeIsANoOp)
     tree.release(res.handle); // default-constructed path: safe no-op
 }
 
+// ------------------------------------------------------------ edges
+
+TEST(PrefixTree, LongUnbranchedPromptIsOneEdge)
+{
+    // Host-independent check that path compression is engaged: a
+    // per-block layout would report one edge per block.
+    PrefixTree tree(cfgWith(512));
+    const std::vector<int32_t> a = seq(0, 256 * kPage);
+    PrefixHandle ha = tree.insert(a);
+    EXPECT_EQ(tree.nodeCount(), 256);
+    EXPECT_EQ(tree.edgeCount(), 1);
+
+    // A variant diverging at block 100 splits the edge there: shared
+    // upper part, a's lower part, and the variant's own new edge.
+    std::vector<int32_t> b = a;
+    for (size_t i = 100 * kPage; i < b.size(); ++i)
+        b[i] = -b[i] - 1;
+    PrefixHandle hb = tree.insert(b);
+    EXPECT_EQ(hb.pinnedTokens(), 256 * kPage);
+    EXPECT_EQ(tree.nodeCount(), 256 + 156);
+    EXPECT_EQ(tree.edgeCount(), 3);
+    EXPECT_EQ(tree.match(a).hit_tokens, 256 * kPage);
+    EXPECT_EQ(tree.match(b).hit_tokens, 256 * kPage);
+
+    tree.release(ha);
+    tree.release(hb);
+    tree.setBudget(0);
+    EXPECT_EQ(tree.nodeCount(), 0);
+    EXPECT_EQ(tree.edgeCount(), 0);
+}
+
+TEST(PrefixTree, ShortHandleInsideAnEdgeOutlivesAnOlderLeaf)
+{
+    // A short prompt ending inside a longer cached chain splits it, so
+    // its release stamps only the shared part: once the long tail is
+    // gone, the short prefix (released last) must outlive a leaf
+    // released between the two.
+    PrefixTree tree(cfgWith(16));
+    PrefixHandle hl = tree.insert(seq(0, 8 * kPage));
+    PrefixHandle hs = tree.insert(seq(0, 3 * kPage));
+    EXPECT_EQ(hs.pinnedTokens(), 3 * kPage);
+    EXPECT_EQ(tree.edgeCount(), 2);
+    EXPECT_EQ(tree.nodeCount(), 8);
+    PrefixHandle hx = tree.insert(seq(1000, 2 * kPage));
+    EXPECT_EQ(tree.pinnedTokens(), 10 * kPage);
+
+    tree.release(hl); // oldest: the long tail goes first
+    tree.release(hx);
+    tree.release(hs); // newest: the shared prefix goes last
+    tree.setBudget(5 * kBlockBytes);
+    EXPECT_EQ(tree.evictedTokens(), 5 * kPage);
+    EXPECT_EQ(tree.match(seq(0, 8 * kPage)).hit_tokens, 3 * kPage);
+    EXPECT_EQ(tree.match(seq(1000, 2 * kPage)).hit_tokens, 2 * kPage);
+    EXPECT_EQ(tree.edgeCount(), 2);
+
+    tree.setBudget(3 * kBlockBytes);
+    EXPECT_EQ(tree.match(seq(1000, 2 * kPage)).hit_tokens, 0);
+    EXPECT_EQ(tree.match(seq(0, 3 * kPage)).hit_tokens, 3 * kPage);
+    EXPECT_EQ(tree.edgeCount(), 1);
+}
+
+TEST(PrefixTree, MismatchInsideAnEdgeStopsAtTheLastEqualBlock)
+{
+    PrefixTree tree(cfgWith(32));
+    const std::vector<int32_t> a = seq(0, 6 * kPage);
+    PrefixHandle ha = tree.insert(a);
+    ASSERT_EQ(tree.edgeCount(), 1);
+    // One differing token anywhere in block 3 stops the match after
+    // block 2, whether it is the block's first, middle or last token.
+    for (int64_t off : {int64_t{0}, kPage / 2, kPage - 1}) {
+        std::vector<int32_t> b = a;
+        b[3 * kPage + off] = -1;
+        EXPECT_EQ(tree.match(b).hit_tokens, 3 * kPage) << off;
+    }
+    // A mismatch in the edge's first block matches nothing.
+    std::vector<int32_t> c = a;
+    c[1] = -1;
+    EXPECT_EQ(tree.match(c).hit_tokens, 0);
+    EXPECT_EQ(tree.edgeCount(), 1); // match() never splits
+
+    std::vector<int32_t> b = a;
+    b[3 * kPage + 1] = -1;
+    kv::MatchAndPinResult rb = tree.matchAndPin(b);
+    EXPECT_EQ(rb.match.hit_tokens, 3 * kPage);
+    EXPECT_EQ(rb.handle.pinnedTokens(), 6 * kPage);
+    EXPECT_EQ(tree.edgeCount(), 3);
+    EXPECT_EQ(tree.nodeCount(), 9);
+    EXPECT_EQ(tree.match(a).hit_tokens, 6 * kPage);
+    EXPECT_EQ(tree.match(b).hit_tokens, 6 * kPage);
+    tree.release(ha);
+    tree.release(rb.handle);
+    EXPECT_EQ(tree.pinnedTokens(), 0);
+}
+
+TEST(PrefixTree, ResizeEvictingTheHeldEdgeTailRewalksMidEdge)
+{
+    // The pre-resize match ends inside an 8-block edge; the callback's
+    // shrink trims one block off that edge's tail, so the re-walk
+    // still stops mid-edge. The split then leaves the 1-block lower
+    // part the only evictable edge, and the budget runs out one block
+    // into the new edge.
+    PrefixTree tree(cfgWith(8));
+    PrefixHandle warm = tree.insert(seq(0, 8 * kPage));
+    tree.release(warm);
+    std::vector<int32_t> q = seq(0, 6 * kPage);
+    const std::vector<int32_t> tail = seq(5000, 2 * kPage);
+    q.insert(q.end(), tail.begin(), tail.end());
+
+    kv::MatchAndPinResult res =
+        tree.matchAndPin(q, [&](const PrefixMatch &estimate) {
+            EXPECT_EQ(estimate.hit_tokens, 6 * kPage);
+            tree.setBudget(7 * kBlockBytes);
+            EXPECT_EQ(tree.evictedTokens(), kPage);
+        });
+    EXPECT_EQ(res.estimate.hit_tokens, 6 * kPage);
+    EXPECT_EQ(res.match.hit_tokens, 6 * kPage);
+    EXPECT_EQ(res.handle.pinnedTokens(), 7 * kPage);
+    EXPECT_EQ(tree.evictedTokens(), 2 * kPage);
+    EXPECT_EQ(tree.nodeCount(), 7);
+    EXPECT_EQ(tree.edgeCount(), 2);
+    EXPECT_EQ(tree.match(seq(0, 8 * kPage)).hit_tokens, 6 * kPage);
+    EXPECT_EQ(tree.match(q).hit_tokens, 7 * kPage);
+    tree.release(res.handle);
+}
+
+TEST(PrefixTree, BudgetRunningOutPartwayThroughANewEdge)
+{
+    PrefixTree tree(cfgWith(5));
+    PrefixHandle h = tree.insert(seq(0, 8 * kPage));
+    EXPECT_EQ(h.pinnedTokens(), 5 * kPage);
+    EXPECT_EQ(tree.insertedTokens(), 5 * kPage);
+    EXPECT_EQ(tree.nodeCount(), 5);
+    EXPECT_EQ(tree.edgeCount(), 1);
+    tree.release(h);
+    EXPECT_EQ(tree.match(seq(0, 8 * kPage)).hit_tokens, 5 * kPage);
+
+    // Room again: the rest goes into a new child edge of the full
+    // match (the handle that ended there keeps its block an edge end).
+    tree.setBudget(8 * kBlockBytes);
+    PrefixHandle h2 = tree.insert(seq(0, 8 * kPage));
+    EXPECT_EQ(h2.pinnedTokens(), 8 * kPage);
+    EXPECT_EQ(tree.nodeCount(), 8);
+    EXPECT_EQ(tree.edgeCount(), 2);
+    tree.release(h2);
+}
+
 // ------------------------------------------------------- differential
 
 /**
@@ -560,6 +709,10 @@ class ModelTree
     int64_t inserted() const { return inserted_; }
     int64_t nodes() const { return resident_ / kPage; }
 
+    /** (a, b) of each PrefixEvict event the tree should have emitted
+     *  since the last clear: tokens evicted, resident tokens after. */
+    std::vector<std::pair<int64_t, int64_t>> evictions;
+
   private:
     struct Node
     {
@@ -601,6 +754,7 @@ class ModelTree
             --nodes_[victim->parent].children;
         resident_ -= kPage;
         evicted_ += kPage;
+        evictions.emplace_back(kPage, resident_);
         return true;
     }
 };
@@ -634,7 +788,8 @@ promptPool(std::mt19937 &rng)
  * Drive `tree`-vs-ModelTree through `ops` random operations over `pool`
  * (admissions with and without a resize callback, releases, budget
  * changes; at most `max_live` live handles) and assert after every op
- * that hits on every seen prompt and all accounting agree. `budget`
+ * that hits on every seen prompt, all accounting and the op's
+ * PrefixEvict events (one per evicted block) agree. `budget`
  * draws a budget in blocks; `deepest_hit` receives the deepest hit
  * seen, in tokens.
  */
@@ -646,10 +801,14 @@ runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
     const int64_t start = budget();
     PrefixTree tree(cfgWith(start));
     ModelTree model(pool, start);
+    obs::Trace trace(obs::TraceConfig{1 << 12});
+    double now = 0.0; // the op number, as the events' timestamp
+    tree.setObserver({&trace, nullptr, 3, &now});
     std::set<size_t> seen;
     std::vector<std::pair<PrefixHandle, int>> live;
 
     for (int op = 0; op < ops; ++op) {
+        now = op;
         const uint32_t r = rng() % 100;
         if (r < 50 && live.size() < max_live) {
             const size_t i = rng() % pool.size();
@@ -693,6 +852,20 @@ runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
         ASSERT_EQ(tree.evictedTokens(), model.evicted()) << "op " << op;
         ASSERT_EQ(tree.insertedTokens(), model.inserted())
             << "op " << op;
+        if (SPECONTEXT_OBS_ENABLED) {
+            ASSERT_EQ(trace.dropped(), 0u);
+            ASSERT_EQ(trace.size(), model.evictions.size()) << "op " << op;
+            for (size_t e = 0; e < trace.size(); ++e) {
+                const obs::TraceEvent &ev = trace.at(e);
+                ASSERT_EQ(ev.type, obs::EventType::PrefixEvict);
+                ASSERT_EQ(ev.t_seconds, now);
+                ASSERT_EQ(ev.replica, 3);
+                ASSERT_EQ(ev.a, model.evictions[e].first) << "op " << op;
+                ASSERT_EQ(ev.b, model.evictions[e].second) << "op " << op;
+            }
+        }
+        trace.clear();
+        model.evictions.clear();
         if (deepest_hit) {
             for (int64_t hit : got_hits)
                 *deepest_hit = std::max(*deepest_hit, hit);
