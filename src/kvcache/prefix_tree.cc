@@ -137,7 +137,7 @@ PrefixTree::setObserver(const PrefixTreeObserver &observer)
 }
 
 PrefixTree::Walk
-PrefixTree::walkMatch(const std::vector<int32_t> &tokens) const
+PrefixTree::walkMatch(TokenSpan tokens) const
 {
     const size_t page = static_cast<size_t>(cfg_.page_size);
     const int32_t *query = tokens.data();
@@ -182,7 +182,7 @@ PrefixTree::walkMatch(const std::vector<int32_t> &tokens) const
 }
 
 PrefixMatch
-PrefixTree::match(const std::vector<int32_t> &tokens) const
+PrefixTree::match(TokenSpan tokens) const
 {
     PrefixMatch m;
     if (!enabled())
@@ -193,14 +193,14 @@ PrefixTree::match(const std::vector<int32_t> &tokens) const
 }
 
 PrefixHandle
-PrefixTree::insert(const std::vector<int32_t> &tokens)
+PrefixTree::insert(TokenSpan tokens)
 {
     return matchAndPin(tokens).handle;
 }
 
 MatchAndPinResult
 PrefixTree::matchAndPin(
-    const std::vector<int32_t> &tokens,
+    TokenSpan tokens,
     const std::function<void(const PrefixMatch &estimate)> &resize)
 {
     MatchAndPinResult out;

@@ -39,8 +39,10 @@
  * block: at a node with several children a lower_bound on the first
  * block picks the edge, then a single memcmp compares as much of it
  * as the query has full blocks; on a mismatch std::mismatch, floored
- * to a block, says where inside the edge the match stops. Matching
- * always compares the actual tokens. Nodes are addressed by int32
+ * to a block, says where inside the edge the match stops. Queries
+ * arrive as a TokenSpan, read in place from the caller's vector or
+ * serving::PromptTokens, and matching always compares the actual
+ * tokens, never where they are stored. Nodes are addressed by int32
  * index and live in fixed-size chunks (256 nodes each); freed slots
  * go onto a free list and are reused, buffers and all. An edge's
  * buffer is reserved once for the blocks its insertion may add.
@@ -98,6 +100,7 @@
 #include <utility>
 #include <vector>
 
+#include "kvcache/token_span.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -203,7 +206,7 @@ class PrefixTree
     void setObserver(const PrefixTreeObserver &observer);
 
     /** Longest cached block-aligned prefix of `tokens`. Read-only. */
-    PrefixMatch match(const std::vector<int32_t> &tokens) const;
+    PrefixMatch match(TokenSpan tokens) const;
 
     /**
      * Pin the cached prefix of `tokens` and insert its remaining full
@@ -212,7 +215,7 @@ class PrefixTree
      * stop short of the full prompt when the budget is exhausted).
      * The returned handle must be release()d exactly once.
      */
-    PrefixHandle insert(const std::vector<int32_t> &tokens);
+    PrefixHandle insert(TokenSpan tokens);
 
     /**
      * Combined admission traversal: match the cached prefix of
@@ -228,7 +231,7 @@ class PrefixTree
      * and the returned handle is a no-op to release.
      */
     MatchAndPinResult matchAndPin(
-        const std::vector<int32_t> &tokens,
+        TokenSpan tokens,
         const std::function<void(const PrefixMatch &estimate)> &resize =
             nullptr);
 
@@ -330,7 +333,7 @@ class PrefixTree
     int32_t splitAbove(int32_t lower, int64_t depth);
 
     /** The cached block-aligned prefix of `tokens`. */
-    Walk walkMatch(const std::vector<int32_t> &tokens) const;
+    Walk walkMatch(TokenSpan tokens) const;
 
     /** Add one handle on edge `n`, pinning the ancestors that flip. */
     void pin(int32_t n);

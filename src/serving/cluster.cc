@@ -114,6 +114,17 @@ Cluster::Cluster(const core::TimingEngine &engine, ClusterConfig cfg)
 ClusterResult
 Cluster::run(std::vector<Request> trace) const
 {
+    // Reject a malformed prompt before any replica exists, not when
+    // its request reaches ReplicaEngine::deliver mid-simulation.
+    for (const Request &r : trace) {
+        if (!r.prompt_tokens.empty() &&
+            static_cast<int64_t>(r.prompt_tokens.size()) != r.prompt_len)
+            throw std::invalid_argument(
+                "Cluster: request " + std::to_string(r.id) + " has " +
+                std::to_string(r.prompt_tokens.size()) +
+                " prompt_tokens but prompt_len " +
+                std::to_string(r.prompt_len));
+    }
     sortByArrival(trace);
     const bool elastic = cfg_.elastic.controller != nullptr;
     const double inf = std::numeric_limits<double>::infinity();
@@ -240,8 +251,8 @@ Cluster::run(std::vector<Request> trace) const
                       static_cast<int64_t>(cfg_.router.policy));
             out.placements.push_back(
                 {trace[next].id, static_cast<int64_t>(target)});
-            // Moved, not copied: prompt_tokens can be kilobytes per
-            // request and the slot is never read again.
+            // The slot is never read again, so the request moves on
+            // without even a refcount bump on its prompt_tokens.
             fleet[target]->deliver(std::move(trace[next]));
             lane_dirty[target] = 1;
             ++next;

@@ -227,7 +227,11 @@ class Cluster
      * Serve an open-loop arrival trace to completion. Requests are
      * sorted by arrival time; ids are preserved. Each run builds a
      * fresh fleet and router, so a Cluster can serve many traces and
-     * identical inputs give bit-identical results.
+     * identical inputs give bit-identical results. Passing a trace by
+     * copy is cheap: the copies share every prompt's tokens.
+     * @throws std::invalid_argument, before any replica is built, when
+     * a request's non-empty prompt_tokens disagrees in size with its
+     * prompt_len (the message names the request id).
      */
     ClusterResult run(std::vector<Request> trace) const;
 

@@ -588,11 +588,9 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                           r.prompt_len, r.gen_len);
                 if (counters_)
                     counters_->add(slots_.rejected_requests, 1);
-                // Rejection records are read for ids/shapes only;
-                // keeping kilobytes of token ids per rejection would
-                // bloat fleet-wide roll-ups for nothing.
-                r.prompt_tokens.clear();
-                r.prompt_tokens.shrink_to_fit();
+                // Rejection records are read for ids/shapes only, so
+                // they hold no reference to the prompt's tokens.
+                r.prompt_tokens.reset();
                 result_.rejected.push_back(std::move(r));
                 continue;
             }

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "serving/prompt_tokens.h"
+
 namespace specontext {
 namespace serving {
 
@@ -42,10 +44,12 @@ struct Request
      * Prompt token ids, for prefix-cache matching (kv::PrefixTree) and
      * prefix-affinity routing. Optional: empty means "no sharing
      * information" and the request bypasses the prefix cache. When
-     * non-empty, size() must equal prompt_len (ReplicaEngine::deliver
-     * enforces this).
+     * non-empty, size() must equal prompt_len (Cluster::run checks
+     * every request of a trace up front, ReplicaEngine::deliver each
+     * delivery). Shared and immutable: copying a Request shares the
+     * token block, O(1) whatever the prompt length.
      */
-    std::vector<int32_t> prompt_tokens;
+    PromptTokens prompt_tokens;
 
     RequestState state = RequestState::Queued;
     int64_t generated = 0;            ///< decode tokens produced so far

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "kvcache/token_span.h"
 #include "tensor/hash.h"
 
 namespace specontext {
@@ -91,7 +92,7 @@ leastKvLoad(const Request &r, const std::vector<size_t> &candidates,
  *  byte first so the value is endianness-independent — the
  *  deterministic sticky home of a cold prompt family. */
 uint64_t
-hashTokens(const std::vector<int32_t> &tokens, size_t n)
+hashTokens(kv::TokenSpan tokens, size_t n)
 {
     uint64_t h = kFnv1a64OffsetBasis;
     for (size_t i = 0; i < n && i < tokens.size(); ++i) {

@@ -72,7 +72,9 @@ class Server
      * fit even alone come back in ServeResult::rejected.
      *
      * This is the single replica's result of a 1-replica Cluster run
-     * over the same trace (tests/test_cluster.cc pins the parity).
+     * over the same trace (tests/test_cluster.cc pins the parity),
+     * and throws as Cluster::run does on a prompt_tokens size that
+     * disagrees with prompt_len.
      */
     ServeResult run(std::vector<Request> trace) const;
 

@@ -157,19 +157,12 @@ sharedPrefixTrace(const SharedPrefixTraceConfig &cfg)
     validateSharedPrefixConfig(cfg);
     Rng rng(cfg.base.seed);
 
-    // One shared prefix per family, each drawn from its own
-    // seed-derived stream so family contents are stable however many
-    // requests the trace has.
-    std::vector<std::vector<int32_t>> prefixes(
-        static_cast<size_t>(cfg.num_families));
-    for (int64_t f = 0; f < cfg.num_families; ++f) {
-        Rng frng(cfg.base.seed * 1000003ull +
-                 static_cast<uint64_t>(f) + 1);
-        auto &p = prefixes[static_cast<size_t>(f)];
-        p.reserve(cfg.prefix_len);
-        for (int64_t i = 0; i < cfg.prefix_len; ++i)
-            p.push_back(randomTokenId(frng, cfg.vocab));
-    }
+    // Each family's prefix is drawn from its own seed-derived stream
+    // (so family contents are stable however many requests the trace
+    // has), straight into the block of the family's first request;
+    // later members copy it from there.
+    std::vector<const int32_t *> family_prefix(
+        static_cast<size_t>(cfg.num_families), nullptr);
 
     // Zipf popularity CDF over family ranks: weight 1/(f+1)^zipf_s.
     std::vector<double> cdf(static_cast<size_t>(cfg.num_families));
@@ -196,10 +189,21 @@ sharedPrefixTrace(const SharedPrefixTraceConfig &cfg)
         r.arrival_seconds = t;
         r.prompt_len = cfg.prefix_len + suffix;
         r.gen_len = logUniform(rng, cfg.gen_lo, cfg.gen_hi);
-        r.prompt_tokens = prefixes[family];
-        r.prompt_tokens.reserve(static_cast<size_t>(r.prompt_len));
-        for (int64_t k = 0; k < suffix; ++k)
-            r.prompt_tokens.push_back(randomTokenId(rng, cfg.vocab));
+        const int32_t *&prefix = family_prefix[family];
+        r.prompt_tokens = serving::PromptTokens::filled(
+            static_cast<size_t>(r.prompt_len), [&](int32_t *out) {
+                if (prefix) {
+                    out = std::copy(prefix, prefix + cfg.prefix_len, out);
+                } else {
+                    Rng frng(cfg.base.seed * 1000003ull +
+                             static_cast<uint64_t>(family) + 1);
+                    prefix = out;
+                    for (int64_t k = 0; k < cfg.prefix_len; ++k)
+                        *out++ = randomTokenId(frng, cfg.vocab);
+                }
+                for (int64_t k = 0; k < suffix; ++k)
+                    *out++ = randomTokenId(rng, cfg.vocab);
+            });
         trace.push_back(std::move(r));
     }
     return trace;
@@ -281,7 +285,7 @@ multiTurnTrace(const MultiTurnTraceConfig &cfg)
             r.arrival_seconds = t;
             r.prompt_len = static_cast<int64_t>(history.size());
             r.gen_len = logUniform(srng, cfg.gen_lo, cfg.gen_hi);
-            r.prompt_tokens = history;
+            r.prompt_tokens = serving::PromptTokens(history);
             prev_gen = r.gen_len;
             trace.push_back(std::move(r));
         }
@@ -526,7 +530,7 @@ agenticLoopTrace(const AgenticLoopTraceConfig &cfg)
             r.arrival_seconds = t;
             r.prompt_len = static_cast<int64_t>(context.size());
             r.gen_len = logUniform(srng, cfg.gen_lo, cfg.gen_hi);
-            r.prompt_tokens = context;
+            r.prompt_tokens = serving::PromptTokens(context);
             prev_gen = r.gen_len;
             trace.push_back(std::move(r));
         }

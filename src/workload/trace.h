@@ -70,6 +70,10 @@ struct SharedPrefixTraceConfig
  * `prefix_len` tokens shared verbatim within its family followed by a
  * unique suffix — so serving::ReplicaEngine's kv::PrefixTree and the
  * PrefixAffinity router are drivable from benches and tests.
+ * Each prompt is built in place in its own serving::PromptTokens
+ * block, every token written once: a family's prefix is drawn into
+ * its first request's block and copied from there into later ones,
+ * and each suffix is drawn directly into its block.
  * Deterministic in cfg.base.seed; requests carry sequential ids in
  * arrival order and prompt_tokens.size() == prompt_len.
  * @throws std::invalid_argument on invalid knobs (non-positive
@@ -118,6 +122,8 @@ struct MultiTurnTraceConfig
  * preemptive (Optimistic) scheduling fire: conversation history
  * inflates live KV mid-stream, and a replica's prefix cache can serve
  * each turn's history prefix from the previous turn's blocks.
+ * Every turn's prompt is its own serving::PromptTokens block copied
+ * from the growing history (turns of a session share no storage).
  * Deterministic in cfg.base.seed; requests carry sequential ids in
  * arrival order and prompt_tokens.size() == prompt_len.
  * @throws std::invalid_argument on invalid knobs (non-positive turns
@@ -305,7 +311,9 @@ void validateTraceConfig(const AgenticLoopTraceConfig &cfg);
  * generations stay tiny, so live KV inflates fast and a replica's
  * prefix cache can serve each step's history from the previous step's
  * blocks: the KV-pressure shape that makes Optimistic preemption
- * churn. Deterministic in cfg.base.seed; requests carry sequential
+ * churn. Every step's prompt is its own serving::PromptTokens block
+ * copied from the growing context (steps of a session share no
+ * storage). Deterministic in cfg.base.seed; requests carry sequential
  * ids in arrival order and prompt_tokens.size() == prompt_len.
  * @throws std::invalid_argument on invalid knobs (see
  * validateTraceConfig(AgenticLoopTraceConfig)).

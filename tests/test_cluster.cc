@@ -12,7 +12,10 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
+#include "obs/counters.h"
 #include "serving/cluster.h"
 #include "serving/server.h"
 #include "workload/trace.h"
@@ -23,6 +26,7 @@ namespace {
 using serving::Cluster;
 using serving::ClusterConfig;
 using serving::ClusterResult;
+using serving::PromptTokens;
 using serving::ReplicaConfig;
 using serving::ReplicaEngine;
 using serving::Request;
@@ -491,8 +495,46 @@ TEST(PrefixCache, MismatchedPromptTokensAreRejectedAtDelivery)
     core::TimingEngine e;
     ReplicaEngine rep(e, cachedCloudReplica());
     Request r = makeRequest(0, 0.0, 128, 8);
-    r.prompt_tokens.assign(64, 7); // size != prompt_len
+    // size != prompt_len
+    r.prompt_tokens = PromptTokens(std::vector<int32_t>(64, 7));
     EXPECT_THROW(rep.deliver(std::move(r)), std::invalid_argument);
+}
+
+TEST(PrefixCache, MismatchedPromptTokensAreRejectedBeforeTheRun)
+{
+    // The API boundary checks the whole trace up front: a bad third
+    // request throws, naming its id, before any replica is built (a
+    // built replica would have registered its counters).
+    core::TimingEngine e;
+    auto trace = workload::sharedPrefixTrace(smallSharedPrefixConfig());
+    ASSERT_GE(trace.size(), 3u);
+    trace[2].id = 4242;
+    trace[2].prompt_len += 1;
+
+    obs::CounterRegistry counters;
+    ClusterConfig cc;
+    cc.replicas = {cachedCloudReplica(), cachedCloudReplica()};
+    cc.obs.counters = &counters;
+    try {
+        Cluster(e, cc).run(trace);
+        ADD_FAILURE() << "Cluster::run accepted a mismatched prompt";
+    } catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find("4242"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_TRUE(counters.snapshot().empty());
+
+    ServerConfig sc;
+    sc.timing = cloudReplica().timing;
+    try {
+        Server(e, sc).run(trace);
+        ADD_FAILURE() << "Server::run accepted a mismatched prompt";
+    } catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find("4242"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(PrefixCache, DuplicateRequestIdsKeepIndependentPins)
@@ -504,9 +546,9 @@ TEST(PrefixCache, DuplicateRequestIdsKeepIndependentPins)
     core::TimingEngine e;
     ReplicaEngine rep(e, cachedCloudReplica());
     Request a = makeRequest(7, 0.0, 256, 64);
-    a.prompt_tokens.assign(256, 21);
+    a.prompt_tokens = PromptTokens(std::vector<int32_t>(256, 21));
     Request b = makeRequest(7, 0.1, 256, 64); // same id, in flight too
-    b.prompt_tokens.assign(256, 22);
+    b.prompt_tokens = PromptTokens(std::vector<int32_t>(256, 22));
     rep.deliver(a);
     rep.deliver(b);
     while (!rep.idle())
@@ -530,7 +572,7 @@ TEST(Router, PrefixAffinityPrefersTheWarmestReplica)
     for (size_t i = 0; i < family.size(); ++i)
         family[i] = static_cast<int32_t>(100 + i);
     Request seedr = makeRequest(0, 0.0, 256, 1);
-    seedr.prompt_tokens = family;
+    seedr.prompt_tokens = PromptTokens(family);
     fleet[1]->deliver(seedr);
     while (!fleet[1]->idle())
         fleet[1]->step();
@@ -539,7 +581,7 @@ TEST(Router, PrefixAffinityPrefersTheWarmestReplica)
     // A same-family request routes to the warm replica even though
     // colder replicas are equally idle...
     Request again = makeRequest(1, 1.0, 256, 8);
-    again.prompt_tokens = family;
+    again.prompt_tokens = PromptTokens(family);
     EXPECT_EQ(router.route(again, fleet), 1u);
     // ...and keeps routing there when replica 1 carries load.
     fleet[1]->deliver(makeRequest(2, 1.0, 4096, 256));
@@ -555,7 +597,7 @@ TEST(Router, PrefixAffinityColdPromptsGetAStickyHashedHome)
     Router router({RouterPolicy::PrefixAffinity, 8192});
 
     Request a = makeRequest(0, 0.0, 256, 8);
-    a.prompt_tokens.assign(256, 11);
+    a.prompt_tokens = PromptTokens(std::vector<int32_t>(256, 11));
     const size_t home = router.route(a, fleet);
     // Same family -> same home, regardless of load skew, before any
     // cache state exists (one fleet-wide cold prefill per family).
@@ -596,7 +638,7 @@ TEST(PrefixCache, RevivesAfterTransientLiveKvPressure)
     // ~470K-token reservation ~= 59 GB of KV: eats the whole A800
     // headroom next to the weights while outstanding.
     Request huge = makeRequest(50, 10.0, 470'000, 2);
-    huge.prompt_tokens.assign(470'000, 9);
+    huge.prompt_tokens = PromptTokens(std::vector<int32_t>(470'000, 9));
     trace.push_back(huge);
     // Same family again, long after the pressure has drained.
     Request back = family[1];
@@ -632,7 +674,7 @@ TEST(Router, PrefixAffinityHashesColdFamiliesOntoCachedReplicasOnly)
     Router router({RouterPolicy::PrefixAffinity, 8192});
     for (int32_t fam = 0; fam < 8; ++fam) {
         Request r = makeRequest(fam, 0.0, 256, 8);
-        r.prompt_tokens.assign(256, 1000 + fam);
+        r.prompt_tokens = PromptTokens(std::vector<int32_t>(256, 1000 + fam));
         EXPECT_EQ(router.route(r, fleet), 1u) << "family " << fam;
     }
 }
@@ -645,7 +687,7 @@ TEST(Router, PrefixAffinityWithoutCachesDegradesToLeastKvLoad)
     Router affinity({RouterPolicy::PrefixAffinity, 8192});
     Router least({RouterPolicy::LeastKvLoad, 8192});
     Request r = makeRequest(1, 2.0, 2048, 256);
-    r.prompt_tokens.assign(2048, 3);
+    r.prompt_tokens = PromptTokens(std::vector<int32_t>(2048, 3));
     EXPECT_EQ(affinity.route(r, fleet), least.route(r, fleet));
     EXPECT_EQ(affinity.route(r, fleet), 1u);
 }
@@ -658,7 +700,7 @@ TEST(Router, AllInfeasibleFleetFallsBackDeterministically)
     auto fleet = makeFleet(e, {edgeReplica(), edgeReplica()});
     // ~2M-token context: KV exceeds the edge box's DRAM on both.
     Request huge = makeRequest(0, 0.0, 2'000'000, 512);
-    huge.prompt_tokens.assign(2'000'000, 5);
+    huge.prompt_tokens = PromptTokens(std::vector<int32_t>(2'000'000, 5));
     ASSERT_FALSE(fleet[0]->admission().feasibleAlone(huge));
     ASSERT_FALSE(fleet[1]->admission().feasibleAlone(huge));
 

@@ -23,7 +23,10 @@
  *    add/retire under skip-ahead;
  *  - ServingMetrics summary-cache invalidation on merge-into-nonempty
  *    (regression: a polled collector must never serve pre-merge
- *    percentiles).
+ *    percentiles);
+ *  - the prefix tree and PrefixAffinity routing keying on prompt token
+ *    contents, never on where the tokens are stored (the same trace
+ *    with every prompt rebuilt into a fresh buffer runs identically).
  */
 #include <gtest/gtest.h>
 
@@ -481,6 +484,42 @@ TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
     ASSERT_GT(fires, 0);
     EXPECT_GE(decode_iters, 4 * fires)
         << decode_iters << " decode rounds in " << fires << " fires";
+}
+
+TEST(SimFast, PrefixTreeComparesTokenContentsNotStorage)
+{
+    // Differential: the prefix tree and the router must key on token
+    // contents, never on where a prompt's tokens live. The same trace,
+    // once as generated and once with every prompt rebuilt into its
+    // own fresh buffer (equal contents, different addresses), must
+    // give bitwise-equal results on the churning prefix fleet.
+    core::TimingEngine engine;
+    const ClusterConfig cc = prefixChurnFleet(SchedulerMode::Optimistic);
+    const std::vector<Request> trace = prefixChurnTrace();
+    std::vector<Request> rebuilt = trace;
+    for (size_t i = 0; i < rebuilt.size(); ++i) {
+        serving::PromptTokens &p = rebuilt[i].prompt_tokens;
+        p = serving::PromptTokens(std::vector<int32_t>(p.begin(), p.end()));
+        ASSERT_NE(p.data(), trace[i].prompt_tokens.data());
+        ASSERT_TRUE(p == trace[i].prompt_tokens);
+    }
+
+    const ClusterResult a = Cluster(engine, cc).run(trace);
+    const ClusterResult b = Cluster(engine, cc).run(rebuilt);
+    expectSameSimulation(a, b);
+    const serving::PrefixCacheStats &pa = a.fleet.prefix;
+    const serving::PrefixCacheStats &pb = b.fleet.prefix;
+    EXPECT_EQ(pa.lookups, pb.lookups);
+    EXPECT_EQ(pa.hit_requests, pb.hit_requests);
+    EXPECT_EQ(pa.hit_tokens, pb.hit_tokens);
+    EXPECT_EQ(pa.prompt_tokens, pb.prompt_tokens);
+    EXPECT_EQ(pa.inserted_tokens, pb.inserted_tokens);
+    EXPECT_EQ(pa.evicted_tokens, pb.evicted_tokens);
+    EXPECT_EQ(pa.resident_tokens, pb.resident_tokens);
+    EXPECT_EQ(pa.resident_bytes, pb.resident_bytes);
+    // The fleet really shares and churns: hits and evictions both.
+    EXPECT_GT(pa.hit_tokens, 0);
+    EXPECT_GT(pa.evicted_tokens, 0);
 }
 
 TEST(SimFast, ObservedRunMatchesUnobservedSimulation)
