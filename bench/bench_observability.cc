@@ -172,7 +172,8 @@ main(int argc, char **argv)
     serving::ClusterResult obs_result;
     std::unique_ptr<ObservedState> state;
     const auto observedRun = [&] {
-        state.reset(); // one 40 MB ring alive at a time
+        state.reset(); // one ring (80 KiB chunks, grown as events
+                       // arrive) alive at a time
         state = std::make_unique<ObservedState>();
         serving::ClusterConfig oc = cc;
         oc.obs = {&state->ring, &state->counters, &state->sampler};

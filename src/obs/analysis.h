@@ -23,7 +23,7 @@
  * with a reason string — never silently dropped, never rendered as if
  * whole.
  *
- * Analysis is strictly read-only over a Trace snapshot: it never
+ * Analysis is strictly read-only over the Trace ring: it never
  * advances simulated time or touches the serving stack, so an
  * analyzed run is bit-identical to an unobserved one
  * (tests/test_analysis.cc pins this).
@@ -124,7 +124,9 @@ struct RequestTimeline
 };
 
 /** analyzeTrace() result: reconstructed timelines plus the explicit
- *  truncation story. */
+ *  truncation story. Both lists are in ascending request id: the
+ *  replay sorts 16-byte (id, slot) keys and writes each timeline once,
+ *  straight into its place, so no timeline is moved or sorted. */
 struct TraceAnalysis
 {
     /** Fully retained lifecycles, identity closed; ascending request
@@ -146,7 +148,10 @@ struct TraceAnalysis
 /**
  * Replay the trace ring into per-request timelines. Pure function of
  * the snapshot: deterministic, no simulator access. Every complete
- * timeline satisfies both accounting identities bitwise.
+ * timeline satisfies both accounting identities bitwise. Any request
+ * ids work the same way, dense or sparse up to INT64_MAX; memory is
+ * under 200 bytes of replay state per request plus the timelines
+ * returned, never proportional to the ring's capacity.
  */
 TraceAnalysis analyzeTrace(const Trace &trace);
 

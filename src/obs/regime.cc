@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "obs/counters.h"
 #include "obs/sampler.h"
@@ -67,39 +68,72 @@ classifyWindow(const RegimeSignals &s, const RegimeConfig &cfg)
 
 namespace {
 
-/** Column indices of one logical metric: every `replica<N>.<suffix>`
- *  slot (summed at read time). */
-std::vector<size_t>
-replicaColumns(const std::vector<std::string> &names,
-               const char *suffix)
+/** The per-window signals a sampler column feeds, in RegimeSignals
+ *  order. */
+enum Role : uint8_t {
+    Preemptions,
+    PrefillTokens,
+    GeneratedTokens,
+    PrefixHitTokens,
+    QueueDepth,
+    InFlight,
+    Warming,
+    kRoleCount,
+};
+
+/** Suffix of the per-replica `replica<N>.<suffix>` slots of each role
+ *  but Warming, which is the one `cluster.warming_replicas` column. */
+constexpr const char *kReplicaSuffix[] = {
+    "preemptions",       "admitted_prefill_tokens", "generated_tokens",
+    "prefix_hit_tokens", "queue_depth",             "in_flight",
+};
+
+/** One column that feeds a role. */
+struct RoleColumn
 {
-    std::vector<size_t> cols;
+    size_t col;
+    Role role;
+};
+
+/** Every column that feeds a role, ascending by column. */
+std::vector<RoleColumn>
+roleColumns(const std::vector<std::string> &names)
+{
+    std::vector<RoleColumn> cols;
     for (size_t i = 0; i < names.size(); ++i) {
         const std::string &n = names[i];
+        if (n == "cluster.warming_replicas") {
+            cols.push_back({i, Warming});
+            continue;
+        }
         if (n.rfind("replica", 0) != 0)
             continue;
         const size_t dot = n.find('.');
         if (dot == std::string::npos)
             continue;
-        if (n.compare(dot + 1, std::string::npos, suffix) == 0)
-            cols.push_back(i);
+        for (uint8_t r = 0; r < Warming; ++r) {
+            if (n.compare(dot + 1, std::string::npos, kReplicaSuffix[r]) ==
+                0) {
+                cols.push_back({i, static_cast<Role>(r)});
+                break;
+            }
+        }
     }
     return cols;
 }
 
-int64_t
-cellOf(const SamplePoint &row, size_t col)
+/** Per-role sums of one row in one ascending-column pass; columns the
+ *  row predates (registered after it was cut) read as 0. */
+void
+rowSums(const SamplePoint &row, const std::vector<RoleColumn> &cols,
+        int64_t (&sums)[kRoleCount])
 {
-    return col < row.values.size() ? row.values[col] : 0;
-}
-
-int64_t
-sumOf(const SamplePoint &row, const std::vector<size_t> &cols)
-{
-    int64_t s = 0;
-    for (const size_t c : cols)
-        s += cellOf(row, c);
-    return s;
+    std::fill(std::begin(sums), std::end(sums), 0);
+    for (const RoleColumn &c : cols) {
+        if (c.col >= row.values.size())
+            break;
+        sums[c.role] += row.values[c.col];
+    }
 }
 
 } // namespace
@@ -113,47 +147,32 @@ classifyRegimes(const TimeseriesSampler &sampler,
     if (rows.size() < 2)
         return out;
 
-    const std::vector<std::string> &names =
-        sampler.registry().names();
-    const std::vector<size_t> c_preempt =
-        replicaColumns(names, "preemptions");
-    const std::vector<size_t> c_prefill =
-        replicaColumns(names, "admitted_prefill_tokens");
-    const std::vector<size_t> c_generated =
-        replicaColumns(names, "generated_tokens");
-    const std::vector<size_t> c_hits =
-        replicaColumns(names, "prefix_hit_tokens");
-    const std::vector<size_t> c_queue =
-        replicaColumns(names, "queue_depth");
-    const std::vector<size_t> c_inflight =
-        replicaColumns(names, "in_flight");
-    std::vector<size_t> c_warming;
-    for (size_t i = 0; i < names.size(); ++i)
-        if (names[i] == "cluster.warming_replicas")
-            c_warming.push_back(i);
+    const std::vector<RoleColumn> cols =
+        roleColumns(sampler.registry().names());
+    int64_t lo[kRoleCount], hi[kRoleCount];
+    rowSums(rows[0], cols, lo);
 
     out.windows.reserve(rows.size() - 1);
     for (size_t i = 0; i + 1 < rows.size(); ++i) {
-        const SamplePoint &lo = rows[i];
-        const SamplePoint &hi = rows[i + 1];
+        rowSums(rows[i + 1], cols, hi);
         RegimeWindow w;
-        w.t_start_seconds = lo.t_seconds;
-        w.t_end_seconds = hi.t_seconds;
-        w.signals.preemptions = sumOf(hi, c_preempt) - sumOf(lo, c_preempt);
-        w.signals.prefill_tokens =
-            sumOf(hi, c_prefill) - sumOf(lo, c_prefill);
+        w.t_start_seconds = rows[i].t_seconds;
+        w.t_end_seconds = rows[i + 1].t_seconds;
+        w.signals.preemptions = hi[Preemptions] - lo[Preemptions];
+        w.signals.prefill_tokens = hi[PrefillTokens] - lo[PrefillTokens];
         w.signals.generated_tokens =
-            sumOf(hi, c_generated) - sumOf(lo, c_generated);
+            hi[GeneratedTokens] - lo[GeneratedTokens];
         w.signals.prefix_hit_tokens =
-            sumOf(hi, c_hits) - sumOf(lo, c_hits);
-        w.signals.queue_depth = sumOf(hi, c_queue);
-        w.signals.in_flight = sumOf(hi, c_inflight);
-        w.signals.warming_replicas = sumOf(hi, c_warming);
+            hi[PrefixHitTokens] - lo[PrefixHitTokens];
+        w.signals.queue_depth = hi[QueueDepth];
+        w.signals.in_flight = hi[InFlight];
+        w.signals.warming_replicas = hi[Warming];
         w.regime = classifyWindow(w.signals, cfg);
         const double span = w.t_end_seconds - w.t_start_seconds;
         out.occupancy[size_t(w.regime)] += span;
         out.total_seconds += span;
         out.windows.push_back(w);
+        std::copy(std::begin(hi), std::end(hi), std::begin(lo));
     }
     if (out.total_seconds > 0.0)
         for (size_t i = 0; i < kRegimeCount; ++i)

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace specontext {
@@ -32,15 +33,21 @@ Trace::Trace(TraceConfig cfg) : cfg_(cfg)
 {
     if (cfg_.capacity == 0)
         throw std::invalid_argument("Trace: zero capacity");
-    ring_.reserve(cfg_.capacity);
+}
+
+void
+Trace::addChunk()
+{
+    const size_t events = std::min(kChunkEvents, cfg_.capacity - size_);
+    chunks_.push_back(std::make_unique<TraceEvent[]>(events));
 }
 
 std::vector<TraceEvent>
 Trace::snapshot() const
 {
     std::vector<TraceEvent> out;
-    out.reserve(ring_.size());
-    for (size_t i = 0; i < ring_.size(); ++i)
+    out.reserve(size_);
+    for (size_t i = 0; i < size_; ++i)
         out.push_back(at(i));
     return out;
 }
@@ -48,7 +55,8 @@ Trace::snapshot() const
 void
 Trace::clear()
 {
-    ring_.clear();
+    chunks_.clear();
+    size_ = 0;
     head_ = 0;
     emitted_ = 0;
 }

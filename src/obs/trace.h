@@ -19,11 +19,18 @@
  * overwritten and counted in dropped(). snapshot() returns the
  * retained events oldest-first for the exporters
  * (obs::writeChromeTrace renders one Perfetto lane per replica).
+ *
+ * Capacity is a retention bound, not a reservation: events live in
+ * fixed 2048-event chunks (80 KiB, small enough for the allocator to
+ * serve from its heap and recycle across runs), and a chunk is
+ * allocated only when the first event lands in it. A 2^25-event ring
+ * that records 200k events holds 111 chunks, not 1.3 GB of mapping.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace specontext {
@@ -71,7 +78,9 @@ static_assert(sizeof(TraceEvent) <= 40,
 /** Trace knobs. */
 struct TraceConfig
 {
-    /** Events retained; older ones are overwritten (and counted). */
+    /** Events retained; older ones are overwritten (and counted).
+     *  A bound, not a reservation: memory grows in 80 KiB chunks as
+     *  events arrive, up to this many events. */
     size_t capacity = 1 << 16;
 };
 
@@ -82,6 +91,11 @@ class Trace
   public:
     /** @throws std::invalid_argument on zero capacity. */
     explicit Trace(TraceConfig cfg = {});
+
+    /** Instrumented components hold a pointer to the trace, so it
+     *  stays where it was made. */
+    Trace(const Trace &) = delete;
+    Trace &operator=(const Trace &) = delete;
 
     const TraceConfig &config() const { return cfg_; }
 
@@ -96,30 +110,34 @@ class Trace
         e.b = b;
         e.replica = replica;
         e.type = type;
-        if (ring_.size() < cfg_.capacity) {
-            ring_.push_back(e);
+        if (size_ < cfg_.capacity) {
+            if ((size_ & kChunkMask) == 0)
+                addChunk();
+            slot(size_++) = e;
         } else {
-            ring_[head_] = e;
-            head_ = (head_ + 1) % cfg_.capacity;
+            slot(head_) = e;
+            if (++head_ == cfg_.capacity)
+                head_ = 0;
         }
         ++emitted_;
     }
 
     /** Events currently retained (<= capacity). */
-    size_t size() const { return ring_.size(); }
+    size_t size() const { return size_; }
 
     /** Events emitted over the trace's lifetime. */
     uint64_t emitted() const { return emitted_; }
 
     /** Events overwritten by ring wrap-around. */
-    uint64_t dropped() const { return emitted_ - ring_.size(); }
+    uint64_t dropped() const { return emitted_ - size_; }
 
     /** The i-th retained event, oldest first (i < size()), read in
      *  place: analysis walks the ring without copying it. */
     const TraceEvent &at(size_t i) const
     {
         const size_t j = head_ + i;
-        return ring_[j < ring_.size() ? j : j - ring_.size()];
+        const size_t p = j < size_ ? j : j - size_;
+        return chunks_[p >> kChunkShift][p & kChunkMask];
     }
 
     /** Retained events, oldest first (linearizes the ring). */
@@ -129,8 +147,23 @@ class Trace
     void clear();
 
   private:
+    static constexpr size_t kChunkShift = 11;
+    static constexpr size_t kChunkEvents = size_t{1} << kChunkShift;
+    static constexpr size_t kChunkMask = kChunkEvents - 1;
+
+    /** Ring position p (< size_ or < capacity once full). */
+    TraceEvent &slot(size_t p)
+    {
+        return chunks_[p >> kChunkShift][p & kChunkMask];
+    }
+
+    /** Allocate the chunk that ring position size_ starts; the last
+     *  chunk holds only what is left of the capacity. */
+    void addChunk();
+
     TraceConfig cfg_;
-    std::vector<TraceEvent> ring_;
+    std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
+    size_t size_ = 0; ///< retained events (<= capacity)
     size_t head_ = 0; ///< oldest element once the ring is full
     uint64_t emitted_ = 0;
 };

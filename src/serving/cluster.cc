@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -159,6 +160,14 @@ Cluster::run(std::vector<Request> trace) const
     std::vector<double> warm_ready(fleet.size(), 0.0);
     std::vector<double> attach_t(fleet.size(), 0.0);
     std::vector<double> retire_t(fleet.size(), inf);
+    // Non-retired slots, ascending: the event loop's lane scans walk
+    // this instead of every slot ever attached (an elastic run that
+    // attached 60 replicas keeps only a handful alive at a time).
+    // 4-byte entries: a size_t list measured ~4% slower on the fixed
+    // 4-replica prefix-churn fleet, this one within noise of scanning
+    // every slot.
+    std::vector<uint32_t> lanes(fleet.size());
+    std::iota(lanes.begin(), lanes.end(), uint32_t{0});
 
     // Booking cache for the fast path: a lane's next-event time and
     // admission cap change only when the lane itself steps, receives
@@ -275,6 +284,7 @@ Cluster::run(std::vector<Request> trace) const
         retire_t.push_back(inf);
         lane_cap.push_back(inf);
         lane_dirty.push_back(1);
+        lanes.push_back(static_cast<uint32_t>(fleet.size() - 1));
         if (counters)
             counters->add(c_ups, 1);
         scaleEvent(t, ScaleAction::Attach, fleet.size() - 1);
@@ -282,6 +292,7 @@ Cluster::run(std::vector<Request> trace) const
 
     auto retireSlot = [&](double t, size_t i, ScaleAction how) {
         slot[i] = Slot::Retired;
+        lanes.erase(std::lower_bound(lanes.begin(), lanes.end(), i));
         routable_stale = true;
         clock.retireLane(i);
         retire_t[i] = t;
@@ -391,9 +402,7 @@ Cluster::run(std::vector<Request> trace) const
         // verbatim as the benchmark baseline.
         double ev_min = inf;
         size_t ev_lane = 0;
-        for (size_t i = 0; i < fleet.size(); ++i) {
-            if (slot[i] == Slot::Retired)
-                continue;
+        for (const uint32_t i : lanes) {
             if (slot[i] == Slot::Warming) {
                 clock.set(i, warm_ready[i]);
                 if (skip_ahead && warm_ready[i] < ev_min) {
@@ -500,9 +509,8 @@ Cluster::run(std::vector<Request> trace) const
             const double barrier = std::min(horizon, cap_min1);
             bool era_ok = true;
             size_t bulk_lanes = 0;
-            for (size_t i = 0; i < fleet.size(); ++i) {
-                if (slot[i] == Slot::Retired ||
-                    !(clock.at(i) < barrier))
+            for (const uint32_t i : lanes) {
+                if (!(clock.at(i) < barrier))
                     continue;
                 if (slot[i] == Slot::Warming)
                     continue;
@@ -517,7 +525,7 @@ Cluster::run(std::vector<Request> trace) const
                 // Stepping a lane changes only its own engine (the
                 // clock is re-booked after the era), so this pass
                 // visits exactly the lanes the scan above counted.
-                for (size_t i = 0; i < fleet.size(); ++i) {
+                for (const uint32_t i : lanes) {
                     if (slot[i] != Slot::Live ||
                         !(clock.at(i) < barrier) ||
                         !fleet[i]->pureDecodeReady())

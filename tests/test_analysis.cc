@@ -6,8 +6,10 @@
  * bitwise, on the run and on synthetic ties), ring-wrap truncation flagging (tiny ring, never
  * silently dropped, wrap marker in the Chrome trace), regime
  * classification (priority ladder pinned on hand-built signals,
- * determinism across identical runs, CSV export), and the purity
- * contract: analyzing a run leaves the simulation bit-identical.
+ * determinism across identical runs, CSV export), the purity
+ * contract: analyzing a run leaves the simulation bit-identical, and
+ * differential checks of analyzeTrace / classifyRegimes against the
+ * plain reference versions in analysis_oracle.h, bitwise.
  */
 #include <gtest/gtest.h>
 
@@ -17,11 +19,15 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis_oracle.h"
+#include "autoscale/controller.h"
+#include "autoscale/policy.h"
 #include "obs/analysis.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -532,6 +538,233 @@ TEST(AnalysisTruncation, TinyRingFlagsIncompleteNeverSilentlyTrims)
     }
     EXPECT_TRUE(saw_marker);
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Differential: analyzeTrace / classifyRegimes vs the reference versions
+// ---------------------------------------------------------------------
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void
+expectSameTimeline(const RequestTimeline &g, const RequestTimeline &w)
+{
+    SCOPED_TRACE("request " + std::to_string(w.request));
+    EXPECT_EQ(g.request, w.request);
+    EXPECT_EQ(g.replica, w.replica);
+    EXPECT_EQ(g.complete, w.complete);
+    EXPECT_EQ(g.incomplete_reason, w.incomplete_reason);
+    EXPECT_TRUE(sameBits(g.arrival_seconds, w.arrival_seconds));
+    EXPECT_TRUE(sameBits(g.enqueue_seconds, w.enqueue_seconds));
+    EXPECT_TRUE(sameBits(g.admit_seconds, w.admit_seconds));
+    EXPECT_TRUE(sameBits(g.first_token_seconds, w.first_token_seconds));
+    EXPECT_TRUE(sameBits(g.finish_seconds, w.finish_seconds));
+    EXPECT_EQ(g.prompt_len, w.prompt_len);
+    EXPECT_EQ(g.gen_len, w.gen_len);
+    EXPECT_EQ(g.preemptions, w.preemptions);
+    EXPECT_EQ(g.prefix_hit_tokens, w.prefix_hit_tokens);
+    EXPECT_EQ(g.first_hit_tokens, w.first_hit_tokens);
+    EXPECT_EQ(std::memcmp(g.phases.seconds, w.phases.seconds,
+                          sizeof w.phases.seconds),
+              0);
+    EXPECT_EQ(std::memcmp(g.ttft_phases.seconds, w.ttft_phases.seconds,
+                          sizeof w.ttft_phases.seconds),
+              0);
+}
+
+/** analyzeTrace() equals the reference replay on `ring`: every field
+ *  of every timeline, list order, rejected and dropped counts. */
+void
+expectAnalysisMatchesOracle(const obs::Trace &ring)
+{
+    const TraceAnalysis got = obs::analyzeTrace(ring);
+    const TraceAnalysis want = oracle::analyzeTrace(ring);
+    EXPECT_EQ(got.rejected, want.rejected);
+    EXPECT_EQ(got.dropped_events, want.dropped_events);
+    ASSERT_EQ(got.complete.size(), want.complete.size());
+    ASSERT_EQ(got.incomplete.size(), want.incomplete.size());
+    for (size_t i = 0; i < want.complete.size(); ++i)
+        expectSameTimeline(got.complete[i], want.complete[i]);
+    for (size_t i = 0; i < want.incomplete.size(); ++i)
+        expectSameTimeline(got.incomplete[i], want.incomplete[i]);
+}
+
+/** classifyRegimes() equals the two-sum reference, bitwise. */
+void
+expectRegimesMatchOracle(const obs::TimeseriesSampler &sampler)
+{
+    const RegimeTimeline got = obs::classifyRegimes(sampler);
+    const RegimeTimeline want = oracle::classifyRegimes(sampler);
+    ASSERT_EQ(got.windows.size(), want.windows.size());
+    for (size_t i = 0; i < want.windows.size(); ++i) {
+        const obs::RegimeWindow &g = got.windows[i];
+        const obs::RegimeWindow &w = want.windows[i];
+        SCOPED_TRACE("window " + std::to_string(i));
+        EXPECT_TRUE(sameBits(g.t_start_seconds, w.t_start_seconds));
+        EXPECT_TRUE(sameBits(g.t_end_seconds, w.t_end_seconds));
+        EXPECT_EQ(g.regime, w.regime);
+        EXPECT_EQ(g.signals.preemptions, w.signals.preemptions);
+        EXPECT_EQ(g.signals.prefill_tokens, w.signals.prefill_tokens);
+        EXPECT_EQ(g.signals.generated_tokens, w.signals.generated_tokens);
+        EXPECT_EQ(g.signals.prefix_hit_tokens,
+                  w.signals.prefix_hit_tokens);
+        EXPECT_EQ(g.signals.queue_depth, w.signals.queue_depth);
+        EXPECT_EQ(g.signals.in_flight, w.signals.in_flight);
+        EXPECT_EQ(g.signals.warming_replicas, w.signals.warming_replicas);
+    }
+    EXPECT_EQ(std::memcmp(got.occupancy, want.occupancy,
+                          sizeof want.occupancy),
+              0);
+    EXPECT_TRUE(sameBits(got.total_seconds, want.total_seconds));
+}
+
+TEST(AnalysisOracle, PreemptionHeavyRunMatchesReference)
+{
+    if (obsDisabled())
+        GTEST_SKIP() << "observability compiled out";
+    const AnalyzedRun &run = analyzedRun();
+    expectAnalysisMatchesOracle(run.trace);
+    expectRegimesMatchOracle(run.sampler);
+}
+
+TEST(AnalysisOracle, WrappedTinyRingMatchesReference)
+{
+    obs::Trace ring({256});
+    obs::CounterRegistry counters;
+    const core::TimingEngine engine;
+    serving::ClusterConfig cc;
+    cc.replicas = {preemptingReplica(), preemptingReplica()};
+    cc.router.policy = serving::RouterPolicy::LeastKvLoad;
+    cc.obs = {&ring, &counters, nullptr};
+    serving::Cluster(engine, cc).run(overloadTrace());
+    if (ring.emitted() == 0)
+        GTEST_SKIP() << "observability compiled out";
+    ASSERT_GT(ring.dropped(), 0u);
+    const TraceAnalysis analysis = obs::analyzeTrace(ring);
+    ASSERT_FALSE(analysis.incomplete.empty());
+    expectAnalysisMatchesOracle(ring);
+}
+
+TEST(AnalysisOracle, AutoscaledSpeContextFleetMatchesReference)
+{
+    // An observed elastic SpeContext fleet that grows under a diurnal
+    // peak and drains back: retired slots, ragged sampler rows and a
+    // warming-replica column, all recorded through one run.
+    obs::Trace ring({1 << 20});
+    obs::CounterRegistry counters;
+    obs::TimeseriesSampler sampler(
+        &counters, obs::TimeseriesSamplerConfig{5.0, 1 << 14});
+    autoscale::ThresholdPolicy policy({/*consecutive_low_ticks=*/3, 1});
+    autoscale::ControllerConfig ctl;
+    ctl.slo.ttft_p99_target_seconds = 25.0;
+    ctl.slo.queue_depth_high = 4.0;
+    ctl.slo.queue_depth_low = 0.5;
+    ctl.policy = &policy;
+    ctl.counters = &counters;
+    ctl.sampler = &sampler;
+    autoscale::Controller controller(ctl);
+
+    serving::ReplicaConfig rc;
+    rc.timing.llm = model::deepseekDistillLlama8bGeometry();
+    rc.timing.hw = sim::HardwareSpec::cloudA800();
+    core::SystemOptions opts;
+    opts.budget = 2048;
+    rc.timing.system = core::SystemRegistry::create("SpeContext", opts);
+    rc.max_batch = 8;
+    serving::ClusterConfig cc;
+    cc.replicas = {rc};
+    cc.obs = {&ring, &counters, &sampler};
+    cc.elastic.controller = &controller;
+    cc.elastic.min_replicas = 1;
+    cc.elastic.max_replicas = 6;
+    cc.elastic.control_period_seconds = 5.0;
+    cc.elastic.provision_seconds = 15.0;
+
+    workload::DiurnalTraceConfig dc;
+    dc.base.num_requests = 1500;
+    dc.base.arrival_rate_per_s = 2.0;
+    dc.base.seed = 3;
+    dc.period_seconds = 300.0;
+    const core::TimingEngine engine;
+    const serving::ClusterResult result =
+        serving::Cluster(engine, cc).run(workload::diurnalTrace(dc));
+    if (ring.emitted() == 0)
+        GTEST_SKIP() << "observability compiled out";
+    size_t downs = 0;
+    for (const serving::ScaleEvent &e : result.scale_events)
+        downs += e.action == serving::ScaleAction::Retire ||
+                 e.action == serving::ScaleAction::CancelWarming;
+    ASSERT_GT(downs, 0u) << "the fleet must shrink as well as grow";
+    EXPECT_EQ(ring.dropped(), 0u);
+    expectAnalysisMatchesOracle(ring);
+    expectRegimesMatchOracle(sampler);
+}
+
+TEST(AnalysisOracle, HandBuiltRingWithOddIdsMatchesReference)
+{
+    // Sparse, duplicate and very large request ids (ids that share
+    // their low bits, and the int64 extremes), a Reject, orphans
+    // (lifecycles whose head is missing), an unfinished request, a
+    // preempted-and-restored one and decode windows on three replicas
+    // with a negative one among them.
+    using obs::EventType;
+    obs::Trace ring({4096});
+    const int64_t big = std::numeric_limits<int64_t>::max();
+    const int64_t ids[] = {0,       7,         1 << 20, 2 << 20,
+                           3 << 20, int64_t{1} << 40, big - 1, big,
+                           5,       4096};
+    double t = 0.0;
+    auto emit = [&](EventType type, int32_t replica, int64_t id,
+                    int64_t a = 0, int64_t b = 0) {
+        t += 0.125;
+        ring.emit(type, t, replica, id, a, b);
+    };
+    int32_t replica = 0;
+    for (const int64_t id : ids) {
+        replica = replica == 2 ? -1 : replica + 1;
+        emit(EventType::RouterPlace, replica, id, 512);
+        emit(EventType::Enqueue, replica, id, 512, 64);
+        emit(EventType::Admit, replica, id, id % 3 == 0 ? 128 : 0, 512);
+        emit(EventType::PrefillStart, replica, id, 512, 1);
+        emit(EventType::PrefillEnd, replica, id, 512, 2);
+        emit(EventType::DecodeWindow, replica, -1, 2, 4);
+    }
+    // Preempt and restore one, then re-prefill it.
+    emit(EventType::Preempt, 1, 7, 10, 1);
+    emit(EventType::Restore, 1, 7, 10, 32);
+    emit(EventType::PrefillStart, 1, 7, 522, 1);
+    emit(EventType::PrefillEnd, 1, 7, 522, 2);
+    emit(EventType::DecodeWindow, 1, -1, 2, 8);
+    // A duplicate lifecycle for an id already seen, and a rejection.
+    emit(EventType::Enqueue, 0, 5, 256, 32);
+    emit(EventType::Reject, 0, 4096, 512, 64);
+    // Orphans: mid-lifecycle events for ids never enqueued.
+    emit(EventType::Admit, 2, 99, 0, 512);
+    emit(EventType::Complete, 2, 98, 64, 0);
+    // Most requests complete; id 3 << 20 stays in flight.
+    for (const int64_t id : ids) {
+        if (id == (3 << 20) || id == 4096)
+            continue;
+        emit(EventType::Complete, 0, id, 64, id == 7 ? 1 : 0);
+    }
+    const TraceAnalysis analysis = obs::analyzeTrace(ring);
+    EXPECT_EQ(analysis.rejected, 1);
+    EXPECT_FALSE(analysis.complete.empty());
+    EXPECT_FALSE(analysis.incomplete.empty());
+    expectAnalysisMatchesOracle(ring);
+
+    // The same events through a ring that wraps: orphans everywhere.
+    obs::Trace small({37});
+    for (size_t i = 0; i < ring.size(); ++i) {
+        const obs::TraceEvent &e = ring.at(i);
+        small.emit(e.type, e.t_seconds, e.replica, e.request, e.a, e.b);
+    }
+    ASSERT_GT(small.dropped(), 0u);
+    expectAnalysisMatchesOracle(small);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests of the observability layer: trace ring semantics (wrap,
- * dropped accounting, snapshot order), the OBS_EVENT no-op guarantees,
+ * dropped accounting, snapshot order, and a differential run of the
+ * chunked ring against a plain vector model across chunk-boundary
+ * capacities), the OBS_EVENT no-op guarantees,
  * counter registry semantics, sampler cadence and bounds, the JSON
  * utilities (escape / row builder / parser round-trips), exporter
  * output re-parsed through the repo's own parser, the metrics
@@ -11,12 +13,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "obs/export.h"
 #include "obs/json.h"
@@ -85,10 +90,96 @@ TEST(ObsTrace, ClearResetsRetainedAndLifetimeCounters)
     EXPECT_EQ(t.snapshot()[0].request, 4);
 }
 
+/** Field-wise event equality (TraceEvent has padding bytes). */
+bool
+sameEvent(const TraceEvent &x, const TraceEvent &y)
+{
+    return x.t_seconds == y.t_seconds && x.request == y.request &&
+           x.a == y.a && x.b == y.b && x.replica == y.replica &&
+           x.type == y.type;
+}
+
+/** Emit `steps` seeded events into `t`, checking it after every emit
+ *  against the trivial model: the retained events are the last
+ *  min(emitted, capacity) of everything emitted, oldest first. */
+void
+emitAndCheck(Trace &t, std::vector<TraceEvent> &model, size_t steps,
+             std::mt19937_64 &rng)
+{
+    const size_t cap = t.config().capacity;
+    for (size_t s = 0; s < steps; ++s) {
+        TraceEvent e;
+        e.type = static_cast<EventType>(rng() % 15);
+        e.t_seconds = static_cast<double>(model.size()) * 0.5;
+        e.replica = static_cast<int32_t>(rng() % 9) - 1;
+        e.request = static_cast<int64_t>(rng() % 1000) - 1;
+        e.a = static_cast<int64_t>(model.size());
+        e.b = static_cast<int64_t>(rng());
+        t.emit(e.type, e.t_seconds, e.replica, e.request, e.a, e.b);
+        model.push_back(e);
+
+        const size_t n = model.size();
+        const size_t kept = std::min(n, cap);
+        ASSERT_EQ(t.size(), kept);
+        ASSERT_EQ(t.emitted(), n);
+        ASSERT_EQ(t.dropped(), n - kept);
+        // One assertion per step (the first mismatching index, or
+        // kept): a per-event assertion would dominate the run time.
+        const TraceEvent *want = model.data() + (n - kept);
+        size_t bad = 0;
+        while (bad < kept && sameEvent(t.at(bad), want[bad]))
+            ++bad;
+        ASSERT_EQ(bad, kept) << "step " << n << ": at(" << bad << ")";
+        const std::vector<TraceEvent> snap = t.snapshot();
+        ASSERT_EQ(snap.size(), kept);
+        bad = 0;
+        while (bad < kept && sameEvent(snap[bad], want[bad]))
+            ++bad;
+        ASSERT_EQ(bad, kept) << "step " << n << ": snapshot[" << bad
+                             << "]";
+    }
+}
+
+TEST(ObsTrace, ChunkedRingMatchesVectorModelAcrossChunkBoundaries)
+{
+    // Capacities around the 2048-event chunk: one event, one short of
+    // a chunk, exactly one, one past, and a partial fourth chunk. Each
+    // runs to 4x capacity (three full wraps), then is cleared and
+    // refilled past one wrap.
+    for (const size_t cap :
+         {size_t{1}, size_t{2047}, size_t{2048}, size_t{2049},
+          size_t{3 * 2048 + 5}}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        std::mt19937_64 rng(cap);
+        Trace t({cap});
+        std::vector<TraceEvent> model;
+        emitAndCheck(t, model, 4 * cap, rng);
+        if (HasFatalFailure())
+            return;
+        t.clear();
+        EXPECT_EQ(t.size(), 0u);
+        EXPECT_EQ(t.emitted(), 0u);
+        EXPECT_EQ(t.dropped(), 0u);
+        EXPECT_TRUE(t.snapshot().empty());
+        model.clear();
+        emitAndCheck(t, model, cap + 3, rng);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
 TEST(ObsTrace, ZeroCapacityThrows)
 {
     EXPECT_THROW(Trace({0}), std::invalid_argument);
 }
+
+// Components keep a pointer to the ring, and a moved-from chunked
+// ring would keep its size with no chunks: it is neither copied nor
+// moved.
+static_assert(!std::is_copy_constructible_v<Trace> &&
+                  !std::is_move_constructible_v<Trace> &&
+                  !std::is_move_assignable_v<Trace>,
+              "Trace must stay where it was made");
 
 TEST(ObsTrace, EventStaysWithinByteBudget)
 {
