@@ -1,6 +1,6 @@
 #include "core/system_model.h"
 
-#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -23,6 +23,26 @@ weightFootprintBytes(const model::ModelConfig &m)
     return static_cast<int64_t>(1.3 * m.parameterBytesFp16());
 }
 
+void
+SystemOptions::validate() const
+{
+    const auto require = [](bool ok, const char *what) {
+        if (!ok)
+            throw std::invalid_argument(std::string("SystemOptions: ") +
+                                        what);
+    };
+    require(budget >= 1, "budget must be >= 1");
+    require(page_size >= 1, "page_size must be >= 1");
+    require(avg_cluster_size >= 1, "avg_cluster_size must be >= 1");
+    require(cluster_iterations >= 1, "cluster_iterations must be >= 1");
+    require(recent_window >= 0, "recent_window must be >= 0");
+    // Every comparison with NaN is false, so NaN fails the range test.
+    require(elastic_overlap >= 0.0 && elastic_overlap <= 1.0,
+            "elastic_overlap must be finite and in [0, 1]");
+    require(std::isfinite(prefix_reload_gbps) && prefix_reload_gbps >= 0.0,
+            "prefix_reload_gbps must be finite and >= 0");
+}
+
 // ------------------------------------------------------------- SystemModel
 
 double
@@ -41,50 +61,11 @@ SystemModel::decodeIterationSeconds(const TimingConfig &,
         "decodeIterationSeconds: system is wave-scheduled only");
 }
 
-namespace {
-
-/** Fallback pricer: per-call delegation, no caching. Bit-identity with
- *  the per-call methods is trivial — it IS the per-call methods. */
-class DelegatingPricer final : public SystemPricer
-{
-  public:
-    explicit DelegatingPricer(TimingConfig cfg) : cfg_(std::move(cfg)) {}
-
-    double decodeSeconds(const std::vector<int64_t> &kv_lens) override
-    {
-        return cfg_.system->decodeIterationSeconds(cfg_, kv_lens);
-    }
-
-    double prefillSeconds(int64_t prompt_len, int64_t in_flight_requests,
-                          int64_t resident_kv_tokens) override
-    {
-        return cfg_.system->requestPrefillSeconds(
-            cfg_, prompt_len, in_flight_requests, resident_kv_tokens);
-    }
-
-    AdmissionDecision admit(const std::vector<int64_t> &in_flight_final_lens,
-                            int64_t candidate_prompt_len,
-                            int64_t candidate_final_len) override
-    {
-        return cfg_.system->admit(cfg_, in_flight_final_lens,
-                                  candidate_prompt_len, candidate_final_len);
-    }
-
-    AdmissionDecision fitsCurrent(const std::vector<int64_t> &kv_lens) override
-    {
-        return cfg_.system->fitsCurrent(cfg_, kv_lens);
-    }
-
-  private:
-    TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
-};
-
-} // namespace
-
 std::unique_ptr<SystemPricer>
-SystemModel::makePricer(const TimingConfig &cfg) const
+SystemModel::makePricer(const TimingConfig &) const
 {
-    return std::make_unique<DelegatingPricer>(cfg);
+    throw std::invalid_argument(
+        "makePricer: system has no pricer (wave-scheduled only)");
 }
 
 AdmissionDecision
@@ -111,38 +92,6 @@ int64_t
 SystemModel::maxSimulatedBatch() const
 {
     return std::numeric_limits<int64_t>::max();
-}
-
-double
-SystemModel::stepComputeSeconds(
-    const TimingConfig &cfg, const sim::CostModel &cost,
-    const std::vector<int64_t> &kv_lens,
-    const std::function<int64_t(int64_t)> &attended,
-    int64_t *attended_total_out, int64_t *s_max_out,
-    const sim::DecodeBreakdown *base_hint) const
-{
-    const model::ModelConfig &m = cfg.llm;
-    const int64_t R = static_cast<int64_t>(kv_lens.size());
-    const sim::DecodeBreakdown base =
-        base_hint ? *base_hint : cost.decodeStepBreakdown(m, R, 0);
-
-    int64_t attended_total = 0;
-    int64_t s_max = 0;
-    for (int64_t s : kv_lens) {
-        if (s <= 0)
-            throw std::invalid_argument(
-                "decodeIterationSeconds: non-positive KV length");
-        attended_total += attended(s);
-        s_max = std::max(s_max, s);
-    }
-    const double weight_stream =
-        double(m.parameterBytesFp16()) / (cfg.hw.hbm_bw_gbps * 1e9);
-    if (attended_total_out)
-        *attended_total_out = attended_total;
-    if (s_max_out)
-        *s_max_out = s_max;
-    return stepComputeFromTotals(cfg, cost, base, attended_total,
-                                 weight_stream);
 }
 
 sim::MemoryModelInputs
@@ -256,6 +205,7 @@ std::shared_ptr<const SystemModel>
 SystemRegistry::create(const std::string &name, const SystemOptions &opts)
 {
     ensureBuiltins();
+    opts.validate();
     Factory factory;
     {
         std::lock_guard<std::mutex> lock(registryMutex());

@@ -17,7 +17,10 @@
  *  - pricing: `makePricer()` binds one `SystemPricer` to a config —
  *    the serving loop's cached view of the decode, prefill and
  *    admission queries above, bit-identical to the per-call methods
- *    (which stay the reference the pricer is tested against);
+ *    (which stay the reference the pricer is tested against). Every
+ *    continuous system gets both from core::TabledSystem
+ *    (core/tabled_pricer.h) by supplying a per-batch-size table entry,
+ *    a round tail and its admission hooks;
  *  - dataflow: which Fig. 7 row it schedules on the two-stream
  *    `sim::Timeline`.
  *
@@ -28,7 +31,8 @@
  *     core::TimingEngine().simulate(cfg);
  *
  * Adding a new system is a self-contained plugin: subclass
- * `SystemModel` in one translation unit and register a factory (see
+ * `SystemModel` (wave-only) or `TabledSystem` (continuous) in one
+ * translation unit and register a factory (see
  * src/core/systems/eviction_system.cc — the H2O worked example — and
  * the how-to in README.md). Nothing else in the repository needs to
  * change; registered systems automatically appear in the Pareto and
@@ -81,9 +85,12 @@ struct SystemOptions
     int64_t avg_cluster_size = 16; ///< ClusterKV mean cluster size
     int64_t cluster_iterations = 4;///< ClusterKV k-means iterations
     /**
-     * Adjacent-step selection overlap used by elastic loading. The
-     * default matches the >80 % the paper measures (Fig. 6(b)); benches
-     * feed values measured from live runs.
+     * Adjacent-step selection overlap used by elastic loading, in
+     * [0, 1]. A paper-calibrated constant: the default matches the
+     * >80 % the paper measures on trained LLMs (Fig. 6(b)). No bench
+     * feeds it from live runs; bench_fig06 measures 0.062 / 0.230 /
+     * 0.782 on the tiny live stack (320-token context) at budgets
+     * 16 / 64 / 256.
      */
     double elastic_overlap = 0.85;
     SpeContextFeatures features;
@@ -111,6 +118,14 @@ struct SystemOptions
      * cheap KV re-load (NVLink/PCIe-class) instead of being free.
      */
     double prefix_reload_gbps = 0.0;
+
+    /** Throws std::invalid_argument naming the first field out of
+     *  range: budget, page_size, avg_cluster_size and
+     *  cluster_iterations must be >= 1, recent_window >= 0,
+     *  elastic_overlap finite in [0, 1], prefix_reload_gbps finite
+     *  and >= 0. SystemRegistry::create() calls it before any
+     *  factory runs. */
+    void validate() const;
 
     /** Exact fieldwise equality: two systems created under the same
      *  registry key with equal options are behaviorally identical
@@ -177,7 +192,8 @@ struct AdmissionDecision
  * every call. Obtain one from SystemModel::makePricer() (or the
  * TimingEngine façade, which also validates the config); the pricer
  * keeps the bound config (and through it the system) alive. Not
- * thread-safe: one pricer per replica lane.
+ * thread-safe: one pricer per replica lane. core::TabledPricer
+ * (core/tabled_pricer.h) is the one implementation.
  */
 class SystemPricer
 {
@@ -202,25 +218,12 @@ class SystemPricer
      * arithmetic that turns the reduced values into seconds. The
      * caller must re-begin the window whenever the batch changes shape
      * for any other reason; prefill and admission calls in between do
-     * not disturb it. The base implementation materializes the grown
-     * vector and calls decodeSeconds(); subclasses override both for
-     * the O(1) path.
+     * not disturb it.
      */
-    virtual void beginWindow(const std::vector<int64_t> &kv_lens)
-    {
-        win_lens_.assign(kv_lens.begin(), kv_lens.end());
-        win_started_ = false;
-    }
+    virtual void beginWindow(const std::vector<int64_t> &kv_lens) = 0;
 
     /** Next round of the current window (see beginWindow()). */
-    virtual double nextRoundSeconds()
-    {
-        if (win_started_)
-            for (int64_t &s : win_lens_)
-                ++s;
-        win_started_ = true;
-        return decodeSeconds(win_lens_);
-    }
+    virtual double nextRoundSeconds() = 0;
 
     /**
      * Drive an entire bulk window in one call: starting from `now`,
@@ -230,25 +233,12 @@ class SystemPricer
      * the same accumulation order) a caller-side loop over
      * nextRoundSeconds() would apply. Returns the advanced clock;
      * `rounds` gets the count run and `first_now` the clock after the
-     * first round. Exists so a subclass can fuse the loop with its
-     * round pricing in one translation unit — millions of per-round
-     * virtual dispatches become one per window.
+     * first round. One virtual dispatch per window instead of one per
+     * round.
      */
     virtual double runWindow(int64_t max_rounds, double now,
                              double horizon, double t_pending,
-                             int64_t &rounds, double &first_now)
-    {
-        rounds = 0;
-        for (;;) {
-            now += nextRoundSeconds();
-            if (++rounds == 1)
-                first_now = now;
-            if (rounds >= max_rounds || !(now < horizon) ||
-                t_pending <= now)
-                break;
-        }
-        return now;
-    }
+                             int64_t &rounds, double &first_now) = 0;
 
     /**
      * Conservative lower bound on the duration of ANY decode round
@@ -260,13 +250,11 @@ class SystemPricer
      * rounds is bit-safe. ReplicaEngine::nextPossibleAdmissionSeconds
      * uses it that way: an Optimistic lane caps its next admission at
      * now + n * floor, and with a floor of 0 that cap is the lane's own
-     * clock, which holds every peer's window to about one round. The
-     * SpeContext and full-attention pricers return the
-     * weight-streaming time, the max() floor of every round they
-     * price; the base (and so the delegating pricer H2O, StreamingLLM and
-     * plugin systems get) returns 0.0, no bound.
+     * clock, which holds every peer's window to about one round.
+     * TabledPricer returns the weight-streaming time, the max() floor
+     * of every round of every continuous system.
      */
-    virtual double minRoundSeconds() const { return 0.0; }
+    virtual double minRoundSeconds() const = 0;
 
     // ---- Prefill and admission -------------------------------------
 
@@ -284,10 +272,6 @@ class SystemPricer
     /** Bit-identical to SystemModel::fitsCurrent(bound_cfg, ...). */
     virtual AdmissionDecision fitsCurrent(
         const std::vector<int64_t> &kv_lens) = 0;
-
-  private:
-    std::vector<int64_t> win_lens_; ///< base-class window state only
-    bool win_started_ = false;
 };
 
 /** Bytes of KV cache per token per layer per request at FP16. */
@@ -358,12 +342,11 @@ class SystemModel
 
     /**
      * Build a SystemPricer bound to `cfg` (which must name this
-     * system). The base implementation returns a delegating pricer
-     * that calls the per-call methods on every query — trivially
-     * bit-identical, no caching. Systems with expensive per-call setup
-     * override it to hoist pure-function work (model construction,
-     * per-batch-size breakdowns) out of the serving loop; overrides
-     * must keep every query bit-for-bit equal to the per-call method.
+     * system). Continuous systems derive from core::TabledSystem
+     * (core/tabled_pricer.h), which returns a TabledPricer whose every
+     * query is bit-for-bit the per-call method's. The base
+     * implementation throws.
+     * @throws std::invalid_argument for systems without a pricer.
      */
     virtual std::unique_ptr<SystemPricer> makePricer(
         const TimingConfig &cfg) const;
@@ -430,42 +413,6 @@ class SystemModel
                                  int64_t seq_len) const;
 
   protected:
-    /**
-     * Shared skeleton of one heterogeneous-batch decode iteration:
-     * batch-wide GEMMs/launches/LM head from the uniform-step
-     * breakdown at kv_len == 0, per-request attention summed over
-     * `attended(s)` tokens (attentionDecodeSeconds is linear in
-     * batch * kv_len, so the sum equals one call at the total), all
-     * floored by weight streaming. Throws on non-positive lengths.
-     * Optionally reports the attended total and longest context.
-     * `base_hint`, when given, must equal
-     * cost.decodeStepBreakdown(cfg.llm, kv_lens.size(), 0) — it lets a
-     * SystemPricer reuse the cached value of that pure function
-     * instead of re-deriving it per iteration.
-     */
-    double stepComputeSeconds(
-        const TimingConfig &cfg, const sim::CostModel &cost,
-        const std::vector<int64_t> &kv_lens,
-        const std::function<int64_t(int64_t)> &attended,
-        int64_t *attended_total_out = nullptr,
-        int64_t *s_max_out = nullptr,
-        const sim::DecodeBreakdown *base_hint = nullptr) const;
-
-    /**
-     * The arithmetic tail of stepComputeSeconds once the per-request
-     * reduction is done: attention at `attended_total`, floored by
-     * `weight_stream_seconds` (which must equal
-     * parameterBytesFp16 / (hbm_bw_gbps * 1e9)). stepComputeSeconds
-     * funnels through this, and a SystemPricer may call it directly
-     * with its own inlined reduction — both paths execute the same
-     * operations in the same order, so results stay bit-identical.
-     */
-    double stepComputeFromTotals(const TimingConfig &cfg,
-                                 const sim::CostModel &cost,
-                                 const sim::DecodeBreakdown &base,
-                                 int64_t attended_total,
-                                 double weight_stream_seconds) const;
-
     SystemOptions opts_;
 };
 
@@ -486,7 +433,8 @@ class SystemRegistry
 
     /** Instantiate a system by name.
      *  @throws std::invalid_argument for unknown names (the message
-     *  lists every registered name). */
+     *  lists every registered name) and for options that fail
+     *  SystemOptions::validate(). */
     static std::shared_ptr<const SystemModel>
     create(const std::string &name, const SystemOptions &opts = {});
 
@@ -495,32 +443,6 @@ class SystemRegistry
 
     static bool contains(const std::string &name);
 };
-
-// Defined in the header so the systems' per-round decode tails inline
-// it together with the CostModel terms it calls — one call boundary
-// fewer on a path priced hundreds of millions of times per run. Same
-// expression, same evaluation order as the out-of-line definition had.
-inline double
-SystemModel::stepComputeFromTotals(const TimingConfig &cfg,
-                                   const sim::CostModel &cost,
-                                   const sim::DecodeBreakdown &base,
-                                   int64_t attended_total,
-                                   double weight_stream_seconds) const
-{
-    const model::ModelConfig &m = cfg.llm;
-    const double attn =
-        m.layers *
-        cost.attentionDecodeSeconds(
-            1, m.q_heads,
-            m.attention == model::AttentionKind::MLA ? m.q_heads
-                                                     : m.kv_heads,
-            m.head_dim, attended_total);
-    // compute_fixed pre-adds (gemm + launch) + lm_head in the same
-    // association this sum used to spell out, so the result is the
-    // bit-identical double.
-    return std::max(base.compute_fixed + attn,
-                    weight_stream_seconds);
-}
 
 } // namespace core
 } // namespace specontext

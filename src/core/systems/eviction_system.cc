@@ -21,24 +21,32 @@
  * never materializes beyond the budget (no eager-style scratch OOM).
  *
  * This file doubles as the registry's worked "adding a new system"
- * example (README.md): a self-contained subclass plus one factory
- * registration, no edits anywhere else in the tree.
+ * example (README.md): one TabledSystem subclass that supplies a
+ * per-batch-size entry, an attend cap, a round tail and its admission
+ * hooks, plus one factory registration per name — no edits anywhere
+ * else in the tree. The per-call methods and the cached pricer come
+ * with the base.
  */
 #include "core/systems/registration.h"
+#include "core/tabled_pricer.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace specontext {
 namespace core {
 namespace {
 
-/** Shared skeleton of budget-bounded permanent-eviction systems. */
-class EvictionSystem : public SystemModel
+/** Budget-bounded permanent eviction; `h2o` adds H2O's attention-mass
+ *  upkeep, StreamingLLM's sink + window selection needs none. */
+class EvictionSystem final : public TabledSystem<EvictionSystem>
 {
   public:
-    using SystemModel::SystemModel;
+    EvictionSystem(const SystemOptions &opts, const char *name, bool h2o)
+        : TabledSystem(opts), name_(name), h2o_(h2o)
+    {
+    }
 
+    const char *name() const override { return name_; }
     sim::KernelBackend backend() const override
     {
         return sim::KernelBackend::FlashAttention;
@@ -47,57 +55,96 @@ class EvictionSystem : public SystemModel
     {
         return DataflowKind::ResidentKV;
     }
-    bool supportsContinuousBatching() const override { return true; }
 
     TimingResult simulate(const TimingConfig &cfg) const override;
-    double requestPrefillSeconds(const TimingConfig &cfg,
-                                 int64_t prompt_len,
-                                 int64_t in_flight_requests,
-                                 int64_t resident_kv_tokens) const override;
-    double decodeIterationSeconds(
-        const TimingConfig &cfg,
-        const std::vector<int64_t> &kv_lens) const override;
-    AdmissionDecision admit(const TimingConfig &cfg,
-                            const std::vector<int64_t> &in_flight_final_lens,
-                            int64_t candidate_prompt_len,
-                            int64_t candidate_final_len) const override;
     int64_t hbmFootprintBytes(const TimingConfig &cfg, int64_t requests,
                               int64_t s) const override;
 
-  protected:
+    // ---- TabledSystem hooks (see core/tabled_pricer.h) --------------
+
+    /** cost.decodeStepBreakdown(llm, R, 0). */
+    using PerR = sim::DecodeBreakdown;
+    PerR tableEntry(const TimingConfig &cfg, const PriceContext &c,
+                    int64_t R) const
+    {
+        return c.cost.decodeStepBreakdown(cfg.llm, R, 0);
+    }
+
+    /** Attention reads the budget-bounded resident set per request. */
+    int64_t attendCap() const { return opts_.budget; }
+
+    double roundSeconds(const TimingConfig &cfg, const PriceContext &c,
+                        const PerR &base, int64_t R, int64_t attended_total,
+                        int64_t s_max) const
+    {
+        (void)s_max;
+        return c.stepCompute(cfg.llm, base, attended_total) +
+               evictionSeconds(cfg, c.cost, R, attended_total);
+    }
+
+    double prefillWith(const TimingConfig &cfg, const PriceContext &c,
+                       const PerR &joined, int64_t prompt_len,
+                       int64_t in_flight_requests,
+                       int64_t resident_kv_tokens) const
+    {
+        (void)joined;
+        (void)in_flight_requests;
+        (void)resident_kv_tokens; // eviction frees KV, nothing spills
+        return c.cost.prefillSeconds(cfg.llm, 1, prompt_len) +
+               preprocessSeconds(cfg, c.cost, 1, prompt_len);
+    }
+
+    /** Each request reserves min(final_len, budget) resident tokens;
+     *  eviction bounds prefill residency too. */
+    AdmissionDecision admitWith(const TimingConfig &cfg,
+                                const PriceContext &c, const PerR &one,
+                                const int64_t *lens, size_t n,
+                                int64_t candidate_prompt_len,
+                                int64_t candidate_final_len) const;
+
+  private:
     /** Resident KV tokens of one request at context length s. */
     int64_t residentTokens(int64_t s) const
     {
         return std::min(s, opts_.budget);
     }
 
-    /** One-time scoring pass over the prompt (H2O's mass accumulation);
-     *  seconds, added to prefill. */
-    virtual double preprocessSeconds(const TimingConfig &cfg,
-                                     const sim::CostModel &cost,
-                                     int64_t requests,
-                                     int64_t prompt_len) const
+    /** One-time scoring pass over the prompt: H2O's accumulated
+     *  attention-mass pass over the prompt keys (the retriever's
+     *  onPrefillComplete scan); seconds, added to prefill. */
+    double preprocessSeconds(const TimingConfig &cfg,
+                             const sim::CostModel &cost, int64_t requests,
+                             int64_t prompt_len) const
     {
-        (void)cfg;
-        (void)cost;
-        (void)requests;
-        (void)prompt_len;
-        return 0.0;
+        if (!h2o_)
+            return 0.0;
+        const model::ModelConfig &m = cfg.llm;
+        return cost.gemmFlopsSeconds(2.0 * requests * m.layers *
+                                     m.kv_heads * prompt_len * m.head_dim);
     }
 
-    /** Per-step eviction upkeep across all layers (H2O's accumulate +
-     *  arg-min scan); seconds, added to every decode iteration. */
-    virtual double evictionSeconds(const TimingConfig &cfg,
-                                   const sim::CostModel &cost,
-                                   int64_t requests,
-                                   int64_t attended_total) const
+    /** Per-step eviction upkeep across all layers; seconds, added to
+     *  every decode iteration. H2O, per layer: accumulate this step's
+     *  attention mass into the tracked set and evict the arg-min
+     *  outside each request's protected recent window — an on-GPU scan
+     *  + top-k over at most `budget` candidates per request, no PCIe
+     *  and no host sync. attended_total is batch-aggregate, so the
+     *  exclusion is too. */
+    double evictionSeconds(const TimingConfig &cfg,
+                           const sim::CostModel &cost, int64_t requests,
+                           int64_t attended_total) const
     {
-        (void)cfg;
-        (void)cost;
-        (void)requests;
-        (void)attended_total;
-        return 0.0;
+        if (!h2o_)
+            return 0.0;
+        const int64_t candidates = std::max<int64_t>(
+            attended_total - requests * opts_.recent_window, 1);
+        return cfg.llm.layers *
+               cost.retrievalSeconds(2.0 * cfg.llm.kv_heads * candidates,
+                                     candidates);
     }
+
+    const char *name_;
+    bool h2o_;
 };
 
 TimingResult
@@ -152,50 +199,18 @@ EvictionSystem::simulate(const TimingConfig &cfg) const
     return r;
 }
 
-double
-EvictionSystem::requestPrefillSeconds(const TimingConfig &cfg,
-                                      int64_t prompt_len,
-                                      int64_t in_flight_requests,
-                                      int64_t resident_kv_tokens) const
-{
-    (void)in_flight_requests;
-    (void)resident_kv_tokens; // eviction frees KV, nothing spills
-    const sim::CostModel cost(cfg.hw, backend());
-    return cost.prefillSeconds(cfg.llm, 1, prompt_len) +
-           preprocessSeconds(cfg, cost, 1, prompt_len);
-}
-
-double
-EvictionSystem::decodeIterationSeconds(
-    const TimingConfig &cfg, const std::vector<int64_t> &kv_lens) const
-{
-    if (kv_lens.empty())
-        return 0.0;
-    const sim::CostModel cost(cfg.hw, backend());
-    const int64_t R = static_cast<int64_t>(kv_lens.size());
-
-    // Attention reads the budget-bounded resident set per request.
-    int64_t attended_total = 0;
-    const double step_compute = stepComputeSeconds(
-        cfg, cost, kv_lens,
-        [this](int64_t s) { return residentTokens(s); },
-        &attended_total);
-    return step_compute + evictionSeconds(cfg, cost, R, attended_total);
-}
-
 AdmissionDecision
-EvictionSystem::admit(const TimingConfig &cfg,
-                      const std::vector<int64_t> &in_flight_final_lens,
-                      int64_t candidate_prompt_len,
-                      int64_t candidate_final_len) const
+EvictionSystem::admitWith(const TimingConfig &cfg, const PriceContext &c,
+                          const PerR &one, const int64_t *lens, size_t n,
+                          int64_t candidate_prompt_len,
+                          int64_t candidate_final_len) const
 {
-    (void)candidate_prompt_len; // eviction bounds prefill residency too
-    const model::ModelConfig &m = cfg.llm;
-    const int64_t kvb = kvBytesPerTokenPerLayer(m);
+    (void)one;
+    (void)candidate_prompt_len;
     int64_t kv_tokens = residentTokens(candidate_final_len);
-    for (int64_t fl : in_flight_final_lens)
-        kv_tokens += residentTokens(fl);
-    if (weightFootprintBytes(m) + kv_tokens * kvb * m.layers >
+    for (size_t i = 0; i < n; ++i)
+        kv_tokens += residentTokens(lens[i]);
+    if (c.weights + kv_tokens * c.kvb * cfg.llm.layers >
         cfg.hw.gpu_mem_bytes)
         return {false, "budget-bounded KV reservations exceed GPU memory"};
     return {true, ""};
@@ -210,55 +225,6 @@ EvictionSystem::hbmFootprintBytes(const TimingConfig &cfg,
                kvBytesPerTokenPerLayer(cfg.llm) * cfg.llm.layers;
 }
 
-// -------------------------------------------------------------------- H2O
-
-class H2OSystem final : public EvictionSystem
-{
-  public:
-    using EvictionSystem::EvictionSystem;
-    const char *name() const override { return "H2O"; }
-
-  protected:
-    double preprocessSeconds(const TimingConfig &cfg,
-                             const sim::CostModel &cost, int64_t requests,
-                             int64_t prompt_len) const override
-    {
-        // One accumulated-attention-mass pass over the prompt keys
-        // (the retriever's onPrefillComplete scan).
-        const model::ModelConfig &m = cfg.llm;
-        return cost.gemmFlopsSeconds(2.0 * requests * m.layers *
-                                     m.kv_heads * prompt_len *
-                                     m.head_dim);
-    }
-    double evictionSeconds(const TimingConfig &cfg,
-                           const sim::CostModel &cost, int64_t requests,
-                           int64_t attended_total) const override
-    {
-        // Per layer: accumulate this step's attention mass into the
-        // tracked set and evict the arg-min outside each request's
-        // protected recent window — an on-GPU scan + top-k over at
-        // most `budget` candidates per request, no PCIe and no host
-        // sync. attended_total is batch-aggregate, so the exclusion
-        // is too.
-        const int64_t candidates = std::max<int64_t>(
-            attended_total - requests * opts_.recent_window, 1);
-        return cfg.llm.layers *
-               cost.retrievalSeconds(2.0 * cfg.llm.kv_heads * candidates,
-                                     candidates);
-    }
-};
-
-// ---------------------------------------------------------- StreamingLLM
-
-class StreamingLLMSystem final : public EvictionSystem
-{
-  public:
-    using EvictionSystem::EvictionSystem;
-    const char *name() const override { return "StreamingLLM"; }
-    // Sink + sliding window is input-agnostic: no preprocessing, no
-    // per-step upkeep — the cheapest dataflow of the whole registry.
-};
-
 } // namespace
 
 namespace detail {
@@ -267,10 +233,12 @@ void
 registerEvictionSystems()
 {
     addBuiltinSystem("H2O", [](const SystemOptions &o) {
-        return std::make_shared<H2OSystem>(o);
+        return std::make_shared<EvictionSystem>(o, "H2O", true);
     });
+    // Sink + sliding window is input-agnostic: no preprocessing, no
+    // per-step upkeep — the cheapest dataflow of the whole registry.
     addBuiltinSystem("StreamingLLM", [](const SystemOptions &o) {
-        return std::make_shared<StreamingLLMSystem>(o);
+        return std::make_shared<EvictionSystem>(o, "StreamingLLM", false);
     });
 }
 

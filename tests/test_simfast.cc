@@ -10,9 +10,10 @@
  *
  * Also pinned here because the fast path leans on them:
  *  - SystemPricer bulk windows (beginWindow + k nextRoundSeconds ==
- *    k decodeSeconds() calls on elementwise-grown KV, bit for bit),
- *    and every pricer query == the per-call SystemModel method on a
- *    grid of shapes for every continuous-batching system;
+ *    k decodeSeconds() calls on elementwise-grown KV, and runWindow ==
+ *    a caller-side nextRoundSeconds() loop, bit for bit), and every
+ *    pricer query == the per-call SystemModel method on a grid of
+ *    shapes for every continuous-batching system;
  *  - serving::roundFloorLowerBound(), the admission cap peers' windows
  *    stop at, never above a clock stepped by n rounded additions;
  *  - MemoryModel::allResidentMaxTokens() as the exact integer
@@ -188,6 +189,52 @@ std::vector<Request>
 backloggedTrace(size_t lanes)
 {
     return diurnal(400, 19, 2.0 * static_cast<double>(lanes));
+}
+
+/** A permanent-eviction replica ("H2O" or "StreamingLLM") under
+ *  Optimistic scheduling: a 4096-token budget, so most contexts of
+ *  evictionTrace() keep growing into it, and 22 GiB of HBM, room for
+ *  ~20.9k resident tokens (about five requests at the budget), so
+ *  growth forces preemptions. */
+ReplicaConfig
+evictionReplica(const char *system)
+{
+    ReplicaConfig rc;
+    rc.timing.llm = model::deepseekDistillLlama8bGeometry();
+    rc.timing.hw = sim::HardwareSpec::cloudA800();
+    rc.timing.hw.gpu_mem_bytes = 22LL << 30;
+    core::SystemOptions opts;
+    opts.budget = 4096;
+    rc.timing.system = core::SystemRegistry::create(system, opts);
+    rc.scheduler_mode = SchedulerMode::Optimistic;
+    return rc;
+}
+
+/** Two evictionReplica() lanes under JoinShortestQueue routing. */
+ClusterConfig
+evictionFleet(const char *system)
+{
+    ClusterConfig cc;
+    cc.replicas = {evictionReplica(system), evictionReplica(system)};
+    cc.router.policy = RouterPolicy::JoinShortestQueue;
+    return cc;
+}
+
+/** Diurnal trace with generations up to 4096 tokens; on
+ *  evictionFleet() seed 3 preempts (21 times under H2O, 12 under
+ *  StreamingLLM), seed 5 does not. */
+std::vector<Request>
+evictionTrace(uint64_t seed)
+{
+    workload::DiurnalTraceConfig dc;
+    dc.base.num_requests = 200;
+    dc.base.arrival_rate_per_s = 1.0;
+    dc.base.seed = seed;
+    dc.prompt_lo = 256;
+    dc.prompt_hi = 2048;
+    dc.gen_lo = 64;
+    dc.gen_hi = 4096;
+    return workload::diurnalTrace(dc);
 }
 
 /** Exact comparison of every simulated quantity two runs expose.
@@ -484,6 +531,69 @@ TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
     ASSERT_GT(fires, 0);
     EXPECT_GE(decode_iters, 4 * fires)
         << decode_iters << " decode rounds in " << fires << " fires";
+}
+
+TEST(SimFast, OptimisticEvictionFleetsMatchReference)
+{
+    // H2O and StreamingLLM lanes price through the same tabled pricer
+    // as every other continuous system, weight-streaming floor
+    // included, so their Optimistic admission caps sit past their
+    // clocks and their windows stay open across peers. Under
+    // preemption pressure the default fast path must still match the
+    // reference loop bit for bit.
+    core::TimingEngine engine;
+    for (const char *system : {"H2O", "StreamingLLM"}) {
+        int64_t preemptions = 0;
+        for (uint64_t seed : {3u, 5u}) {
+            SCOPED_TRACE(std::string(system) + " seed " +
+                         std::to_string(seed));
+            const ClusterConfig cc = evictionFleet(system);
+            const auto trace = evictionTrace(seed);
+            const ClusterResult reference =
+                runFleet(engine, cc, trace, false, false);
+            const ClusterResult fast =
+                runFleet(engine, cc, trace, true, true);
+            ASSERT_GT(reference.completed(), 0);
+            preemptions += reference.fleet.preempt.preemptions;
+            expectSameSimulation(reference, fast);
+        }
+        // Contexts grew into preemptions, so the case cannot pass
+        // vacuously.
+        EXPECT_GT(preemptions, 0) << system;
+    }
+}
+
+TEST(SimFast, OptimisticEvictionFleetsRunMultiRoundWindows)
+{
+    // Host-independent engagement gate: with the weight-streaming floor
+    // under every H2O and StreamingLLM round, an Optimistic lane caps
+    // its next admission that many floors past its clock, so its peer
+    // keeps running multi-round windows. With a floor of 0 every cap
+    // is its lane's own clock and the fleet steps about one round per
+    // event-loop fire (1.1 rounds per fire on both systems). The seed
+    // that preempts runs 13.4 (H2O) and 16.6 (StreamingLLM) rounds per
+    // fire; the gate asks for 8. Counters are never compiled out, so
+    // this holds in every build.
+    core::TimingEngine engine;
+    for (const char *system : {"H2O", "StreamingLLM"}) {
+        SCOPED_TRACE(system);
+        obs::CounterRegistry counters;
+        ClusterConfig cc = evictionFleet(system);
+        cc.obs.counters = &counters;
+        const ClusterResult result =
+            Cluster(engine, cc).run(evictionTrace(3));
+        ASSERT_GT(result.completed(), 0);
+        EXPECT_GT(result.fleet.preempt.preemptions, 0);
+        int64_t decode_iters = 0;
+        for (size_t r = 0; r < cc.replicas.size(); ++r)
+            decode_iters += counters.valueOf(
+                "replica" + std::to_string(r) + ".decode_iterations");
+        EXPECT_EQ(decode_iters, result.fleet.iterations);
+        const int64_t fires = counters.valueOf("clock.rounds");
+        ASSERT_GT(fires, 0);
+        EXPECT_GE(decode_iters, 8 * fires)
+            << decode_iters << " decode rounds in " << fires << " fires";
+    }
 }
 
 TEST(SimFast, PrefixTreeComparesTokenContentsNotStorage)
@@ -899,6 +1009,18 @@ timingFor(const char *system, int64_t budget = 2048)
     return cfg;
 }
 
+/** Every registered system the continuous batcher can drive. */
+std::vector<std::string>
+continuousSystems()
+{
+    std::vector<std::string> out;
+    for (const std::string &name : core::SystemRegistry::names())
+        if (core::SystemRegistry::create(name)
+                ->supportsContinuousBatching())
+            out.push_back(name);
+    return out;
+}
+
 /** FullAttn(FlashInfer) on the cloud 8B at 24 GiB of HBM with complete
  *  offloading allowed: a batch holding more than spillLimitTokens()
  *  pays the full-KV PCIe transfer every decode round. */
@@ -957,9 +1079,8 @@ TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
     // pass the attention budget (attended-token growth stops) and the
     // batch eventually spills past the all-resident fit limit.
     core::TimingEngine engine;
-    for (const char *system :
-         {"SpeContext", "FullAttn(FlashAttn)", "H2O"}) {
-        const core::TimingConfig cfg = timingFor(system, 512);
+    for (const std::string &system : continuousSystems()) {
+        const core::TimingConfig cfg = timingFor(system.c_str(), 512);
         auto window = engine.makePricer(cfg);
         expectWindowMatches(engine, cfg, *window,
                             {100, 500, 505, 2048, 9000, 40000}, 64);
@@ -1013,6 +1134,97 @@ TEST(DecodeWindow, EmptyBatchWindowIsZero)
     EXPECT_EQ(ev->nextRoundSeconds(), 0.0);
 }
 
+/** The loop runWindow() fuses, driven from the caller's side through
+ *  nextRoundSeconds(). */
+double
+callerSideWindow(core::SystemPricer &pricer, int64_t max_rounds, double now,
+                 double horizon, double t_pending, int64_t &rounds,
+                 double &first_now)
+{
+    rounds = 0;
+    for (;;) {
+        now += pricer.nextRoundSeconds();
+        if (++rounds == 1)
+            first_now = now;
+        if (rounds >= max_rounds || !(now < horizon) || t_pending <= now)
+            break;
+    }
+    return now;
+}
+
+TEST(DecodeWindow, RunWindowMatchesACallerSideLoopBitForBit)
+{
+    // runWindow() on one pricer against a nextRoundSeconds() loop on a
+    // second: the advanced clock, the round count and the clock after
+    // the first round, bit for bit, for a window stopped by each of its
+    // three conditions. The KV mix crosses the 512-token attend cap
+    // mid-window, and a clock at 1e4 s makes every addition round.
+    core::TimingEngine engine;
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<int64_t> kv = {100, 500, 505, 2048, 9000};
+    const double now = 1e4 + 0.1;
+    for (const std::string &system : continuousSystems()) {
+        SCOPED_TRACE(system);
+        const core::TimingConfig cfg = timingFor(system.c_str(), 512);
+        // The clock after each round of an uncapped window.
+        std::vector<double> clock;
+        {
+            auto pricer = engine.makePricer(cfg);
+            pricer->beginWindow(kv);
+            double t = now;
+            for (int round = 0; round < 64; ++round)
+                clock.push_back(t += pricer->nextRoundSeconds());
+        }
+        struct Stop
+        {
+            const char *why;
+            int64_t max_rounds;
+            double horizon;
+            double t_pending;
+            int64_t rounds; ///< rounds the window must run
+        };
+        const Stop stops[] = {
+            {"round cap", 37, inf, inf, 37},
+            {"one-round cap", 1, inf, inf, 1},
+            {"horizon between rounds", 64, (clock[18] + clock[19]) / 2, inf,
+             20},
+            {"horizon on a round", 64, clock[9], inf, 10},
+            {"pending arrival on a round", 64, inf, clock[12], 13},
+            {"pending arrival already due", 64, inf, now, 1},
+        };
+        for (const Stop &stop : stops) {
+            SCOPED_TRACE(stop.why);
+            auto fused = engine.makePricer(cfg);
+            auto loop = engine.makePricer(cfg);
+            fused->beginWindow(kv);
+            loop->beginWindow(kv);
+            int64_t fused_rounds = -1, loop_rounds = -2;
+            double fused_first = -1.0, loop_first = -2.0;
+            const double got =
+                fused->runWindow(stop.max_rounds, now, stop.horizon,
+                                 stop.t_pending, fused_rounds, fused_first);
+            const double want = callerSideWindow(
+                *loop, stop.max_rounds, now, stop.horizon, stop.t_pending,
+                loop_rounds, loop_first);
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(fused_rounds, loop_rounds);
+            EXPECT_EQ(fused_first, loop_first);
+            EXPECT_EQ(fused_rounds, stop.rounds);
+            EXPECT_EQ(got, clock[stop.rounds - 1]);
+            EXPECT_EQ(fused_first, clock[0]);
+            // The window stays open: a second call continues from the
+            // round the first one stopped at.
+            const double got_next = fused->runWindow(
+                5, got, inf, inf, fused_rounds, fused_first);
+            const double want_next = callerSideWindow(
+                *loop, 5, want, inf, inf, loop_rounds, loop_first);
+            EXPECT_EQ(got_next, want_next);
+            EXPECT_EQ(fused_first, loop_first);
+            EXPECT_EQ(got_next, clock[stop.rounds + 4]);
+        }
+    }
+}
+
 /** The shapes the pricer-vs-per-call grid runs on: the cloud 8B
  *  default, the same at 24 GiB of HBM (SpeContext offloads), and the
  *  edge 1B — plus, for FullAttn(FlashInfer), offloadingFullAttn(), so
@@ -1044,18 +1256,6 @@ pricerBatches()
         std::vector<int64_t>(32, 131072),
     };
     return batches;
-}
-
-/** Every registered system the continuous batcher can drive. */
-std::vector<std::string>
-continuousSystems()
-{
-    std::vector<std::string> out;
-    for (const std::string &name : core::SystemRegistry::names())
-        if (core::SystemRegistry::create(name)
-                ->supportsContinuousBatching())
-            out.push_back(name);
-    return out;
 }
 
 TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
@@ -1181,12 +1381,9 @@ TEST(SystemPricer, MinRoundSecondsLowerBoundsEveryRound)
                          " GiB");
             auto pricer = engine.makePricer(cfg);
             const double floor_s = pricer->minRoundSeconds();
-            // The four systems with a weight-streaming floor report it,
-            // so Optimistic lanes publish caps past their clocks.
-            if (system == "SpeContext" ||
-                system.rfind("FullAttn(", 0) == 0) {
-                EXPECT_GT(floor_s, 0.0);
-            }
+            // Every continuous system reports its weight-streaming
+            // floor, so Optimistic lanes publish caps past their clocks.
+            EXPECT_GT(floor_s, 0.0);
             for (const std::vector<int64_t> &batch : pricerBatches()) {
                 if (batch.empty())
                     continue; // no round to price

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
 #include "core/timing_engine.h"
 
@@ -104,6 +106,75 @@ TEST(SystemRegistry, OptionsReachTheConstructedSystem)
     }();
     EXPECT_EQ(sys->memoryInputs(cfg, 3).budget, 4096);
     EXPECT_EQ(sys->memoryInputs(cfg, 3).requests, 3);
+}
+
+TEST(SystemRegistry, CreateRejectsOutOfRangeOptions)
+{
+    // Options are checked at the API boundary, before any factory
+    // runs, with an error naming the field. Each case flips one field
+    // of the defaults.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Bad
+    {
+        const char *field;
+        std::function<void(SystemOptions &)> set;
+    };
+    const std::vector<Bad> bad = {
+        {"budget", [](SystemOptions &o) { o.budget = 0; }},
+        {"budget", [](SystemOptions &o) { o.budget = -64; }},
+        {"page_size", [](SystemOptions &o) { o.page_size = 0; }},
+        {"avg_cluster_size", [](SystemOptions &o) { o.avg_cluster_size = 0; }},
+        {"cluster_iterations",
+         [](SystemOptions &o) { o.cluster_iterations = 0; }},
+        {"recent_window", [](SystemOptions &o) { o.recent_window = -1; }},
+        {"elastic_overlap", [&](SystemOptions &o) { o.elastic_overlap = nan; }},
+        {"elastic_overlap", [](SystemOptions &o) { o.elastic_overlap = -0.1; }},
+        {"elastic_overlap", [](SystemOptions &o) { o.elastic_overlap = 1.5; }},
+        {"elastic_overlap", [&](SystemOptions &o) { o.elastic_overlap = inf; }},
+        {"prefix_reload_gbps",
+         [](SystemOptions &o) { o.prefix_reload_gbps = -1.0; }},
+        {"prefix_reload_gbps",
+         [&](SystemOptions &o) { o.prefix_reload_gbps = nan; }},
+        {"prefix_reload_gbps",
+         [&](SystemOptions &o) { o.prefix_reload_gbps = inf; }},
+    };
+    for (const std::string &name : SystemRegistry::names()) {
+        for (const Bad &b : bad) {
+            SystemOptions o;
+            b.set(o);
+            try {
+                SystemRegistry::create(name, o);
+                ADD_FAILURE() << name << ": bad " << b.field << " accepted";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(b.field),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        // The defaults and every value the tree passes are accepted.
+        EXPECT_NO_THROW(SystemRegistry::create(name)) << name;
+        for (int64_t budget : {1, 512, 1024, 2048, 4096, 8192}) {
+            SystemOptions o;
+            o.budget = budget;
+            EXPECT_NO_THROW(SystemRegistry::create(name, o)) << budget;
+        }
+        for (double overlap : {0.0, 0.3, 0.85, 0.9, 1.0}) {
+            SystemOptions o;
+            o.elastic_overlap = overlap;
+            EXPECT_NO_THROW(SystemRegistry::create(name, o)) << overlap;
+        }
+        for (double gbps : {0.0, 64.0, 200.0}) {
+            SystemOptions o;
+            o.prefix_reload_gbps = gbps;
+            EXPECT_NO_THROW(SystemRegistry::create(name, o)) << gbps;
+        }
+        SystemOptions edge;
+        edge.recent_window = 0;
+        edge.allow_full_attention_offload = true;
+        edge.features = {true, false, false};
+        EXPECT_NO_THROW(SystemRegistry::create(name, edge)) << name;
+    }
 }
 
 // ----------------------------------------------------- legacy names
