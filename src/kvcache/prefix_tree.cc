@@ -1,7 +1,6 @@
 #include "kvcache/prefix_tree.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -12,21 +11,38 @@ namespace {
 
 constexpr int32_t kChunkShift = 8;
 /** Edges per storage chunk: 256 node headers (~20 KiB) — each chunk a
- *  small malloc; the tokens live in each edge's own buffer. */
+ *  small malloc; the tokens live in the blocks the edges view. */
 constexpr int32_t kChunk = int32_t{1} << kChunkShift;
 constexpr int32_t kRoot = 0;
 
-/** Lexicographic token order (std::vector's operator<), the order
- *  children are kept in by their first block. */
+/** Lexicographic token order (std::vector's operator<) of the block
+ *  at `a` against s[q, q+n), the order children are kept in by their
+ *  first block; the query block may span both pieces of `s`. */
 bool
-blockLess(const int32_t *a, const int32_t *b, size_t n)
+blockLess(const int32_t *a, const TokenSpan &s, size_t q, size_t n)
 {
-    return std::lexicographical_compare(a, a + n, b, b + n);
+    for (size_t done = 0; done < n;) {
+        const TokenPiece run = s.runAt(q + done);
+        const size_t k = std::min(run.size, n - done);
+        const auto [x, y] = std::mismatch(a + done, a + done + k, run.data);
+        if (x != a + done + k)
+            return *x < *y;
+        done += k;
+    }
+    return false;
+}
+
+/** Whether the run starting a block can be viewed in place: it lies in
+ *  an owned piece that holds at least one whole block from there. */
+bool
+viewable(const TokenPiece &run, size_t page)
+{
+    return run.owner != nullptr && run.size >= page;
 }
 
 } // namespace
 
-/** One cached edge: a run of blocks with contiguous tokens. */
+/** One cached edge: a run of blocks viewed in an immutable block. */
 struct PrefixTree::Node
 {
     /** Parent index (-1 on the root); on a free slot, the next free
@@ -36,9 +52,12 @@ struct PrefixTree::Node
     int32_t pinned_kids = 0; ///< children that are pinned
     uint64_t last_use = 0;   ///< newest release stamp seen (see file doc)
     int64_t depth_tokens = 0; ///< tokens from root through the last block
-    /** The edge's blocks, page_size tokens each (empty on the root and
-     *  on free slots). */
-    std::vector<int32_t> tokens;
+    /** The edge's tokens, whole blocks of page_size: `len` tokens from
+     *  `data`, inside `owner`, which the edge holds a reference on (0,
+     *  null and empty on the root and on free slots). */
+    const int32_t *data = nullptr;
+    int64_t len = 0;
+    BlockRef owner;
     /** Child indices, sorted by first block. */
     std::vector<int32_t> kids;
 
@@ -82,7 +101,8 @@ PrefixTree::newSlot()
 }
 
 int32_t
-PrefixTree::newEdge(int32_t parent, const int32_t *block, size_t reserve)
+PrefixTree::newEdge(int32_t parent, const int32_t *data, int64_t len,
+                    BlockRef owner)
 {
     const int32_t i = newSlot();
     const size_t page = static_cast<size_t>(cfg_.page_size);
@@ -90,17 +110,60 @@ PrefixTree::newEdge(int32_t parent, const int32_t *block, size_t reserve)
     Node &p = node(parent);
     n.parent = parent;
     n.last_use = 0;
-    n.depth_tokens = p.depth_tokens + cfg_.page_size;
-    n.tokens.reserve(reserve);
-    n.tokens.assign(block, block + page);
+    n.depth_tokens = p.depth_tokens + len;
+    n.data = data;
+    n.len = len;
+    n.owner = std::move(owner);
+    const TokenSpan first(data, page);
     std::vector<int32_t> &kids = p.kids;
-    kids.insert(std::lower_bound(kids.begin(), kids.end(), block,
-                                 [&](int32_t kid, const int32_t *b) {
-                                     return blockLess(
-                                         node(kid).tokens.data(), b, page);
+    kids.insert(std::lower_bound(kids.begin(), kids.end(), first,
+                                 [&](int32_t kid, const TokenSpan &b) {
+                                     return blockLess(node(kid).data, b,
+                                                      0, page);
                                  }),
                 i);
     return i;
+}
+
+int32_t
+PrefixTree::appendRun(int32_t at, TokenSpan tokens, size_t from,
+                      size_t to)
+{
+    const size_t page = static_cast<size_t>(cfg_.page_size);
+    for (size_t t = from; t < to;) {
+        const TokenPiece run = tokens.runAt(t);
+        size_t n = page;
+        const int32_t *data;
+        BlockRef owner;
+        if (viewable(run, page)) {
+            n = std::min(run.size, to - t) / page * page;
+            data = run.data;
+            owner = BlockRef::share(run.owner);
+        } else {
+            // A borrowed run, or the block that straddles an unaligned
+            // head/tail boundary: copied once, up to the next block
+            // that can be viewed in place.
+            while (t + n < to && !viewable(tokens.runAt(t + n), page))
+                n += page;
+            TokenBlock *copy = TokenBlock::create(n);
+            std::copy(tokens.begin() + static_cast<std::ptrdiff_t>(t),
+                      tokens.begin() + static_cast<std::ptrdiff_t>(t + n),
+                      copy->tokens());
+            data = copy->tokens();
+            owner = BlockRef::adopt(copy);
+        }
+        // The request's pin moves from the edge above onto its fresh
+        // child; the parent stays pinned through the child.
+        const int32_t child =
+            newEdge(at, data, static_cast<int64_t>(n), std::move(owner));
+        Node &parent = node(at);
+        --parent.handles;
+        ++parent.pinned_kids;
+        node(child).handles = 1;
+        at = child;
+        t += n;
+    }
+    return at;
 }
 
 int32_t
@@ -109,15 +172,17 @@ PrefixTree::splitAbove(int32_t lower, int64_t depth)
     const int32_t upper = newSlot();
     Node &lo = node(lower);
     Node &up = node(upper);
-    const size_t keep =
-        lo.tokens.size() - static_cast<size_t>(lo.depth_tokens - depth);
+    const int64_t keep = lo.len - (lo.depth_tokens - depth);
     up.parent = lo.parent;
     up.pinned_kids = lo.pinned() ? 1 : 0;
     up.last_use = 0; // no handle ever ended inside the edge
     up.depth_tokens = depth;
-    up.tokens.assign(lo.tokens.begin(), lo.tokens.begin() + keep);
+    up.data = lo.data;
+    up.len = keep;
+    up.owner = lo.owner;
     up.kids.assign(1, lower);
-    lo.tokens.erase(lo.tokens.begin(), lo.tokens.begin() + keep);
+    lo.data += keep;
+    lo.len -= keep;
     lo.parent = upper;
     // Same first block, so the parent's child order is unchanged.
     std::vector<int32_t> &siblings = node(up.parent).kids;
@@ -140,31 +205,31 @@ PrefixTree::Walk
 PrefixTree::walkMatch(TokenSpan tokens) const
 {
     const size_t page = static_cast<size_t>(cfg_.page_size);
-    const int32_t *query = tokens.data();
-    size_t left = tokens.size() / page * page; // unmatched full blocks
+    const size_t full = tokens.size() / page * page;
+    size_t q = 0; // tokens matched so far: the query offset
     Walk w{kRoot, 0};
-    while (left > 0) {
+    while (q < full) {
         const std::vector<int32_t> &kids = node(w.node).kids;
         int32_t next;
         if (kids.size() == 1) {
             next = kids.front();
         } else {
             const auto it = std::lower_bound(
-                kids.begin(), kids.end(), query,
-                [&](int32_t kid, const int32_t *b) {
-                    return blockLess(node(kid).tokens.data(), b, page);
+                kids.begin(), kids.end(), q, [&](int32_t kid, size_t at) {
+                    return blockLess(node(kid).data, tokens, at, page);
                 });
             if (it == kids.end())
                 break;
             next = *it;
         }
-        const std::vector<int32_t> &edge = node(next).tokens;
-        const size_t len = std::min(edge.size(), left);
-        if (std::memcmp(edge.data(), query, len * sizeof(int32_t)) != 0) {
+        const Node &edge = node(next);
+        const size_t edge_len = static_cast<size_t>(edge.len);
+        const size_t len = std::min(edge_len, full - q);
+        const size_t same = equalPrefix(
+            TokenSpan(TokenPiece{edge.data, len, edge.owner.get()}, {}), 0,
+            tokens, q, len, &compared_tokens_);
+        if (same < len) {
             // Stop inside the edge, at the last fully equal block.
-            const size_t same = static_cast<size_t>(
-                std::mismatch(edge.data(), edge.data() + len, query).first -
-                edge.data());
             if (same >= page) {
                 w.node = next;
                 w.depth += static_cast<int64_t>(same / page * page);
@@ -173,10 +238,9 @@ PrefixTree::walkMatch(TokenSpan tokens) const
         }
         w.node = next;
         w.depth += static_cast<int64_t>(len);
-        if (len < edge.size())
+        if (len < edge_len)
             break; // the query ends inside the edge
-        query += len;
-        left -= len;
+        q += len;
     }
     return w;
 }
@@ -238,40 +302,34 @@ PrefixTree::matchAndPin(
     if (w.depth < node(at).depth_tokens)
         at = splitAbove(at, w.depth);
     pin(at);
-    const size_t page = static_cast<size_t>(cfg_.page_size);
-    const size_t full_tokens = tokens.size() / page * page;
-    const int64_t block_bytes = cfg_.page_size * cfg_.bytes_per_token;
-    int32_t fresh = -1; // the one new edge holding the new blocks
-    for (size_t t = static_cast<size_t>(w.depth); t < full_tokens;
-         t += page) {
-        // New block: make room first.
-        while (bytes() + block_bytes > cfg_.budget_bytes) {
-            if (!evictOne())
-                break;
+    const int64_t full_tokens =
+        static_cast<int64_t>(tokens.size()) / cfg_.page_size *
+        cfg_.page_size;
+    const int64_t want = full_tokens - w.depth; // tokens of new blocks
+    if (want > 0) {
+        // Make room in one burst: the fewest LRU blocks that let every
+        // new block fit, or all that are evictable when they cannot.
+        // Pinned above, the matched path is safe, and the new blocks
+        // are never victims, so this evicts exactly the blocks a
+        // make-room-per-block loop would.
+        const int64_t block_bytes = cfg_.page_size * cfg_.bytes_per_token;
+        const int64_t excess =
+            bytes() + want * cfg_.bytes_per_token - cfg_.budget_bytes;
+        if (excess > 0)
+            evict((excess + block_bytes - 1) / block_bytes * cfg_.page_size);
+        const int64_t room = cfg_.budget_bytes - bytes();
+        const int64_t fit =
+            std::min(want, std::max<int64_t>(room, 0) / block_bytes *
+                               cfg_.page_size);
+        if (fit > 0) {
+            at = appendRun(at, tokens, static_cast<size_t>(w.depth),
+                           static_cast<size_t>(w.depth + fit));
+            resident_tokens_ += fit;
+            inserted_tokens_ += fit;
+            pinned_tokens_ += fit;
+            node_count_ += fit / cfg_.page_size;
         }
-        if (bytes() + block_bytes > cfg_.budget_bytes)
-            break; // budget exhausted; pin what we have
-        const int32_t *block = tokens.data() + t;
-        if (fresh < 0) {
-            // The request's pin moves from the matched edge onto its
-            // fresh child; the parent stays pinned through the child.
-            fresh = newEdge(at, block, full_tokens - t);
-            Node &parent = node(at);
-            --parent.handles;
-            ++parent.pinned_kids;
-            node(fresh).handles = 1;
-        } else {
-            Node &f = node(fresh);
-            f.tokens.insert(f.tokens.end(), block, block + page);
-            f.depth_tokens += cfg_.page_size;
-        }
-        resident_tokens_ += cfg_.page_size;
-        inserted_tokens_ += cfg_.page_size;
-        pinned_tokens_ += cfg_.page_size;
-        ++node_count_;
     }
-    if (fresh >= 0)
-        at = fresh;
     if (at == kRoot) {
         --node(kRoot).handles; // nothing cached: nothing to hand out
     } else {
@@ -288,7 +346,7 @@ PrefixTree::pin(int32_t at)
     ++node(at).handles;
     while (!was_pinned && at != kRoot) {
         Node &n = node(at);
-        pinned_tokens_ += static_cast<int64_t>(n.tokens.size());
+        pinned_tokens_ += n.len;
         if (n.kids.empty())
             evictable_.erase({n.last_use, at});
         at = n.parent;
@@ -311,13 +369,13 @@ PrefixTree::release(PrefixHandle &handle)
         throw std::logic_error("PrefixTree: release without pin");
     --held.handles;
     // Only the handle's edge is stamped; ancestors learn the stamp
-    // when their descendants are evicted (see evictOne()).
+    // when their descendants are evicted (see evict()).
     held.last_use = ++lru_clock_;
     // Unpin upward while edges flip: the first ancestor still pinned
     // by another handle or child stops the walk.
     while (at != kRoot && !node(at).pinned()) {
         Node &n = node(at);
-        pinned_tokens_ -= static_cast<int64_t>(n.tokens.size());
+        pinned_tokens_ -= n.len;
         if (n.kids.empty())
             evictable_.emplace(n.last_use, at);
         at = n.parent;
@@ -338,22 +396,26 @@ PrefixTree::setBudget(int64_t budget_bytes)
     enforceBudget();
 }
 
-bool
-PrefixTree::evictOne()
+void
+PrefixTree::evict(int64_t tokens)
 {
-    // The oldest stamp among evictable leaf edges. Stamps are unique
-    // among them (see the file comment), so its last block is exactly
-    // the block a full per-block scan for the minimum stamp would pick.
-    if (evictable_.empty())
-        return false;
-    const auto oldest = evictable_.begin();
-    const int32_t victim = oldest->second;
-    Node &v = node(victim);
-    v.tokens.resize(v.tokens.size() - static_cast<size_t>(cfg_.page_size));
-    v.depth_tokens -= cfg_.page_size;
-    // The edge's new last block inherits its stamp, so a non-empty
-    // edge keeps its index entry and stays the next victim.
-    if (v.tokens.empty()) {
+    // Oldest stamp first among evictable leaf edges. Stamps are unique
+    // among them (see the file comment), so trimming the oldest edge's
+    // tail takes exactly the blocks a per-block scan for the minimum
+    // stamp would pick, in the same order.
+    int64_t done = 0;
+    while (done < tokens && !evictable_.empty()) {
+        const auto oldest = evictable_.begin();
+        const int32_t victim = oldest->second;
+        Node &v = node(victim);
+        const int64_t k = std::min(v.len, tokens - done);
+        v.len -= k;
+        v.depth_tokens -= k;
+        done += k;
+        // The edge's new last block inherits its stamp, so a non-empty
+        // edge keeps its index entry and stays the next victim.
+        if (v.len > 0)
+            continue;
         auto entry = evictable_.extract(oldest);
         Node &parent = node(v.parent);
         parent.kids.erase(
@@ -370,28 +432,32 @@ PrefixTree::evictOne()
             entry.value() = {parent.last_use, v.parent};
             evictable_.insert(std::move(entry));
         }
+        v.data = nullptr;
+        v.owner.reset();
         v.parent = free_head_;
         free_head_ = victim;
         --edge_count_;
     }
-    resident_tokens_ -= cfg_.page_size;
-    evicted_tokens_ += cfg_.page_size;
-    --node_count_;
+    if (done == 0)
+        return;
+    resident_tokens_ -= done;
+    evicted_tokens_ += done;
+    node_count_ -= done / cfg_.page_size;
     ++eviction_epoch_;
     if (observer_.counters)
-        observer_.counters->add(evicted_counter_, cfg_.page_size);
+        observer_.counters->add(evicted_counter_, done);
     OBS_EVENT(observer_.trace, obs::EventType::PrefixEvict,
               observer_.clock ? *observer_.clock : 0.0,
-              observer_.replica, -1, cfg_.page_size, resident_tokens_);
-    return true;
+              observer_.replica, -1, done, resident_tokens_);
 }
 
 void
 PrefixTree::enforceBudget()
 {
-    while (bytes() > cfg_.budget_bytes) {
-        if (!evictOne())
-            break; // everything left is pinned
+    const int64_t excess = bytes() - cfg_.budget_bytes;
+    if (excess > 0) {
+        const int64_t block_bytes = cfg_.page_size * cfg_.bytes_per_token;
+        evict((excess + block_bytes - 1) / block_bytes * cfg_.page_size);
     }
 }
 

@@ -25,8 +25,9 @@
  *  - release(handle) unpins the path and stamps the handle's node
  *    with a logical LRU timestamp; unpinned leaves are then
  *    evictable, bottom-up, least-recently-released first. Evictable
- *    leaves sit in an index ordered by stamp, so one eviction costs
- *    O(log n) in the number of evictable leaves, not a tree scan.
+ *    leaves sit in an index ordered by stamp, so evicting costs
+ *    O(log n) per edge emptied in the number of evictable leaves,
+ *    not a tree scan.
  *  - setBudget() re-clamps the budget (the serving layer shrinks it
  *    to the HBM headroom left by live KV reservations, priced through
  *    sim::MemoryModel); shrinking evicts unpinned subtrees
@@ -34,19 +35,38 @@
  *
  * Layout. The tree is path-compressed (the radix layout of SGLang's
  * RadixAttention): each node is an edge, a run of one or more blocks
- * whose tokens sit contiguously in the edge's own buffer. A walk
- * therefore costs one memcmp per edge rather than one node hop per
- * block: at a node with several children a lower_bound on the first
- * block picks the edge, then a single memcmp compares as much of it
- * as the query has full blocks; on a mismatch std::mismatch, floored
- * to a block, says where inside the edge the match stops. Queries
- * arrive as a TokenSpan, read in place from the caller's vector or
- * serving::PromptTokens, and matching always compares the actual
- * tokens, never where they are stored. Nodes are addressed by int32
- * index and live in fixed-size chunks (256 nodes each); freed slots
- * go onto a free list and are reused, buffers and all. An edge's
- * buffer is reserved once for the blocks its insertion may add.
- * nodeCount() still counts blocks; edgeCount() counts edges.
+ * whose tokens are contiguous. The tree keeps no token copies of its
+ * own where it can avoid it: an edge is a view (pointer, length) into
+ * an immutable refcounted TokenBlock that the edge holds a reference
+ * on, so an insertion or a split moves no tokens. Queries arrive as a
+ * TokenSpan of at most two pieces (a serving::PromptTokens' shared
+ * head and its tail, or a borrowed std::vector), and a new edge's
+ * tokens come from the query:
+ *  - a run of whole blocks inside one owned piece is a view of that
+ *    piece;
+ *  - a run that crosses the head/tail boundary is split there, and
+ *    when the boundary falls inside a block, that one straddling block
+ *    goes into a tree-owned copy;
+ *  - a borrowed piece is copied once into a tree-owned block.
+ * These extra edge boundaries are ordinary ones under the split and
+ * stamp rules below (an inner edge boundary that ends no handle).
+ *
+ * Matching compares tokens, with one exact shortcut. A walk costs one
+ * compare per edge rather than one node hop per block: at a node with
+ * several children a lower_bound on the first block picks the edge,
+ * then kv::equalPrefix() counts the equal leading tokens of as much of
+ * the edge as the query has full blocks, floored to a block where the
+ * match stops. Where the query's piece points at the very tokens the
+ * edge views, that run is equal without reading it: the edge keeps
+ * the memory alive and nobody writes a block after it is shared, so
+ * equal addresses mean equal tokens. Every other run is compared by
+ * content (comparedTokens() counts it), so the answer never depends
+ * on where the tokens are stored, only the cost does: a warm family
+ * prefix costs one pointer compare per edge instead of a memcmp of
+ * its length. Nodes are addressed by int32 index and live in
+ * fixed-size chunks (256 nodes each); freed slots go onto a free list
+ * and are reused, dropping their block reference. nodeCount() still
+ * counts blocks; edgeCount() counts edges.
  *
  * Split rule. Edges split at branch points and wherever a handle
  * ends, so no block inside an edge has ever had a second child or
@@ -54,9 +74,9 @@
  * the *upper* part moves to a new slot (stamp 0, no handles, pinned
  * through its one child iff the edge was pinned) and the lower part
  * keeps the old index, so live handles, child links and index entries
- * stay valid. An insertion's new blocks all go into one new child
- * edge, appended block by block while the budget lasts. Edges never
- * merge.
+ * stay valid. An insertion's new blocks go into a chain of new edges
+ * below the match (one, unless the layout rules above cut it), as
+ * many blocks as the budget allows. Edges never merge.
  *
  * Pins. An edge counts the live handles that end on its last block
  * and its pinned children; it is pinned iff either count is non-zero.
@@ -77,15 +97,21 @@
  * two evictable leaves ever tie: the victim order is total and
  * independent of where nodes live.
  *
- * Eviction is per block. The victim is the oldest unpinned leaf edge;
- * it loses only its last block and keeps its index entry (same key)
- * until it is empty, when it is unlinked and its stamp folded into
- * the parent. This is exactly the per-block LRU order: an inner block
- * never ended a handle and its only child was the next block, so when
- * it becomes a leaf its per-block stamp equals the edge's stamp, and
- * per-block eviction of the oldest leaf is "trim the tail of the
- * oldest leaf edge" until the edge is gone. Each block evicted emits
- * one PrefixEvict event and one counter add.
+ * Eviction is per block, done in bursts. The victim order is exactly
+ * per-block LRU: an inner block never ended a handle and its only
+ * child was the next block, so when it becomes a leaf its per-block
+ * stamp equals the edge's stamp, and per-block eviction of the oldest
+ * leaf is "trim the tail of the oldest leaf edge" until the edge is
+ * gone (it keeps its index entry, same key, until then; then it is
+ * unlinked and its stamp folded into the parent). A burst trims whole
+ * runs that way: enforcing the budget evicts what it must in one
+ * burst, and an insertion first evicts, in one burst, what its new
+ * blocks need (the fewest blocks that let them all fit, or every
+ * evictable block when they cannot), then creates its edges. New
+ * blocks are pinned and never victims, so this picks exactly the
+ * blocks a make-room-per-block loop would. Each burst emits one
+ * PrefixEvict event (a = tokens evicted, b = resident tokens after)
+ * and one counter add.
  *
  * Everything is deterministic: children are kept in token-content
  * order and LRU stamps come from a logical counter, so identical
@@ -100,6 +126,7 @@
 #include <utility>
 #include <vector>
 
+#include "kvcache/token_block.h"
 #include "kvcache/token_span.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -283,6 +310,14 @@ class PrefixTree
     /** Tokens inserted (new blocks created) over the tree's lifetime. */
     int64_t insertedTokens() const { return inserted_tokens_; }
 
+    /** Tokens the walks have read by content over the tree's lifetime
+     *  (edge compares, in whole 64-token chunks; a run the query views
+     *  in the same memory as the edge costs none, and the child
+     *  search's first-block compares are not counted). Host work, not
+     *  a simulated quantity: prompts with equal tokens in different
+     *  storage give different counts. */
+    int64_t comparedTokens() const { return compared_tokens_; }
+
   private:
     struct Node;
 
@@ -297,14 +332,15 @@ class PrefixTree
     int64_t edge_count_ = 0;
     int64_t evicted_tokens_ = 0;
     int64_t inserted_tokens_ = 0;
+    mutable int64_t compared_tokens_ = 0; ///< bumped by const walks
     uint64_t lru_clock_ = 0; ///< logical time, bumped on release
     /** Exactly the evictable edges — unpinned, childless, non-root —
      *  keyed by (stamp, index); begin()'s last block is the next
      *  victim. */
     std::set<std::pair<uint64_t, int32_t>> evictable_;
-    /** Bumped on every eviction; matchAndPin() uses it to detect that
-     *  an edge held across the resize callback may have lost its tail
-     *  or been recycled and must be re-walked. */
+    /** Bumped on every eviction burst; matchAndPin() uses it to
+     *  detect that an edge held across the resize callback may have
+     *  lost its tail or been recycled and must be re-walked. */
     uint64_t eviction_epoch_ = 0;
     PrefixTreeObserver observer_;
     obs::CounterRegistry::Handle evicted_counter_ = 0;
@@ -323,10 +359,16 @@ class PrefixTree
     /** An unlinked slot, recycled or new; counts one more edge. */
     int32_t newSlot();
 
-    /** A fresh one-block child edge of `parent` holding `block`, its
-     *  buffer reserved for `reserve` tokens, linked into the parent's
-     *  sorted child list. */
-    int32_t newEdge(int32_t parent, const int32_t *block, size_t reserve);
+    /** A fresh child edge of `parent` viewing `len` tokens from `data`
+     *  inside `owner`, linked into the parent's sorted child list. */
+    int32_t newEdge(int32_t parent, const int32_t *data, int64_t len,
+                    BlockRef owner);
+
+    /** Cache tokens[from, to) (whole blocks) as a chain of fresh edges
+     *  below `at`, moving the caller's pin from `at` down to the last
+     *  one, which is returned. Accounting is the caller's. */
+    int32_t appendRun(int32_t at, TokenSpan tokens, size_t from,
+                      size_t to);
 
     /** Split edge `lower` after the block ending at `depth` tokens:
      *  the part above moves to a new slot, which is returned. */
@@ -338,13 +380,17 @@ class PrefixTree
     /** Add one handle on edge `n`, pinning the ancestors that flip. */
     void pin(int32_t n);
 
-    /** Evict unpinned LRU leaves until bytes() <= budget. */
+    /** Evict unpinned LRU blocks until bytes() <= budget, in one
+     *  burst. */
     void enforceBudget();
 
-    /** Evict the last block of the least-recently-released unpinned
-     *  leaf edge (the minimum of evictable_, O(log n)); false when
-     *  nothing is evictable. */
-    bool evictOne();
+    /** One eviction burst: up to `tokens` tokens (whole blocks) in
+     *  per-block LRU order, trimming whole runs off the
+     *  least-recently-released unpinned leaf edge (the minimum of
+     *  evictable_, O(log n) per edge) and then the next. Emits one
+     *  PrefixEvict event and one counter add when anything was
+     *  evicted (less than asked when everything left is pinned). */
+    void evict(int64_t tokens);
 };
 
 } // namespace kv

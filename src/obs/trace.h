@@ -50,7 +50,7 @@ enum class EventType : uint8_t {
     RouterPlace,  ///< router placed an arrival (replica=target); a=prompt_len, b=router policy ordinal
     PrefixHit,    ///< admission served tokens from the prefix cache; a=hit tokens, b=prompt_len
     PrefixInsert, ///< new prefix blocks cached; a=tokens inserted, b=resident tokens after
-    PrefixEvict,  ///< LRU block evicted (request=-1); a=tokens evicted, b=resident tokens after
+    PrefixEvict,  ///< one burst of LRU blocks evicted (request=-1); a=tokens evicted, b=resident tokens after
     KvClamp,      ///< prefix-cache working budget re-clamped (request=-1); a=new working budget bytes, b=configured budget bytes
     FleetScale,   ///< elastic fleet transition (request=-1, replica=slot); a=serving::ScaleAction ordinal, b=live replicas after
 };

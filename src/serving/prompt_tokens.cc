@@ -1,7 +1,6 @@
 #include "serving/prompt_tokens.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace specontext {
 namespace serving {
@@ -13,20 +12,12 @@ PromptTokens::PromptTokens(const std::vector<int32_t> &tokens)
 {
 }
 
-PromptTokens::Block *
-PromptTokens::allocate(size_t n)
-{
-    void *mem = ::operator new(sizeof(Block) + n * sizeof(int32_t));
-    return new (mem) Block(n);
-}
-
 bool
 operator==(const PromptTokens &a, const PromptTokens &b)
 {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(),
-                        a.size() * sizeof(int32_t)) == 0);
+    const size_t n = a.size();
+    return n == b.size() &&
+           kv::equalPrefix(a.span(), 0, b.span(), 0, n) == n;
 }
 
 } // namespace serving

@@ -19,6 +19,7 @@ PrefixCacheStats::merge(const PrefixCacheStats &other)
     evicted_tokens += other.evicted_tokens;
     resident_bytes += other.resident_bytes;
     resident_tokens += other.resident_tokens;
+    compared_tokens += other.compared_tokens;
 }
 
 namespace {
@@ -397,6 +398,7 @@ ReplicaEngine::snapshotPrefixStats()
     result_.prefix.evicted_tokens = prefix_tree_.evictedTokens();
     result_.prefix.resident_bytes = prefix_tree_.bytes();
     result_.prefix.resident_tokens = prefix_tree_.residentTokens();
+    result_.prefix.compared_tokens = prefix_tree_.comparedTokens();
 }
 
 void

@@ -87,6 +87,10 @@ struct PrefixCacheStats
     int64_t evicted_tokens = 0;  ///< LRU evictions, in tokens
     int64_t resident_bytes = 0;  ///< cached bytes at the last round
     int64_t resident_tokens = 0; ///< cached tokens at the last round
+    /** Prompt tokens the tree's walks read by content
+     *  (kv::PrefixTree::comparedTokens()). Host work, not a simulated
+     *  quantity: it depends on how prompts are stored. */
+    int64_t compared_tokens = 0;
 
     /** Fraction of looked-up prompt tokens served from cache. */
     double hitRate() const

@@ -105,20 +105,25 @@ hashTokens(kv::TokenSpan tokens, size_t n)
     return h;
 }
 
+} // namespace
+
 size_t
-prefixAffinity(const Request &r, const std::vector<size_t> &candidates,
-               const Fleet &fleet, const std::vector<size_t> &routable,
-               int64_t spill_slack, int64_t *affinity_spills)
+Router::prefixAffinity(const Request &r,
+                       const std::vector<size_t> &candidates,
+                       const Fleet &fleet,
+                       const std::vector<size_t> &routable,
+                       int64_t *affinity_spills)
 {
     // Load escape shared by the warm and cold sticky paths: stick
-    // only while the sticky pick owes at most spill_slack requests
-    // more than the least-loaded candidate — past that, re-prefilling
-    // the prefix is cheaper than queueing behind a hot family.
+    // only while the sticky pick owes at most affinity_spill_slack
+    // requests more than the least-loaded candidate — past that,
+    // re-prefilling the prefix is cheaper than queueing behind a hot
+    // family.
     const size_t least = leastKvLoad(r, candidates, fleet);
     auto stickyOrSpill = [&](size_t sticky) {
         const bool spill =
             fleet[sticky]->outstanding() >
-            fleet[least]->outstanding() + spill_slack;
+            fleet[least]->outstanding() + cfg_.affinity_spill_slack;
         if (spill && affinity_spills)
             ++*affinity_spills;
         return spill ? least : sticky;
@@ -129,13 +134,15 @@ prefixAffinity(const Request &r, const std::vector<size_t> &candidates,
     // replicas equally warm, or none warm at all for a token-less
     // request) break by KV load, then lowest index.
     int64_t best_hit = 0;
-    std::vector<int64_t> hits(candidates.size(), 0);
+    std::vector<int64_t> &hits = hits_scratch_;
+    hits.assign(candidates.size(), 0);
     for (size_t k = 0; k < candidates.size(); ++k) {
         hits[k] = fleet[candidates[k]]->prefixHitTokens(r);
         best_hit = std::max(best_hit, hits[k]);
     }
     if (best_hit > 0) {
-        std::vector<size_t> warmest;
+        std::vector<size_t> &warmest = warmest_scratch_;
+        warmest.clear();
         for (size_t k = 0; k < candidates.size(); ++k) {
             if (hits[k] == best_hit)
                 warmest.push_back(candidates[k]);
@@ -159,7 +166,8 @@ prefixAffinity(const Request &r, const std::vector<size_t> &candidates,
     // the hashed span is block-aligned everywhere.
     if (!r.prompt_tokens.empty()) {
         int64_t page = 0;
-        std::vector<size_t> cached;
+        std::vector<size_t> &cached = cached_scratch_;
+        cached.clear();
         for (size_t i : routable) {
             if (fleet[i]->prefixCacheEnabled()) {
                 cached.push_back(i);
@@ -181,8 +189,6 @@ prefixAffinity(const Request &r, const std::vector<size_t> &candidates,
     // least-kv-load.
     return least;
 }
-
-} // namespace
 
 size_t
 Router::route(const Request &r, const Fleet &fleet)
@@ -297,7 +303,6 @@ Router::pickReplica(const Request &r, const Fleet &fleet,
 
       case RouterPolicy::PrefixAffinity:
         return prefixAffinity(r, candidates, fleet, routable,
-                              cfg_.affinity_spill_slack,
                               affinity_spills);
 
       case RouterPolicy::TwoTier: {

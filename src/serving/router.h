@@ -131,6 +131,16 @@ class Router
                        const std::vector<size_t> &routable,
                        int64_t *affinity_spills);
 
+    /** PrefixAffinity: the candidate holding the longest cached prefix
+     *  of `r` (sticky unless it is overloaded), else the cold family's
+     *  hashed home, else least-kv-load. */
+    size_t prefixAffinity(const Request &r,
+                          const std::vector<size_t> &candidates,
+                          const std::vector<std::unique_ptr<ReplicaEngine>>
+                              &replicas,
+                          const std::vector<size_t> &routable,
+                          int64_t *affinity_spills);
+
     /** Fill `out` with the routable indices able to serve `r` at all;
      *  the whole routable set when none can (the pick then
      *  hard-rejects, keeping accounting policy-free). */
@@ -147,6 +157,11 @@ class Router
      *  runs once per arrival, and rebuilding this vector on the heap
      *  each time was the router's last per-arrival allocation. */
     std::vector<size_t> feasible_scratch_;
+    /** PrefixAffinity scratch, reused the same way: per-candidate hit
+     *  lengths, the warmest candidates, the cache-enabled homes. */
+    std::vector<int64_t> hits_scratch_;
+    std::vector<size_t> warmest_scratch_;
+    std::vector<size_t> cached_scratch_;
 
     /** Admission-shape classes, the router's per-arrival feasibility
      *  memo. Replica configs are immutable and lanes are only ever

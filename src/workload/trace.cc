@@ -159,10 +159,10 @@ sharedPrefixTrace(const SharedPrefixTraceConfig &cfg)
 
     // Each family's prefix is drawn from its own seed-derived stream
     // (so family contents are stable however many requests the trace
-    // has), straight into the block of the family's first request;
-    // later members copy it from there.
-    std::vector<const int32_t *> family_prefix(
-        static_cast<size_t>(cfg.num_families), nullptr);
+    // has) into one shared head block, made when the family is first
+    // drawn; every member's prompt is that head plus its own tail.
+    std::vector<serving::PromptTokens> family_prefix(
+        static_cast<size_t>(cfg.num_families));
 
     // Zipf popularity CDF over family ranks: weight 1/(f+1)^zipf_s.
     std::vector<double> cdf(static_cast<size_t>(cfg.num_families));
@@ -189,20 +189,20 @@ sharedPrefixTrace(const SharedPrefixTraceConfig &cfg)
         r.arrival_seconds = t;
         r.prompt_len = cfg.prefix_len + suffix;
         r.gen_len = logUniform(rng, cfg.gen_lo, cfg.gen_hi);
-        const int32_t *&prefix = family_prefix[family];
-        r.prompt_tokens = serving::PromptTokens::filled(
-            static_cast<size_t>(r.prompt_len), [&](int32_t *out) {
-                if (prefix) {
-                    out = std::copy(prefix, prefix + cfg.prefix_len, out);
-                } else {
-                    Rng frng(cfg.base.seed * 1000003ull +
-                             static_cast<uint64_t>(family) + 1);
-                    prefix = out;
+        serving::PromptTokens &head = family_prefix[family];
+        if (head.empty()) {
+            Rng frng(cfg.base.seed * 1000003ull +
+                     static_cast<uint64_t>(family) + 1);
+            head = serving::PromptTokens::filled(
+                static_cast<size_t>(cfg.prefix_len), [&](int32_t *out) {
                     for (int64_t k = 0; k < cfg.prefix_len; ++k)
-                        *out++ = randomTokenId(frng, cfg.vocab);
-                }
+                        out[k] = randomTokenId(frng, cfg.vocab);
+                });
+        }
+        r.prompt_tokens = serving::PromptTokens::withHead(
+            head, static_cast<size_t>(suffix), [&](int32_t *out) {
                 for (int64_t k = 0; k < suffix; ++k)
-                    *out++ = randomTokenId(rng, cfg.vocab);
+                    out[k] = randomTokenId(rng, cfg.vocab);
             });
         trace.push_back(std::move(r));
     }

@@ -70,10 +70,11 @@ struct SharedPrefixTraceConfig
  * `prefix_len` tokens shared verbatim within its family followed by a
  * unique suffix — so serving::ReplicaEngine's kv::PrefixTree and the
  * PrefixAffinity router are drivable from benches and tests.
- * Each prompt is built in place in its own serving::PromptTokens
- * block, every token written once: a family's prefix is drawn into
- * its first request's block and copied from there into later ones,
- * and each suffix is drawn directly into its block.
+ * Each family's prefix is stored once, as a shared head block drawn
+ * when the family first appears; each prompt is a
+ * serving::PromptTokens of that head plus its own tail block holding
+ * the suffix, every token written once. Token contents do not depend
+ * on this layout.
  * Deterministic in cfg.base.seed; requests carry sequential ids in
  * arrival order and prompt_tokens.size() == prompt_len.
  * @throws std::invalid_argument on invalid knobs (non-positive

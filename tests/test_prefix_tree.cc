@@ -5,9 +5,13 @@
  * and byte-budget enforcement (including the budget-0 disabled mode
  * and shrink-under-pressure via setBudget), path compression (one
  * edge per unbranched run, splits inside an edge, mid-edge re-walks
- * and budget cut-offs), plus seeded differential runs (a shallow and
- * a deep prompt pool) against a brute-force per-block full-scan model
- * tree, eviction events included.
+ * and budget cut-offs), edges that view the blocks queries are
+ * stored in (identity-matched heads, a head/tail boundary inside a
+ * block, borrowed queries copied once), one PrefixEvict per eviction
+ * burst, plus seeded differential runs (a shallow and a deep prompt
+ * pool, queried as borrowed vectors, owned blocks and shared head +
+ * tail blocks) against a brute-force per-block full-scan model tree,
+ * eviction events included.
  */
 #include <gtest/gtest.h>
 
@@ -15,17 +19,21 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "kvcache/prefix_tree.h"
+#include "kvcache/token_block.h"
+#include "kvcache/token_span.h"
 #include "obs/trace.h"
 
 namespace specontext {
 namespace {
 
+using kv::BlockRef;
 using kv::PrefixHandle;
 using kv::PrefixMatch;
 using kv::PrefixTree;
@@ -54,6 +62,30 @@ seq(int32_t base, int64_t n)
     for (int64_t i = 0; i < n; ++i)
         out.push_back(base + static_cast<int32_t>(i));
     return out;
+}
+
+/** tokens[from, to) in a new owned block, naming `head` (may be
+ *  null). */
+BlockRef
+ownedBlock(const std::vector<int32_t> &tokens, size_t from, size_t to,
+           const kv::TokenBlock *head = nullptr)
+{
+    kv::TokenBlock *b = kv::TokenBlock::create(to - from, head);
+    std::copy(tokens.begin() + static_cast<long>(from),
+              tokens.begin() + static_cast<long>(to), b->tokens());
+    return BlockRef::adopt(b);
+}
+
+/** The query a prompt stored as `tail` reads: its head (if any), then
+ *  its own tokens, each piece with its owning block. */
+kv::TokenSpan
+spanOf(const BlockRef &tail)
+{
+    const kv::TokenBlock *t = tail.get();
+    const kv::TokenPiece own{t->tokens(), t->size(), t};
+    if (const kv::TokenBlock *h = t->head())
+        return {kv::TokenPiece{h->tokens(), h->size(), h}, own};
+    return {own, {}};
 }
 
 // ------------------------------------------------------ match/insert
@@ -592,6 +624,109 @@ TEST(PrefixTree, BudgetRunningOutPartwayThroughANewEdge)
     tree.release(h2);
 }
 
+// ---------------------------------------------------- storage views
+
+TEST(PrefixTree, SharedHeadMatchesByIdentityAndSplitsAtAnUnalignedBoundary)
+{
+    // A 4090-token head at page 16: the block holding tokens
+    // 4080..4095 straddles the head/tail boundary, so it is copied
+    // into a tree-owned block; the blocks before it view the head and
+    // the blocks after it view the tail.
+    PrefixTreeConfig cfg;
+    cfg.page_size = 16;
+    cfg.bytes_per_token = 1;
+    cfg.budget_bytes = 1 << 20;
+    PrefixTree tree(cfg);
+    const std::vector<int32_t> all = seq(0, 4190);
+    const BlockRef head = ownedBlock(all, 0, 4090);
+    const BlockRef tail_a = ownedBlock(all, 4090, 4190, head.get());
+    std::vector<int32_t> b_tokens = all;
+    for (size_t i = 4090; i < b_tokens.size(); ++i)
+        b_tokens[i] = -b_tokens[i];
+    const BlockRef tail_b = ownedBlock(b_tokens, 4090, 4190, head.get());
+
+    PrefixHandle ha = tree.insert(spanOf(tail_a));
+    EXPECT_EQ(ha.pinnedTokens(), 4176);
+    EXPECT_EQ(tree.nodeCount(), 261);
+    EXPECT_EQ(tree.edgeCount(), 3);
+
+    // The same prompt again: only the copied block is read (10 head
+    // tokens and 6 tail tokens), the views match by identity.
+    int64_t before = tree.comparedTokens();
+    EXPECT_EQ(tree.match(spanOf(tail_a)).hit_tokens, 4176);
+    EXPECT_EQ(tree.comparedTokens() - before, 16);
+
+    // Same head, another tail: identity through the head, a mismatch
+    // in the straddling block's tail half.
+    before = tree.comparedTokens();
+    EXPECT_EQ(tree.match(spanOf(tail_b)).hit_tokens, 4080);
+    EXPECT_EQ(tree.comparedTokens() - before, 16);
+
+    // A borrowed flat copy is read in full, and matches in full.
+    before = tree.comparedTokens();
+    EXPECT_EQ(tree.match(all).hit_tokens, 4176);
+    EXPECT_EQ(tree.comparedTokens() - before, 4176);
+
+    // Inserting b hangs its own straddling copy and tail view below
+    // the shared head view.
+    PrefixHandle hb = tree.insert(spanOf(tail_b));
+    EXPECT_EQ(hb.pinnedTokens(), 4176);
+    EXPECT_EQ(tree.nodeCount(), 261 + 6);
+    EXPECT_EQ(tree.edgeCount(), 5);
+    EXPECT_EQ(tree.match(b_tokens).hit_tokens, 4176);
+    tree.release(ha);
+    tree.release(hb);
+}
+
+TEST(PrefixTree, BorrowedQueryIsCopiedOnceIntoOneEdge)
+{
+    PrefixTree tree(cfgWith(64));
+    std::vector<int32_t> a = seq(0, 10 * kPage + 2);
+    PrefixHandle h = tree.insert(a);
+    EXPECT_EQ(tree.edgeCount(), 1);
+    // The tree keeps its own copy: changing the caller's vector
+    // changes nothing cached.
+    const std::vector<int32_t> original = a;
+    std::fill(a.begin(), a.end(), -7);
+    EXPECT_EQ(tree.match(original).hit_tokens, 10 * kPage);
+    EXPECT_EQ(tree.match(a).hit_tokens, 0);
+    tree.release(h);
+}
+
+TEST(PrefixTree, EvictionIsOneEventPerBurst)
+{
+    PrefixTree tree(cfgWith(16));
+    obs::Trace trace(obs::TraceConfig{64});
+    double now = 2.5;
+    tree.setObserver({&trace, nullptr, 1, &now});
+    PrefixHandle h1 = tree.insert(seq(0, 6 * kPage));
+    PrefixHandle h2 = tree.insert(seq(1000, 6 * kPage));
+    tree.release(h1);
+    tree.release(h2);
+    EXPECT_EQ(trace.size(), 0u);
+
+    // 8 new blocks, 4 free: one burst evicts the 4 oldest blocks (the
+    // tail of the first edge) before the new edge exists.
+    PrefixHandle h3 = tree.insert(seq(2000, 8 * kPage));
+    EXPECT_EQ(tree.evictedTokens(), 4 * kPage);
+    EXPECT_EQ(tree.match(seq(0, 6 * kPage)).hit_tokens, 2 * kPage);
+    EXPECT_EQ(tree.match(seq(1000, 6 * kPage)).hit_tokens, 6 * kPage);
+    // A shrink across two edges is one burst as well.
+    tree.release(h3);
+    tree.setBudget(3 * kBlockBytes);
+    EXPECT_EQ(tree.evictedTokens(), 17 * kPage);
+    if (SPECONTEXT_OBS_ENABLED) {
+        ASSERT_EQ(trace.size(), 2u);
+        EXPECT_EQ(trace.at(0).type, obs::EventType::PrefixEvict);
+        EXPECT_EQ(trace.at(0).t_seconds, 2.5);
+        EXPECT_EQ(trace.at(0).replica, 1);
+        EXPECT_EQ(trace.at(0).a, 4 * kPage);
+        EXPECT_EQ(trace.at(0).b, 8 * kPage);
+        EXPECT_EQ(trace.at(1).a, 13 * kPage);
+        EXPECT_EQ(trace.at(1).b, 3 * kPage);
+    }
+}
+
 // ------------------------------------------------------- differential
 
 /**
@@ -649,7 +784,8 @@ class ModelTree
         return blocks * kPage;
     }
 
-    /** match -> setBudget(resize_blocks) (if >= 0) -> match -> insert. */
+    /** match -> setBudget(resize_blocks) (if >= 0) -> match -> insert,
+     *  making room block by block as each new block is added. */
     Pin matchAndPin(size_t prompt, int64_t resize_blocks)
     {
         Pin p;
@@ -659,6 +795,7 @@ class ModelTree
         if (budget_ == 0)
             return p;
         p.hit = match(prompt);
+        beginBurst(); // the evictions for this insertion
         const std::vector<int> &path = paths_[prompt];
         size_t blocks = static_cast<size_t>(p.hit / kPage);
         for (size_t b = 0; b < blocks; ++b) {
@@ -709,9 +846,36 @@ class ModelTree
     int64_t inserted() const { return inserted_; }
     int64_t nodes() const { return resident_ / kPage; }
 
+    /** One evicted block, in victim order: the burst it belongs to
+     *  (one enforce() call or one insertion), the resident tokens when
+     *  that burst began, and its own tokens. */
+    struct Eviction
+    {
+        int64_t burst;
+        int64_t resident_before_burst;
+        int64_t tokens;
+    };
+    /** Every block evicted since the last clear. */
+    std::vector<Eviction> evictions;
+
     /** (a, b) of each PrefixEvict event the tree should have emitted
-     *  since the last clear: tokens evicted, resident tokens after. */
-    std::vector<std::pair<int64_t, int64_t>> evictions;
+     *  for `evictions`: one per burst, a = tokens evicted in it, b =
+     *  resident tokens after it — resident when the burst began minus
+     *  a, since the tree evicts a whole burst before it adds any of an
+     *  insertion's blocks (the model adds them in between). */
+    std::vector<std::pair<int64_t, int64_t>> bursts() const
+    {
+        std::vector<std::pair<int64_t, int64_t>> out;
+        for (size_t e = 0; e < evictions.size();) {
+            const Eviction &first = evictions[e];
+            int64_t a = 0;
+            for (; e < evictions.size() && evictions[e].burst == first.burst;
+                 ++e)
+                a += evictions[e].tokens;
+            out.emplace_back(a, first.resident_before_burst - a);
+        }
+        return out;
+    }
 
   private:
     struct Node
@@ -727,9 +891,18 @@ class ModelTree
     int64_t budget_;
     int64_t resident_ = 0, pinned_ = 0, evicted_ = 0, inserted_ = 0;
     uint64_t clock_ = 0;
+    int64_t burst_ = 0;
+    int64_t burst_start_ = 0; ///< resident tokens when burst_ began
+
+    void beginBurst()
+    {
+        ++burst_;
+        burst_start_ = resident_;
+    }
 
     void enforce()
     {
+        beginBurst();
         while (resident_ > budget_ * kPage && evictOne()) {
         }
     }
@@ -754,7 +927,7 @@ class ModelTree
             --nodes_[victim->parent].children;
         resident_ -= kPage;
         evicted_ += kPage;
-        evictions.emplace_back(kPage, resident_);
+        evictions.push_back({burst_, burst_start_, kPage});
         return true;
     }
 };
@@ -785,13 +958,91 @@ promptPool(std::mt19937 &rng)
 }
 
 /**
+ * The storages a pool prompt can reach the tree in: borrowed (the
+ * pool's own vector), one owned block per prompt, a shared head block
+ * plus an owned tail (heads are prefixes of random pool prompts, most
+ * of them not block-aligned, and are shared by every prompt they
+ * prefix), or a fresh owned copy per query. The model keys on
+ * content, so every storage must give the same answers.
+ */
+class QueryStore
+{
+  public:
+    static constexpr uint32_t kKinds = 4;
+
+    QueryStore(const std::vector<std::vector<int32_t>> &pool,
+               std::mt19937 &rng)
+        : pool_(pool)
+    {
+        std::vector<BlockRef> heads;
+        for (int h = 0; h < 8; ++h) {
+            const std::vector<int32_t> &src = pool[rng() % pool.size()];
+            size_t len = 1 + rng() % (src.size() - 1);
+            if (h % 2 == 0 && len >= static_cast<size_t>(kPage))
+                len = len / kPage * kPage; // every other one aligned
+            heads.push_back(ownedBlock(src, 0, len));
+        }
+        for (const std::vector<int32_t> &p : pool) {
+            flat_.push_back(ownedBlock(p, 0, p.size()));
+            std::vector<const kv::TokenBlock *> fits;
+            for (const BlockRef &h : heads) {
+                const kv::TokenBlock *b = h.get();
+                if (b->size() < p.size() &&
+                    std::equal(b->tokens(), b->tokens() + b->size(),
+                               p.begin()))
+                    fits.push_back(b);
+            }
+            const kv::TokenBlock *head =
+                fits.empty() ? nullptr : fits[rng() % fits.size()];
+            with_head_.push_back(head ? ownedBlock(p, head->size(),
+                                                   p.size(), head)
+                                      : BlockRef());
+        }
+    }
+
+    /** Prompt `i` stored as `kind` % kKinds (a prompt no head fits
+     *  falls back to its owned block). Valid until the next call. */
+    kv::TokenSpan
+    query(size_t i, uint32_t kind)
+    {
+        switch (kind % kKinds) {
+          case 0:
+            return pool_[i];
+          case 1:
+            return spanOf(flat_[i]);
+          case 2:
+            if (!with_head_[i])
+                return spanOf(flat_[i]);
+            if (with_head_[i].get()->head()->size() % kPage != 0)
+                ++unaligned_head_queries;
+            return spanOf(with_head_[i]);
+          default:
+            fresh_ = ownedBlock(pool_[i], 0, pool_[i].size());
+            return spanOf(fresh_);
+        }
+    }
+
+    /** Head + tail queries whose boundary falls inside a block. */
+    int64_t unaligned_head_queries = 0;
+
+  private:
+    const std::vector<std::vector<int32_t>> &pool_;
+    std::vector<BlockRef> flat_;
+    std::vector<BlockRef> with_head_;
+    BlockRef fresh_;
+};
+
+/**
  * Drive `tree`-vs-ModelTree through `ops` random operations over `pool`
  * (admissions with and without a resize callback, releases, budget
- * changes; at most `max_live` live handles) and assert after every op
- * that hits on every seen prompt, all accounting and the op's
- * PrefixEvict events (one per evicted block) agree. `budget`
- * draws a budget in blocks; `deepest_hit` receives the deepest hit
- * seen, in tokens.
+ * changes; at most `max_live` live handles), each query in a random
+ * QueryStore storage, and assert after every op that hits on every
+ * seen prompt, all accounting and the op's PrefixEvict events (one
+ * per burst, checked against the model's per-block victim log summed
+ * per burst) agree. At the end the test drops its own references to
+ * the owned storages, so the tree's edges keep the blocks alive while
+ * the last checks run. `budget` draws a budget in blocks;
+ * `deepest_hit` receives the deepest hit seen, in tokens.
  */
 void
 runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
@@ -801,6 +1052,7 @@ runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
     const int64_t start = budget();
     PrefixTree tree(cfgWith(start));
     ModelTree model(pool, start);
+    auto store = std::make_unique<QueryStore>(pool, rng);
     obs::Trace trace(obs::TraceConfig{1 << 12});
     double now = 0.0; // the op number, as the events' timestamp
     tree.setObserver({&trace, nullptr, 3, &now});
@@ -814,16 +1066,17 @@ runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
             const size_t i = rng() % pool.size();
             seen.insert(i);
             const int64_t resize = rng() % 2 ? budget() : -1;
+            const kv::TokenSpan query = store->query(i, rng());
             const ModelTree::Pin want = model.matchAndPin(i, resize);
             kv::MatchAndPinResult got;
             if (resize >= 0) {
                 got = tree.matchAndPin(
-                    pool[i], [&](const PrefixMatch &estimate) {
+                    query, [&](const PrefixMatch &estimate) {
                         EXPECT_EQ(estimate.hit_tokens, want.estimate);
                         tree.setBudget(resize * kBlockBytes);
                     });
             } else {
-                got = tree.matchAndPin(pool[i]);
+                got = tree.matchAndPin(query);
             }
             EXPECT_EQ(got.estimate.hit_tokens, want.estimate);
             EXPECT_EQ(got.match.hit_tokens, want.hit);
@@ -842,7 +1095,9 @@ runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
 
         std::vector<int64_t> got_hits, want_hits;
         for (size_t i : seen) {
-            got_hits.push_back(tree.match(pool[i]).hit_tokens);
+            got_hits.push_back(
+                tree.match(store->query(i, static_cast<uint32_t>(op + i)))
+                    .hit_tokens);
             want_hits.push_back(model.match(i));
         }
         ASSERT_EQ(got_hits, want_hits) << "op " << op;
@@ -853,15 +1108,17 @@ runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
         ASSERT_EQ(tree.insertedTokens(), model.inserted())
             << "op " << op;
         if (SPECONTEXT_OBS_ENABLED) {
+            const std::vector<std::pair<int64_t, int64_t>> bursts =
+                model.bursts();
             ASSERT_EQ(trace.dropped(), 0u);
-            ASSERT_EQ(trace.size(), model.evictions.size()) << "op " << op;
+            ASSERT_EQ(trace.size(), bursts.size()) << "op " << op;
             for (size_t e = 0; e < trace.size(); ++e) {
                 const obs::TraceEvent &ev = trace.at(e);
                 ASSERT_EQ(ev.type, obs::EventType::PrefixEvict);
                 ASSERT_EQ(ev.t_seconds, now);
                 ASSERT_EQ(ev.replica, 3);
-                ASSERT_EQ(ev.a, model.evictions[e].first) << "op " << op;
-                ASSERT_EQ(ev.b, model.evictions[e].second) << "op " << op;
+                ASSERT_EQ(ev.a, bursts[e].first) << "op " << op;
+                ASSERT_EQ(ev.b, bursts[e].second) << "op " << op;
             }
         }
         trace.clear();
@@ -872,6 +1129,10 @@ runAgainstModel(const std::vector<std::vector<int32_t>> &pool,
         }
     }
     EXPECT_GT(tree.evictedTokens(), 0);
+    EXPECT_GT(store->unaligned_head_queries, 0);
+    store.reset(); // the tree's edges now hold the only references
+    for (size_t i : seen)
+        ASSERT_EQ(tree.match(pool[i]).hit_tokens, model.match(i));
     for (auto &[handle, deepest] : live) {
         tree.release(handle);
         model.release(deepest);

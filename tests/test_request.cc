@@ -2,10 +2,13 @@
  * @file
  * Tests of serving::PromptTokens, the shared immutable token storage
  * behind Request::prompt_tokens: content equality, in-place
- * construction, release, and O(1) copies — a copied Request points at
+ * construction, release, O(1) copies — a copied Request points at
  * the same tokens, and copying a whole trace allocates only the
- * vector's own buffer. Also pins that Cluster::run leaves the
- * caller's trace exactly as generated. Allocations are counted by
+ * vector's own buffer — and head + tail prompts (indexing across the
+ * boundary, equality with flat prompts, a head kept alive by a prefix
+ * tree edge, nested heads rejected). Also pins that Cluster::run
+ * leaves the caller's trace exactly as generated. Allocations are
+ * counted by
  * replacing the global operator new in this translation unit, as
  * bench/bench_simperf.cc does.
  */
@@ -16,9 +19,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/timing_engine.h"
+#include "kvcache/prefix_tree.h"
 #include "kvcache/token_span.h"
 #include "serving/cluster.h"
 #include "serving/prompt_tokens.h"
@@ -94,6 +100,13 @@ allocs()
     return g_allocs.load(std::memory_order_relaxed);
 }
 
+/** Where piece `k` (0: head or only piece, 1: tail) of `p` lives. */
+const int32_t *
+pieceData(const PromptTokens &p, size_t k = 0)
+{
+    return p.span().piece(k).data;
+}
+
 std::vector<int32_t>
 iota(int32_t first, size_t n)
 {
@@ -151,7 +164,8 @@ TEST(PromptTokens, DefaultIsEmptyAndOwnsNothing)
     EXPECT_EQ(allocs() - before, 0);
     EXPECT_TRUE(p.empty());
     EXPECT_EQ(p.size(), 0u);
-    EXPECT_EQ(p.data(), nullptr);
+    EXPECT_EQ(pieceData(p), nullptr);
+    EXPECT_FALSE(p.hasHead());
     EXPECT_EQ(p.begin(), p.end());
     EXPECT_TRUE(copy.empty());
     EXPECT_TRUE(from_empty.empty());
@@ -165,7 +179,7 @@ TEST(PromptTokens, BuildsFromAVectorInOneAllocation)
     const PromptTokens p(v);
     EXPECT_EQ(allocs() - before, 1);
     ASSERT_EQ(p.size(), v.size());
-    EXPECT_NE(p.data(), v.data());
+    EXPECT_NE(pieceData(p), v.data());
     EXPECT_TRUE(std::equal(v.begin(), v.end(), p.begin()));
 }
 
@@ -190,7 +204,7 @@ TEST(PromptTokens, EqualityComparesContentsNotStorage)
 {
     const PromptTokens a(iota(7, 64));
     const PromptTokens b(iota(7, 64));
-    ASSERT_NE(a.data(), b.data());
+    ASSERT_NE(pieceData(a), pieceData(b));
     EXPECT_TRUE(a == b);
 
     std::vector<int32_t> changed = iota(7, 64);
@@ -203,37 +217,167 @@ TEST(PromptTokens, EqualityComparesContentsNotStorage)
 TEST(PromptTokens, CopiesShareOneBlockAndReleaseDropsOneReference)
 {
     PromptTokens a(iota(0, 256));
-    const int32_t *tokens = a.data();
+    const int32_t *tokens = pieceData(a);
 
     const int64_t before = allocs();
     PromptTokens b = a;
     PromptTokens c;
     c = b;
     EXPECT_EQ(allocs() - before, 0);
-    EXPECT_EQ(b.data(), tokens);
-    EXPECT_EQ(c.data(), tokens);
+    EXPECT_EQ(pieceData(b), tokens);
+    EXPECT_EQ(pieceData(c), tokens);
 
     b.reset();
     EXPECT_TRUE(b.empty());
-    EXPECT_EQ(a.data(), tokens); // the others still hold the block
-    EXPECT_EQ(c.data()[255], 255);
+    EXPECT_EQ(pieceData(a), tokens); // the others still hold the block
+    EXPECT_EQ(c[255], 255);
 
     PromptTokens moved = std::move(c);
     EXPECT_TRUE(c.empty());
-    EXPECT_EQ(moved.data(), tokens);
+    EXPECT_EQ(pieceData(moved), tokens);
 
     a = PromptTokens(iota(1000, 4)); // drops a's reference
-    EXPECT_EQ(a.data()[3], 1003);
-    EXPECT_EQ(moved.data()[0], 0); // the last reference, still readable
+    EXPECT_EQ(a[3], 1003);
+    EXPECT_EQ(moved[0], 0); // the last reference, still readable
 }
 
 TEST(PromptTokens, ViewsAsATokenSpanOverTheSameTokens)
 {
     const PromptTokens p(iota(40, 32));
     const kv::TokenSpan span = p;
-    EXPECT_EQ(span.data(), p.data());
+    EXPECT_EQ(span.piece(0).data, pieceData(p));
+    EXPECT_NE(span.piece(0).owner, nullptr);
+    EXPECT_EQ(span.piece(1).size, 0u);
     EXPECT_EQ(span.size(), p.size());
     EXPECT_EQ(kv::TokenSpan(PromptTokens()).size(), 0u);
+}
+
+/** A head of `head_len` tokens from 0 and a tail continuing the count
+ *  to `total`, so the prompt reads 0, 1, ..., total - 1. */
+PromptTokens
+countingPrompt(const PromptTokens &head, size_t total)
+{
+    const int32_t from = static_cast<int32_t>(head.size());
+    return PromptTokens::withHead(
+        head, total - head.size(), [&](int32_t *out) {
+            for (size_t i = 0; i < total - head.size(); ++i)
+                out[i] = from + static_cast<int32_t>(i);
+        });
+}
+
+TEST(PromptTokens, HeadPlusTailReadsAcrossTheBoundary)
+{
+    const PromptTokens head(iota(0, 37));
+    const int64_t before = allocs();
+    const PromptTokens p = countingPrompt(head, 100);
+    EXPECT_EQ(allocs() - before, 1); // the tail block only
+    ASSERT_TRUE(p.hasHead());
+    ASSERT_EQ(p.size(), 100u);
+    for (size_t i = 0; i < p.size(); ++i)
+        ASSERT_EQ(p[i], static_cast<int32_t>(i)) << "token " << i;
+    EXPECT_TRUE(std::equal(p.begin(), p.end(), iota(0, 100).begin()));
+    EXPECT_EQ(p.end() - p.begin(), 100);
+    EXPECT_EQ(*(p.begin() + 36), 36);
+    EXPECT_EQ(*(p.begin() + 37), 37);
+
+    // The head's block is shared, not copied.
+    const kv::TokenSpan span = p;
+    EXPECT_EQ(span.piece(0).data, pieceData(head));
+    EXPECT_EQ(span.piece(0).size, 37u);
+    EXPECT_EQ(span.piece(1).size, 63u);
+    EXPECT_NE(span.piece(1).owner, span.piece(0).owner);
+
+    // Degenerate splits: an empty head is a flat prompt, an empty
+    // tail is the head itself.
+    const PromptTokens flat = countingPrompt(PromptTokens(), 10);
+    EXPECT_FALSE(flat.hasHead());
+    EXPECT_TRUE(flat == PromptTokens(iota(0, 10)));
+    const PromptTokens same = countingPrompt(head, 37);
+    EXPECT_FALSE(same.hasHead());
+    EXPECT_EQ(pieceData(same), pieceData(head));
+}
+
+TEST(PromptTokens, EqualityIgnoresWhereTheHeadEnds)
+{
+    const PromptTokens flat(iota(0, 300));
+    const PromptTokens head64(iota(0, 64));
+    const PromptTokens head90(iota(0, 90));
+    const PromptTokens a = countingPrompt(head64, 300);
+    const PromptTokens b = countingPrompt(head90, 300);
+    EXPECT_TRUE(a == flat);
+    EXPECT_TRUE(flat == a);
+    EXPECT_TRUE(a == b);
+    EXPECT_TRUE(b == flat);
+
+    EXPECT_FALSE(a == countingPrompt(head64, 299)); // a strict prefix
+    std::vector<int32_t> changed = iota(0, 300);
+    changed[80] = -1; // inside a's tail, inside b's head
+    EXPECT_FALSE(a == PromptTokens(changed));
+    EXPECT_FALSE(b == PromptTokens(changed));
+}
+
+TEST(PromptTokens, CopiesShareTheTailBlockAndTheHead)
+{
+    static_assert(sizeof(PromptTokens) == sizeof(void *),
+                  "a prompt is one pointer");
+    const PromptTokens head(iota(0, 48));
+    const PromptTokens p = countingPrompt(head, 80);
+    const int64_t before = allocs();
+    const PromptTokens copy = p;
+    EXPECT_EQ(allocs() - before, 0);
+    EXPECT_EQ(pieceData(copy, 0), pieceData(p, 0));
+    EXPECT_EQ(pieceData(copy, 1), pieceData(p, 1));
+}
+
+TEST(PromptTokens, HeadOutlivesItsPromptsWhileATreeEdgeViewsIt)
+{
+    kv::PrefixTreeConfig cfg;
+    cfg.page_size = 16;
+    cfg.bytes_per_token = 1;
+    cfg.budget_bytes = 1 << 20;
+    kv::PrefixTree tree(cfg);
+    kv::PrefixHandle handle;
+    {
+        const PromptTokens head(iota(500, 64));
+        const PromptTokens p = countingPrompt(head, 128);
+        handle = tree.insert(p);
+        ASSERT_EQ(handle.pinnedTokens(), 128);
+        // The edges view p's own storage, so p matches by identity.
+        const int64_t compared = tree.comparedTokens();
+        EXPECT_EQ(tree.match(p).hit_tokens, 128);
+        EXPECT_EQ(tree.comparedTokens(), compared);
+    } // the last PromptTokens naming the head is gone
+    // The edges still view the head and the tail: a flat copy of the
+    // same tokens matches all of them by content.
+    std::vector<int32_t> same = iota(500, 64);
+    for (int32_t i = 64; i < 128; ++i)
+        same.push_back(i);
+    const int64_t compared = tree.comparedTokens();
+    EXPECT_EQ(tree.match(same).hit_tokens, 128);
+    EXPECT_EQ(tree.comparedTokens() - compared, 128);
+    same[70] = -1;
+    EXPECT_EQ(tree.match(same).hit_tokens, 64);
+    tree.release(handle);
+    tree.setBudget(0); // frees the edges, and with them the blocks
+    EXPECT_EQ(tree.residentTokens(), 0);
+}
+
+TEST(PromptTokens, AHeadWithAHeadIsRejected)
+{
+    const PromptTokens head(iota(0, 16));
+    const PromptTokens p = countingPrompt(head, 32);
+    ASSERT_TRUE(p.hasHead());
+    bool filled = false;
+    EXPECT_THROW(
+        PromptTokens::withHead(p, 4, [&](int32_t *) { filled = true; }),
+        std::invalid_argument);
+    EXPECT_FALSE(filled);
+    // Nothing to add is p itself, not a nested head.
+    EXPECT_TRUE(PromptTokens::withHead(p, 0, [](int32_t *) {}) == p);
+    const kv::TokenBlock *with_head = p.span().piece(1).owner;
+    ASSERT_NE(with_head->head(), nullptr);
+    EXPECT_THROW(kv::TokenBlock::create(4, with_head),
+                 std::invalid_argument);
 }
 
 // ------------------------------------------------------------- Request
@@ -244,7 +388,7 @@ TEST(Request, CopySharesPromptTokens)
     r.prompt_len = 512;
     r.prompt_tokens = PromptTokens(iota(9, 512));
     const Request copy = r;
-    EXPECT_EQ(copy.prompt_tokens.data(), r.prompt_tokens.data());
+    EXPECT_EQ(pieceData(copy.prompt_tokens), pieceData(r.prompt_tokens));
     EXPECT_EQ(copy.prompt_tokens.size(), r.prompt_tokens.size());
 }
 
@@ -262,9 +406,11 @@ TEST(Request, CopyingASharedPrefixTraceAllocatesOnlyTheVector)
     EXPECT_EQ(allocs() - before, 1);
 
     for (size_t i = 0; i < trace.size(); ++i) {
-        ASSERT_FALSE(trace[i].prompt_tokens.empty());
-        EXPECT_EQ(copy[i].prompt_tokens.data(),
-                  trace[i].prompt_tokens.data());
+        ASSERT_TRUE(trace[i].prompt_tokens.hasHead());
+        EXPECT_EQ(pieceData(copy[i].prompt_tokens, 0),
+                  pieceData(trace[i].prompt_tokens, 0));
+        EXPECT_EQ(pieceData(copy[i].prompt_tokens, 1),
+                  pieceData(trace[i].prompt_tokens, 1));
     }
 }
 
@@ -272,9 +418,10 @@ TEST(Request, ClusterRunLeavesTheCallersTraceAsGenerated)
 {
     const workload::SharedPrefixTraceConfig pc = sharedPrefixConfig(48);
     const std::vector<Request> trace = workload::sharedPrefixTrace(pc);
-    std::vector<const int32_t *> storage;
+    std::vector<std::pair<const int32_t *, const int32_t *>> storage;
     for (const Request &r : trace)
-        storage.push_back(r.prompt_tokens.data());
+        storage.emplace_back(pieceData(r.prompt_tokens, 0),
+                             pieceData(r.prompt_tokens, 1));
 
     serving::ReplicaConfig rc;
     rc.timing.llm = model::deepseekDistillLlama8bGeometry();
@@ -296,7 +443,8 @@ TEST(Request, ClusterRunLeavesTheCallersTraceAsGenerated)
     ASSERT_EQ(trace.size(), fresh.size());
     for (size_t i = 0; i < trace.size(); ++i) {
         expectSameRequest(trace[i], fresh[i]);
-        EXPECT_EQ(trace[i].prompt_tokens.data(), storage[i]);
+        EXPECT_EQ(pieceData(trace[i].prompt_tokens, 0), storage[i].first);
+        EXPECT_EQ(pieceData(trace[i].prompt_tokens, 1), storage[i].second);
     }
 }
 
