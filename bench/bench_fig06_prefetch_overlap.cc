@@ -20,7 +20,7 @@ main()
     const sim::CostModel cost(sim::HardwareSpec::cloudA800(),
                               sim::KernelBackend::FlashInfer);
     const auto m = model::llama31_8bGeometry();
-    const int64_t kvb = core::TimingEngine::kvBytesPerTokenPerLayer(m);
+    const int64_t kvb = core::kvBytesPerTokenPerLayer(m);
     const auto layer =
         cost.decodeStepBreakdown(m, 4, 2048);
     const double layer_ms = 1e3 * layer.total / m.layers;

@@ -45,47 +45,11 @@ SystemOptions::validate() const
 
 // ------------------------------------------------------------- SystemModel
 
-double
-SystemModel::requestPrefillSeconds(const TimingConfig &, int64_t, int64_t,
-                                   int64_t) const
-{
-    throw std::invalid_argument(
-        "requestPrefillSeconds: system is wave-scheduled only");
-}
-
-double
-SystemModel::decodeIterationSeconds(const TimingConfig &,
-                                    const std::vector<int64_t> &) const
-{
-    throw std::invalid_argument(
-        "decodeIterationSeconds: system is wave-scheduled only");
-}
-
 std::unique_ptr<SystemPricer>
 SystemModel::makePricer(const TimingConfig &) const
 {
     throw std::invalid_argument(
         "makePricer: system has no pricer (wave-scheduled only)");
-}
-
-AdmissionDecision
-SystemModel::admit(const TimingConfig &, const std::vector<int64_t> &,
-                   int64_t, int64_t) const
-{
-    return {false, "system is wave-scheduled only (no admission path)"};
-}
-
-AdmissionDecision
-SystemModel::fitsCurrent(const TimingConfig &cfg,
-                         const std::vector<int64_t> &kv_lens) const
-{
-    if (kv_lens.empty())
-        return {true, ""};
-    // Reuse the admission discipline at the *current* lengths: the
-    // last entry plays the joining candidate (1-token prompt, so no
-    // meaningful prefill-scratch term), the rest the in-flight batch.
-    std::vector<int64_t> rest(kv_lens.begin(), kv_lens.end() - 1);
-    return admit(cfg, rest, 1, kv_lens.back());
 }
 
 int64_t

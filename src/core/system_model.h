@@ -9,18 +9,13 @@
  *  - identity: display name and kernel backend;
  *  - memory: HBM/DRAM footprint at a batch shape (wrapping the paper's
  *    Eq. 6-8 `sim::MemoryModel` where applicable);
- *  - timing: whole-run `simulate()`, plus the two incremental quanta
- *    the continuous-batching server needs (per-request prefill and
- *    one heterogeneous-batch decode iteration);
- *  - serving: the admission test deciding whether a request's KV
- *    reservation fits next to the in-flight batch;
- *  - pricing: `makePricer()` binds one `SystemPricer` to a config —
- *    the serving loop's cached view of the decode, prefill and
- *    admission queries above, bit-identical to the per-call methods
- *    (which stay the reference the pricer is tested against). Every
- *    continuous system gets both from core::TabledSystem
- *    (core/tabled_pricer.h) by supplying a per-batch-size table entry,
- *    a round tail and its admission hooks;
+ *  - timing: whole-run `simulate()` of a closed [prompt, gen] wave;
+ *  - pricing: `makePricer()` binds one `SystemPricer` to a config — the
+ *    one way to price the continuous batcher's quanta (per-request
+ *    prefill, one heterogeneous-batch decode round, and the admission
+ *    and fit probes). Every continuous system gets it from
+ *    core::TabledSystem (core/tabled_pricer.h) by supplying a
+ *    per-batch-size table entry, a round tail and its admission hooks;
  *  - dataflow: which Fig. 7 row it schedules on the two-stream
  *    `sim::Timeline`.
  *
@@ -180,20 +175,23 @@ struct AdmissionDecision
 };
 
 /**
- * Reusable pricer bound to one (TimingConfig, system) pair: every cost
- * and capacity question the continuous batcher asks of a replica —
- * decode rounds, admission prefills, and the admission/fit probes —
- * answered bit-for-bit as the per-call SystemModel methods answer them
- * on the bound config. A pricer only hoists work that is a pure
- * function of the config and the batch size (cost-model construction,
- * memory-model geometry, per-batch-size breakdowns) out of the
- * per-call path, so a serving loop that prices millions of rounds and
- * probes against one fixed config stops re-deriving the same models
- * every call. Obtain one from SystemModel::makePricer() (or the
- * TimingEngine façade, which also validates the config); the pricer
- * keeps the bound config (and through it the system) alive. Not
- * thread-safe: one pricer per replica lane. core::TabledPricer
- * (core/tabled_pricer.h) is the one implementation.
+ * Pricer bound to one (TimingConfig, system) pair: every cost and
+ * capacity question the continuous batcher asks of a replica — decode
+ * rounds, admission prefills, and the admission/fit probes. It is the
+ * only pricing API of a continuous system. Obtain one from
+ * SystemModel::makePricer() or, with the config validated first, from
+ * TimingEngine::makePricer(); the pricer keeps the bound config (and
+ * through it the system) alive.
+ *
+ * A pricer derives what is a pure function of the config once (cost
+ * model, memory-model geometry) and what is a pure function of the
+ * config and the batch size once per batch size, on first use. Every
+ * answer is therefore the same whether a pricer is fresh or has served
+ * millions of queries: the serving fast path holds one per replica
+ * lane, and the reference loop (SimFastPath::cache_decode_costs off)
+ * prices every prefill and round on a fresh one. Not thread-safe: one
+ * pricer per replica lane. core::TabledPricer (core/tabled_pricer.h)
+ * is the one implementation.
  */
 class SystemPricer
 {
@@ -202,39 +200,40 @@ class SystemPricer
 
     // ---- Decode ----------------------------------------------------
 
-    /** Seconds of one decode iteration over `kv_lens` — bit-identical
-     *  to SystemModel::decodeIterationSeconds(bound_cfg, kv_lens). */
+    /**
+     * Seconds of one decode iteration over the in-flight batch;
+     * kv_lens[i] is request i's current context (prompt + generated so
+     * far). The bound config's batch/prompt_len/gen_len are ignored —
+     * the batch is whatever kv_lens says. Returns 0 for an empty batch.
+     * @throws std::invalid_argument on a non-positive length.
+     */
     virtual double decodeSeconds(const std::vector<int64_t> &kv_lens) = 0;
 
     /**
-     * Bulk decode window. Between batch-composition changes
-     * (admission, retirement, preemption) a continuous batcher grows
-     * every in-flight context by exactly one token per round, so the
-     * round-over-round evolution of the KV lengths is known in
-     * advance. beginWindow(kv) followed by k nextRoundSeconds() calls
-     * returns bit-for-bit what k decodeSeconds() calls would on kv,
-     * kv+1, ..., kv+(k-1) (elementwise) — the window only replaces the
-     * per-round O(R) reduction with incremental bookkeeping, never the
-     * arithmetic that turns the reduced values into seconds. The
-     * caller must re-begin the window whenever the batch changes shape
-     * for any other reason; prefill and admission calls in between do
-     * not disturb it.
+     * Open a bulk decode window on `kv_lens`. Between batch-composition
+     * changes (admission, retirement, preemption) a continuous batcher
+     * grows every in-flight context by exactly one token per round, so
+     * the round-over-round evolution of the KV lengths is known in
+     * advance: round k of the window prices bit-for-bit what
+     * decodeSeconds() prices on kv + k (elementwise). The window only
+     * replaces the per-round O(R) reduction with incremental
+     * bookkeeping, never the arithmetic that turns the reduced values
+     * into seconds. The caller must re-begin the window whenever the
+     * batch changes shape for any other reason; prefill and admission
+     * calls in between do not disturb it. An empty batch's rounds
+     * cost 0.
+     * @throws std::invalid_argument on a non-positive length.
      */
     virtual void beginWindow(const std::vector<int64_t> &kv_lens) = 0;
 
-    /** Next round of the current window (see beginWindow()). */
-    virtual double nextRoundSeconds() = 0;
-
     /**
-     * Drive an entire bulk window in one call: starting from `now`,
-     * repeatedly add nextRoundSeconds() until `max_rounds` rounds have
-     * run, `now` reaches `horizon`, or `t_pending` falls due — the
-     * exact break conditions (and the exact per-round arithmetic, in
-     * the same accumulation order) a caller-side loop over
-     * nextRoundSeconds() would apply. Returns the advanced clock;
-     * `rounds` gets the count run and `first_now` the clock after the
-     * first round. One virtual dispatch per window instead of one per
-     * round.
+     * Run the open window: starting from `now`, add one round's
+     * seconds at a time until `max_rounds` rounds have run, `now`
+     * reaches `horizon`, or `t_pending` falls due (at least one round
+     * always runs). Returns the advanced clock; `rounds` gets the
+     * count run and `first_now` the clock after the first round. The
+     * window stays open, so a second call continues with the next
+     * round. One virtual dispatch per window instead of one per round.
      */
     virtual double runWindow(int64_t max_rounds, double now,
                              double horizon, double t_pending,
@@ -258,18 +257,47 @@ class SystemPricer
 
     // ---- Prefill and admission -------------------------------------
 
-    /** Bit-identical to SystemModel::requestPrefillSeconds(bound_cfg,
-     *  prompt_len, in_flight_requests, resident_kv_tokens). */
+    /**
+     * Seconds to prefill one request of `prompt_len` tokens joining the
+     * running batch (chunked prefill iteration; includes the system's
+     * prompt preprocessing and the prompt-KV eviction/spill transfers
+     * simulate() charges when the cache oversubscribes HBM).
+     * `in_flight_requests` and `resident_kv_tokens` describe the batch
+     * being joined — they decide whether the new prompt's KV must move
+     * off-device.
+     * @throws std::invalid_argument on a non-positive prompt or a
+     * negative in-flight or resident count.
+     */
     virtual double prefillSeconds(int64_t prompt_len,
                                   int64_t in_flight_requests,
                                   int64_t resident_kv_tokens) = 0;
 
-    /** Bit-identical to SystemModel::admit(bound_cfg, ...). */
+    /**
+     * Admission test: can a request of `candidate_final_len` final
+     * tokens (prompt `candidate_prompt_len`) join a batch whose members
+     * have the given final-length reservations without oversubscribing
+     * memory?
+     */
     virtual AdmissionDecision admit(
         const std::vector<int64_t> &in_flight_final_lens,
         int64_t candidate_prompt_len, int64_t candidate_final_len) = 0;
 
-    /** Bit-identical to SystemModel::fitsCurrent(bound_cfg, ...). */
+    /**
+     * Current-footprint sibling of admit() — the query optimistic
+     * (preemptive) serving schedules against. Where admit() prices the
+     * batch at its booked final-length *reservations*, this prices it
+     * at explicit *current* KV lengths (`kv_lens[i]` tokens live right
+     * now, no candidate, no prefill scratch): can the batch execute one
+     * decode iteration at these lengths under this system's memory
+     * discipline? The serving::Scheduler calls it with every length
+     * one past the live context to decide whether the next decode
+     * token fits or victims must be preempted.
+     *
+     * Defined as admit(kv_lens minus its last entry, 1, kv_lens.back()):
+     * the last length plays the candidate at a 1-token prompt (so
+     * eager's prefill-scratch term stays negligible). Admits trivially
+     * on an empty batch.
+     */
     virtual AdmissionDecision fitsCurrent(
         const std::vector<int64_t> &kv_lens) = 0;
 };
@@ -311,41 +339,18 @@ class SystemModel
     // ---- Timing ----------------------------------------------------
     //
     // Input validation lives in the TimingEngine façade (the public
-    // entry point): cfg.llm is validated and the stepping guards run
-    // there, so implementations can assume a well-formed config and
-    // plugins do not re-implement the checks.
+    // entry point): cfg.llm and cfg.hw are validated there, and the
+    // pricer checks its own arguments, so implementations can assume a
+    // well-formed config and plugins do not re-implement the checks.
 
     /** Price a whole closed [prompt, gen] run. */
     virtual TimingResult simulate(const TimingConfig &cfg) const = 0;
 
     /**
-     * Seconds to prefill one request of `prompt_len` tokens joining the
-     * running batch (chunked prefill iteration, including any
-     * system-specific prompt preprocessing and KV spill transfers).
-     * `in_flight_requests` and `resident_kv_tokens` describe the batch
-     * being joined. Base implementation throws for wave-only systems.
-     * @throws std::invalid_argument for unsupported systems.
-     */
-    virtual double requestPrefillSeconds(const TimingConfig &cfg,
-                                         int64_t prompt_len,
-                                         int64_t in_flight_requests,
-                                         int64_t resident_kv_tokens) const;
-
-    /**
-     * Seconds of one decode iteration over the in-flight batch;
-     * kv_lens[i] is request i's current context. Base implementation
-     * throws for wave-only systems.
-     * @throws std::invalid_argument for unsupported systems.
-     */
-    virtual double decodeIterationSeconds(
-        const TimingConfig &cfg, const std::vector<int64_t> &kv_lens) const;
-
-    /**
      * Build a SystemPricer bound to `cfg` (which must name this
-     * system). Continuous systems derive from core::TabledSystem
-     * (core/tabled_pricer.h), which returns a TabledPricer whose every
-     * query is bit-for-bit the per-call method's. The base
-     * implementation throws.
+     * system): the only pricing API of a continuous system. Continuous
+     * systems derive from core::TabledSystem (core/tabled_pricer.h),
+     * which returns a TabledPricer. The base implementation throws.
      * @throws std::invalid_argument for systems without a pricer.
      */
     virtual std::unique_ptr<SystemPricer> makePricer(
@@ -370,40 +375,6 @@ class SystemModel
      *  spilled KV); 0 for fully resident systems. */
     virtual int64_t dramFootprintBytes(const TimingConfig &cfg,
                                        int64_t requests, int64_t s) const;
-
-    // ---- Serving ---------------------------------------------------
-
-    /**
-     * Admission test: can a request of `candidate_final_len` final
-     * tokens (prompt `candidate_prompt_len`) join a batch whose members
-     * have the given final-length reservations without oversubscribing
-     * memory? Base implementation rejects wave-only systems.
-     */
-    virtual AdmissionDecision admit(
-        const TimingConfig &cfg,
-        const std::vector<int64_t> &in_flight_final_lens,
-        int64_t candidate_prompt_len, int64_t candidate_final_len) const;
-
-    /**
-     * Current-footprint sibling of admit() — the query optimistic
-     * (preemptive) serving schedules against. Where admit() prices the
-     * batch at its booked final-length *reservations*, this prices it
-     * at explicit *current* KV lengths (`kv_lens[i]` tokens live right
-     * now, no candidate, no prefill scratch): can the batch execute one
-     * decode iteration at these lengths under this system's memory
-     * discipline? The serving::Scheduler calls it with every length
-     * one past the live context to decide whether the next decode
-     * token fits or victims must be preempted.
-     *
-     * Base implementation reuses admit() with the last length playing
-     * the candidate at a 1-token prompt (so eager's prefill-scratch
-     * term stays negligible); admits trivially on an empty batch.
-     * Override when a system distinguishes reserved from live
-     * footprints more finely.
-     */
-    virtual AdmissionDecision fitsCurrent(
-        const TimingConfig &cfg,
-        const std::vector<int64_t> &kv_lens) const;
 
     // ---- Dataflow --------------------------------------------------
 

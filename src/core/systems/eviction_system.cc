@@ -24,8 +24,7 @@
  * example (README.md): one TabledSystem subclass that supplies a
  * per-batch-size entry, an attend cap, a round tail and its admission
  * hooks, plus one factory registration per name — no edits anywhere
- * else in the tree. The per-call methods and the cached pricer come
- * with the base.
+ * else in the tree. The pricer (makePricer()) comes with the base.
  */
 #include "core/systems/registration.h"
 #include "core/tabled_pricer.h"

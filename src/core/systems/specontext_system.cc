@@ -54,19 +54,10 @@ class SpeContextSystem final : public TabledSystem<SpeContextSystem>
         sim::DecodeBreakdown base; ///< cost.decodeStepBreakdown(llm, R, 0)
         double head_gemm;          ///< retrieval-head GEMM at R
         sim::MemoryModel mm;       ///< over memoryInputs(cfg, R)
-        /** mm.allResidentMaxTokens(), or -1 to switch the all-resident
-         *  shortcut off (the per-call reference path). */
-        int64_t all_resident_limit;
+        int64_t all_resident_limit; ///< mm.allResidentMaxTokens()
     };
     PerR tableEntry(const TimingConfig &cfg, const PriceContext &c,
                     int64_t R) const;
-    PerR referenceEntry(const TimingConfig &cfg, const PriceContext &c,
-                        int64_t R) const
-    {
-        PerR p = tableEntry(cfg, c, R);
-        p.all_resident_limit = -1;
-        return p;
-    }
 
     /** Attention reads at most `budget` tokens per request. */
     int64_t attendCap() const { return opts_.budget; }
@@ -307,7 +298,9 @@ SpeContextSystem::roundSeconds(const TimingConfig &cfg, const PriceContext &c,
 
     // Both placement modes (static Eq. 6 and adaptive Eq. 8) reduce to
     // the same all-resident fit test while s_max is under the limit,
-    // so the shortcut yields the exact l_cpu = 0 either would.
+    // so the shortcut yields the exact l_cpu = 0 either would
+    // (MemoryModelFast.AllResidentMaxTokensIsTheExactThreshold pins
+    // both equivalences).
     const int64_t l_cpu = s_max <= p.all_resident_limit
                               ? 0
                               : cpuLayersWith(p.mm, cfg, R, s_max);

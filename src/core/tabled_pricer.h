@@ -17,18 +17,14 @@
  *  - `prefillWith(cfg, ctx, entry at in-flight + 1, ...)` and
  *    `admitWith(cfg, ctx, entry at R = 1, ...)`: the admission hooks.
  *
- * In return it gets both paths. The per-call SystemModel methods (the
- * reference the tests hold the pricer to) build a fresh context and
- * entry per call. `TabledPricer<Sys>`, the only SystemPricer, binds the
- * context once, tables the entries by R and runs the incremental
- * decode window. Both call the same reduction and the same tail, so
- * every result is bit-identical, and since the tail is a non-virtual
- * member of `Sys` it inlines into the fused window loop.
+ * In return it gets `TabledPricer<Sys>`, the only SystemPricer: it
+ * binds the context once, tables the entries by R and runs the
+ * incremental decode window. Since the tail is a non-virtual member of
+ * `Sys`, it inlines into the fused window loop.
  *
  * Every hook takes the bound TimingConfig and its PriceContext as two
- * arguments. The pricer passes its own member config, so an inlined
- * tail reads the geometry at a fixed offset; the per-call path passes
- * the caller's config and copies nothing.
+ * arguments; the pricer passes its own member config, so an inlined
+ * tail reads the geometry at a fixed offset.
  */
 #pragma once
 
@@ -46,8 +42,7 @@ namespace core {
 
 /**
  * The pure per-config derivations every continuous system prices from,
- * over one TimingConfig. A pricer binds one for its lifetime; a
- * per-call method builds one per call.
+ * over one TimingConfig. A pricer binds one for its lifetime.
  */
 struct PriceContext
 {
@@ -93,35 +88,7 @@ requirePositive(int64_t s)
 {
     if (s <= 0)
         throw std::invalid_argument(
-            "decodeIterationSeconds: non-positive KV length");
-}
-
-/** The one per-round reduction: Σ min(cap, s) and max s over
- *  `kv_lens`. Throws on a non-positive length. */
-inline void
-reduceKvLens(const std::vector<int64_t> &kv_lens, int64_t cap,
-             int64_t &attended_total, int64_t &s_max)
-{
-    attended_total = 0;
-    s_max = 0;
-    for (int64_t s : kv_lens) {
-        requirePositive(s);
-        attended_total += std::min(cap, s);
-        s_max = std::max(s_max, s);
-    }
-}
-
-/** Price one round over `kv_lens` (non-empty) on entry `p`. */
-template <class Sys>
-double
-priceKvLens(const Sys &sys, const TimingConfig &cfg, const PriceContext &c,
-            const typename Sys::PerR &p, const std::vector<int64_t> &kv_lens)
-{
-    int64_t attended_total = 0;
-    int64_t s_max = 0;
-    reduceKvLens(kv_lens, sys.attendCap(), attended_total, s_max);
-    return sys.roundSeconds(cfg, c, p, static_cast<int64_t>(kv_lens.size()),
-                            attended_total, s_max);
+            "SystemPricer: non-positive KV length");
 }
 
 /**
@@ -157,9 +124,17 @@ class TabledPricer final : public SystemPricer
     {
         if (kv_lens.empty())
             return 0.0;
-        return priceKvLens(sys_, cfg_, ctx_,
-                           entry(static_cast<int64_t>(kv_lens.size())),
-                           kv_lens);
+        // The one per-round reduction: Σ min(cap, s) and max s.
+        int64_t attended_total = 0;
+        int64_t s_max = 0;
+        for (int64_t s : kv_lens) {
+            requirePositive(s);
+            attended_total += std::min(cap_, s);
+            s_max = std::max(s_max, s);
+        }
+        const int64_t r = static_cast<int64_t>(kv_lens.size());
+        return sys_.roundSeconds(cfg_, ctx_, entry(r), r, attended_total,
+                                 s_max);
     }
 
     void beginWindow(const std::vector<int64_t> &kv_lens) override
@@ -199,11 +174,6 @@ class TabledPricer final : public SystemPricer
         win_ = w;
     }
 
-    double nextRoundSeconds() override
-    {
-        return win_.r > 0 ? roundPrice(win_) : 0.0;
-    }
-
     /** The fused window loop: the per-round price inlines into the
      *  loop body, so a window costs one virtual dispatch in total. The
      *  window state and the round count live in locals for the loop's
@@ -233,6 +203,12 @@ class TabledPricer final : public SystemPricer
     double prefillSeconds(int64_t prompt_len, int64_t in_flight_requests,
                           int64_t resident_kv_tokens) override
     {
+        if (prompt_len <= 0)
+            throw std::invalid_argument(
+                "prefillSeconds: non-positive prompt");
+        if (in_flight_requests < 0 || resident_kv_tokens < 0)
+            throw std::invalid_argument(
+                "prefillSeconds: negative batch state");
         return sys_.prefillWith(cfg_, ctx_, entry(in_flight_requests + 1),
                                 prompt_len, in_flight_requests,
                                 resident_kv_tokens);
@@ -248,8 +224,8 @@ class TabledPricer final : public SystemPricer
                               candidate_prompt_len, candidate_final_len);
     }
 
-    /** SystemModel::fitsCurrent's split: admit(rest, 1, back), with
-     *  the rest passed in place. */
+    /** admit(rest, 1, back) (see SystemPricer::fitsCurrent), with the
+     *  rest passed in place. */
     AdmissionDecision fitsCurrent(const std::vector<int64_t> &kv_lens) override
     {
         if (kv_lens.empty())
@@ -324,9 +300,7 @@ class TabledPricer final : public SystemPricer
 
 /**
  * CRTP base of a continuous system (see the file comment for the hooks
- * `Sys` supplies). Implements the per-call methods as the reference
- * oracle, one fresh PriceContext and entry per call, and makePricer()
- * as a TabledPricer<Sys>.
+ * `Sys` supplies): makePricer() returns a TabledPricer<Sys>.
  */
 template <class Sys>
 class TabledSystem : public SystemModel
@@ -336,57 +310,12 @@ class TabledSystem : public SystemModel
 
     bool supportsContinuousBatching() const final { return true; }
 
-    double requestPrefillSeconds(const TimingConfig &cfg, int64_t prompt_len,
-                                 int64_t in_flight_requests,
-                                 int64_t resident_kv_tokens) const final
-    {
-        const PriceContext c(cfg, this->backend());
-        return self().prefillWith(
-            cfg, c, self().referenceEntry(cfg, c, in_flight_requests + 1),
-            prompt_len, in_flight_requests, resident_kv_tokens);
-    }
-
-    double decodeIterationSeconds(
-        const TimingConfig &cfg,
-        const std::vector<int64_t> &kv_lens) const final
-    {
-        if (kv_lens.empty())
-            return 0.0;
-        const PriceContext c(cfg, this->backend());
-        return priceKvLens(self(), cfg, c,
-                           self().referenceEntry(
-                               cfg, c, static_cast<int64_t>(kv_lens.size())),
-                           kv_lens);
-    }
-
-    AdmissionDecision admit(const TimingConfig &cfg,
-                            const std::vector<int64_t> &in_flight_final_lens,
-                            int64_t candidate_prompt_len,
-                            int64_t candidate_final_len) const final
-    {
-        const PriceContext c(cfg, this->backend());
-        return self().admitWith(cfg, c, self().referenceEntry(cfg, c, 1),
-                                in_flight_final_lens.data(),
-                                in_flight_final_lens.size(),
-                                candidate_prompt_len, candidate_final_len);
-    }
-
     std::unique_ptr<SystemPricer> makePricer(
         const TimingConfig &cfg) const final
     {
-        return std::make_unique<TabledPricer<Sys>>(self(), cfg);
+        return std::make_unique<TabledPricer<Sys>>(
+            static_cast<const Sys &>(*this), cfg);
     }
-
-    /** The entry the per-call path prices from. Defaults to the table's
-     *  entry; a system hides it to switch a table-only shortcut off. */
-    auto referenceEntry(const TimingConfig &cfg, const PriceContext &c,
-                        int64_t R) const
-    {
-        return self().tableEntry(cfg, c, R);
-    }
-
-  private:
-    const Sys &self() const { return static_cast<const Sys &>(*this); }
 };
 
 } // namespace core

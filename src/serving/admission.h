@@ -11,8 +11,8 @@
  * discipline vLLM-style servers apply.
  *
  * The capacity test itself is polymorphic: the controller delegates to
- * core::SystemModel::admit(), so every system brings its own memory
- * discipline —
+ * the admit() of a core::SystemPricer bound to its config, so every
+ * system brings its own memory discipline —
  *  - SpeContext admits through sim::MemoryModel's Eq. 7 headroom
  *    queries (some offload level 0..L must fit, Algorithm 1/2's
  *    invariant) plus the CPU-DRAM ceiling on offloaded KV;
@@ -83,12 +83,11 @@ class AdmissionController
     /** Eq. 6-8 memory-model instance over this config (requests = 1;
      *  headroom queries take explicit request counts). Built on
      *  demand — only the SpeContext admission path prices through it,
-     *  via SystemModel::admit(); exposed so tests can cross-check
+     *  via SystemPricer::admit(); exposed so tests can cross-check
      *  admission decisions against the raw Eq. 7 queries. */
     sim::MemoryModel memoryModel() const
     {
-        return sim::MemoryModel(
-            core::TimingEngine::memoryInputsFor(cfg_, 1));
+        return sim::MemoryModel(cfg_.system->memoryInputs(cfg_, 1));
     }
 
     /** Can `candidate` join `in_flight` without oversubscribing?
@@ -111,7 +110,7 @@ class AdmissionController
     /** Can every in-flight request grow one more decode token (each at
      *  kvLen() + 1) under the system's memory discipline? The
      *  preemption trigger of Optimistic scheduling; delegates to
-     *  core::SystemModel::fitsCurrent(). */
+     *  core::SystemPricer::fitsCurrent(). */
     AdmissionDecision decodeStepFits(
         const std::vector<Request> &in_flight) const;
 
@@ -149,12 +148,11 @@ class AdmissionController
 
   private:
     core::TimingConfig cfg_;
-    /** Pricer from SystemModel::makePricer(), bound to cfg_ — its
-     *  admit()/fitsCurrent() are bit-identical to the per-call system
-     *  methods, with per-config setup (memory-model construction)
-     *  hoisted out of the probe path. Mutable: probes are logically
-     *  const but the pricer may cache. Not thread-safe, like the
-     *  pricer. */
+    /** Pricer from SystemModel::makePricer(), bound to cfg_: every
+     *  probe goes through its admit()/fitsCurrent(), with per-config
+     *  setup (memory-model construction) done once. Mutable: probes
+     *  are logically const but the pricer may cache. Not thread-safe,
+     *  like the pricer. */
     mutable std::unique_ptr<core::SystemPricer> pricer_;
     /** Reused length buffer for probe vectors (amortizes the per-call
      *  allocation the serving loop used to pay millions of times). */

@@ -41,9 +41,9 @@ replicaWarmupSeconds(const ReplicaConfig &rc, double provision_seconds)
             "bandwidth to load weights over");
     rc.timing.llm.validate(); // the token size below must be positive
     const int64_t weight_bytes =
-        core::TimingEngine::weightFootprintBytes(rc.timing.llm);
+        core::weightFootprintBytes(rc.timing.llm);
     const int64_t bytes_per_token =
-        core::TimingEngine::kvBytesPerTokenPerLayer(rc.timing.llm);
+        core::kvBytesPerTokenPerLayer(rc.timing.llm);
     // Rounded up to whole KV-token units: golden digests and
     // BENCH_autoscale.json pin this rounding.
     const int64_t tokens =

@@ -135,11 +135,11 @@ struct ClusterConfig
 /**
  * Simulated seconds to bring a cold replica of shape `rc` live:
  * `provision_seconds` of instance provisioning plus the model's weight
- * footprint (1.3x FP16 parameters, core::TimingEngine::
- * weightFootprintBytes) crossing PCIe at rc's link speed, so scale-up
- * is never free. The weight bytes are rounded up to whole KV-token
- * units (core::TimingEngine::kvBytesPerTokenPerLayer), the unit the
- * paper's Section 5.4 loading model moves.
+ * footprint (1.3x FP16 parameters, core::weightFootprintBytes)
+ * crossing PCIe at rc's link speed, so scale-up is never free. The
+ * weight bytes are rounded up to whole KV-token units
+ * (core::kvBytesPerTokenPerLayer), the unit the paper's Section 5.4
+ * loading model moves.
  * @throws std::invalid_argument on a non-positive PCIe bandwidth, a
  * negative/non-finite provision time, or an invalid model geometry
  * (model::ModelConfig::validate).

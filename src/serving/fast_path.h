@@ -25,14 +25,15 @@
  *    Turning skip_ahead off restores the literal one-event-at-a-time
  *    loop.
  *
- *  - cache_decode_costs (default on) gives every replica lane a
- *    core::SystemPricer: the cost model's pure per-config derivations
- *    (cost-model construction, memory-model geometry, validation) are
- *    built once per (replica, batch size) instead of on every
- *    simulated decode iteration and admission prefill. The pricer runs
+ *  - cache_decode_costs (default on) gives every replica lane one
+ *    core::SystemPricer for the whole run: the cost model's pure
+ *    per-config derivations (cost-model construction, memory-model
+ *    geometry, validation) are built once per (replica, batch size),
+ *    and pure-decode rounds run as bulk windows. Turning it off prices
+ *    every simulated decode iteration and admission prefill on a
+ *    fresh pricer, one round at a time — the reference loop. Both run
  *    the same arithmetic on the same values, so every simulated
- *    duration is bit-identical; turning it off restores the literal
- *    re-derive-per-call cost profile.
+ *    duration is bit-identical.
  */
 #pragma once
 

@@ -78,6 +78,7 @@ ReplicaEngine::ReplicaEngine(const core::TimingEngine &engine,
                              ReplicaConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)),
       scheduler_(cfg_.timing, schedulerConfigFor(cfg_)),
+      pricer_(engine_.makePricer(cfg_.timing)),
       prefix_tree_(prefixTreeConfigFor(cfg_))
 {
     if (cfg_.max_batch <= 0)
@@ -142,8 +143,17 @@ void
 ReplicaEngine::setDecodeCostCache(bool on)
 {
     flushWindow();
-    pricer_ = on ? engine_.makePricer(cfg_.timing) : nullptr;
+    cache_costs_ = on;
     win_live_ = false;
+}
+
+core::SystemPricer &
+ReplicaEngine::roundPricer()
+{
+    // The reference loop re-derives every price from scratch.
+    if (!cache_costs_)
+        pricer_ = engine_.makePricer(cfg_.timing);
+    return *pricer_;
 }
 
 void
@@ -650,15 +660,9 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         OBS_EVENT(trace_, obs::EventType::PrefillStart, now_,
                   static_cast<int32_t>(cfg_.id), r.id, prefill_tokens,
                   static_cast<int64_t>(active_.size()));
-        now_ += pricer_
-                    ? pricer_->prefillSeconds(
-                          prefill_tokens,
-                          static_cast<int64_t>(active_.size()),
-                          resident + cached)
-                    : engine_.requestPrefillSeconds(
-                          cfg_.timing, prefill_tokens,
-                          static_cast<int64_t>(active_.size()),
-                          resident + cached);
+        now_ += roundPricer().prefillSeconds(
+            prefill_tokens, static_cast<int64_t>(active_.size()),
+            resident + cached);
         if (restore)
             result_.preempt.restore_prefill_tokens += prefill_tokens;
         // Cache hits are not entirely free when the reload knob is
@@ -748,7 +752,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // same round. (opt_fit_rounds_ caches the proof across calls;
         // any admission, retirement or preemption voids it.)
         int64_t k_retire = 0;
-        if (pricer_) {
+        if (cache_costs_) {
             if (win_live_) {
                 // Continued window: the previous reconciliation
                 // already discounted the rounds run, no rescan.
@@ -761,7 +765,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
             }
         }
         int64_t bulk_k = k_retire;
-        if (pricer_ && optimistic_preempt) {
+        if (cache_costs_ && optimistic_preempt) {
             if (opt_fit_rounds_ <= 0)
                 opt_fit_rounds_ =
                     scheduler_.decodeFitRounds(active_, bulk_k);
@@ -796,10 +800,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                                       now_, horizon, t_pending, rounds,
                                       first_now);
         } else {
-            now_ += pricer_
-                        ? pricer_->decodeSeconds(kv_scratch_)
-                        : engine_.decodeIterationSeconds(cfg_.timing,
-                                                         kv_scratch_);
+            now_ += roundPricer().decodeSeconds(kv_scratch_);
             first_now = now_;
         }
         const int64_t R = static_cast<int64_t>(active_.size());

@@ -394,13 +394,14 @@ class ReplicaEngine
 
     /**
      * Toggle the cached per-lane pricer (core::SystemPricer): on,
-     * every decode round and admission prefill is priced by one
-     * pricer that derives the cost/memory models once per batch size;
-     * off (the construction default), each call re-derives them
-     * through the TimingEngine façade — the pre-fast-path cost
-     * profile. Either way the simulated durations are bit-identical;
-     * drivers set this from SimFastPath::cache_decode_costs.
-     * Admission probes always go through the scheduler's own pricer.
+     * every decode round and admission prefill is priced by the lane's
+     * one pricer, which derives the cost/memory models once per batch
+     * size and runs bulk decode windows; off (the construction
+     * default), each prefill and round is priced on a fresh pricer —
+     * the reference loop, with the pre-fast-path cost profile. Either
+     * way the simulated durations are bit-identical; drivers set this
+     * from SimFastPath::cache_decode_costs. Admission probes always go
+     * through the scheduler's own pricer.
      */
     void setDecodeCostCache(bool on);
 
@@ -415,9 +416,11 @@ class ReplicaEngine
     const core::TimingEngine &engine_;
     ReplicaConfig cfg_;
     Scheduler scheduler_;
-    /** Fast-path decode and prefill pricer (null = per-call façade
-     *  path, bit-identical). */
+    /** Decode and prefill pricer: the lane's one pricer when
+     *  cache_costs_, else replaced by a fresh one before every prefill
+     *  and round (see roundPricer()). */
     std::unique_ptr<core::SystemPricer> pricer_;
+    bool cache_costs_ = false; ///< setDecodeCostCache()
 
     double now_ = 0.0;
     std::vector<Request> active_;
@@ -541,11 +544,12 @@ class ReplicaEngine
      *  minRoundSeconds() each, where n is the smallest remaining
      *  generation length (discounting win_defer_rounds_, so it is what
      *  an eager reconciliation would read), further capped by the live
-     *  decode-fit window in Optimistic mode. now() when no pricer,
-     *  floor or fit window proves anything. */
+     *  decode-fit window in Optimistic mode. now() in the reference
+     *  loop (no cached pricer), or when no floor or fit window proves
+     *  anything. */
     double batchChangeBoundSeconds() const
     {
-        if (!pricer_)
+        if (!cache_costs_)
             return now_;
         const double floor_s = pricer_->minRoundSeconds();
         if (!(floor_s > 0.0))
@@ -563,6 +567,10 @@ class ReplicaEngine
 
     /** Move pending requests with arrival <= t into the queue. */
     void ingestPending(double t);
+
+    /** The pricer of the next prefill or single decode round: the
+     *  lane's own when cache_costs_, else a fresh one. */
+    core::SystemPricer &roundPricer();
 
     /** Refresh this replica's gauges (queue depth, in-flight, live KV
      *  bytes, prefix residency); called at every step() exit so a

@@ -10,7 +10,7 @@
  *  - LeastKvLoad: smallest fraction of KV capacity reserved, where
  *    each replica's reservation sums the final-length KV of everything
  *    it owes work to (the same pessimistic booking its
- *    SystemModel::admit() discipline applies) and capacity is the HBM
+ *    SystemPricer::admit() discipline applies) and capacity is the HBM
  *    left next to the weights — so heterogeneous replicas compare by
  *    *fractional* memory pressure, not absolute tokens.
  *  - TwoTier: prompt-length-aware placement — prompts of at least

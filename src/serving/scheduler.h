@@ -189,8 +189,9 @@ class Scheduler
 
     /** True when every in-flight request can grow one more decode
      *  token. Always true in Reserve mode (reservations guarantee
-     *  it); Optimistic delegates to the memory model's
-     *  current-footprint query. */
+     *  it); Optimistic delegates to the system's current-footprint
+     *  query (AdmissionController::decodeStepFits, which asks the
+     *  bound core::SystemPricer::fitsCurrent). */
     bool nextDecodeTokenFits(const std::vector<Request> &active) const;
 
     /**

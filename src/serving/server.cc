@@ -1,6 +1,7 @@
 #include "serving/server.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 namespace specontext {
@@ -49,6 +50,8 @@ serveWaves(const core::TimingEngine &engine, const ServerConfig &cfg,
     if (cfg.max_batch <= 0)
         throw std::invalid_argument("serveWaves: non-positive max_batch");
     const AdmissionController admission(cfg.timing);
+    const std::unique_ptr<core::SystemPricer> pricer =
+        engine.makePricer(cfg.timing);
     sortByArrival(trace);
     ServeResult out;
     double now = 0.0;
@@ -109,14 +112,14 @@ serveWaves(const core::TimingEngine &engine, const ServerConfig &cfg,
         // each member joins on top of the previously prefilled ones'
         // resident KV.
         for (size_t k = 0; k < wave.size(); ++k) {
-            now += engine.requestPrefillSeconds(
-                cfg.timing, max_prompt, static_cast<int64_t>(k),
+            now += pricer->prefillSeconds(
+                max_prompt, static_cast<int64_t>(k),
                 static_cast<int64_t>(k) * max_prompt);
         }
 
         for (int64_t t = 0; t < max_gen; ++t) {
             std::vector<int64_t> kv_lens(wave.size(), max_prompt + t);
-            now += engine.decodeIterationSeconds(cfg.timing, kv_lens);
+            now += pricer->decodeSeconds(kv_lens);
             ++out.iterations;
             for (Request &r : wave) {
                 if (r.first_token_seconds < 0.0)

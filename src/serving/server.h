@@ -9,7 +9,7 @@
  * batch and holds a barrier until every member finishes — the paper's
  * Table 3 setup. Production traffic is open-loop and mixed-length, so
  * this server instead advances all in-flight requests ONE decode
- * iteration at a time via core::TimingEngine's incremental hooks,
+ * iteration at a time, priced by a core::SystemPricer,
  * admitting newly arrived requests (admission.h decides whether their
  * KV reservation fits) and retiring finished ones at every iteration
  * boundary — no barriers, Orca/vLLM-style.

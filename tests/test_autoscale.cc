@@ -93,9 +93,9 @@ double
 coldLoaderWarmupSeconds(const ReplicaConfig &rc, double provision_seconds)
 {
     const int64_t weight_bytes =
-        core::TimingEngine::weightFootprintBytes(rc.timing.llm);
+        core::weightFootprintBytes(rc.timing.llm);
     const int64_t bytes_per_token =
-        core::TimingEngine::kvBytesPerTokenPerLayer(rc.timing.llm);
+        core::kvBytesPerTokenPerLayer(rc.timing.llm);
     const int64_t token_equiv =
         (weight_bytes + bytes_per_token - 1) / bytes_per_token;
     model::LayerSelection sel;
@@ -134,7 +134,7 @@ TEST(Autoscale, WarmupPricesWeightLoadThroughColdLoader)
         const double w = serving::replicaWarmupSeconds(rc);
         const double unrounded =
             static_cast<double>(
-                core::TimingEngine::weightFootprintBytes(rc.timing.llm)) /
+                core::weightFootprintBytes(rc.timing.llm)) /
             (rc.timing.hw.pcie_bw_gbps * 1e9);
         EXPECT_GE(w, unrounded);
         EXPECT_NEAR(w, unrounded, 1e-3);

@@ -802,7 +802,7 @@ TEST(Admission, SpeContextAdmitImpliesMemoryModelHeadroom)
     // The denial is the memory model's edge, not an arbitrary cap.
     const auto r = static_cast<int64_t>(in_flight.size()) + 1;
     const int64_t kvb =
-        TimingEngine::kvBytesPerTokenPerLayer(ac.config().llm);
+        core::kvBytesPerTokenPerLayer(ac.config().llm);
     const bool gpu_fits = mm.fitsWithOffload(r, cand.finalLen());
     const bool cpu_fits = r * cand.finalLen() * kvb *
                               ac.config().llm.layers <=
@@ -821,7 +821,7 @@ TEST(Admission, FullAttentionDeniesWhenKvExceedsHbm)
     }
     // Check the denial against the exact byte arithmetic.
     const model::ModelConfig &m = ac.config().llm;
-    const int64_t kvb = TimingEngine::kvBytesPerTokenPerLayer(m);
+    const int64_t kvb = core::kvBytesPerTokenPerLayer(m);
     const int64_t weights =
         static_cast<int64_t>(1.3 * m.parameterBytesFp16());
     const auto r = static_cast<int64_t>(in_flight.size());
@@ -861,51 +861,51 @@ TEST(Admission, MemoryModelHeadroomQueriesAreConsistent)
 
 // --------------------------------------------------------------- engine
 
-TEST(TimingEngineStepping, UniformIterationMatchesBatchedStep)
+TEST(PricerStepping, UniformIterationMatchesBatchedStep)
 {
     TimingEngine e;
     const TimingConfig cfg = cloudConfig("FullAttn(FlashInfer)");
     const sim::CostModel cost(cfg.hw, cfg.system->backend());
     const std::vector<int64_t> kv(8, 4096);
-    const double iter = e.decodeIterationSeconds(cfg, kv);
+    const double iter = e.makePricer(cfg)->decodeSeconds(kv);
     const double batched =
         cost.decodeStepBreakdown(cfg.llm, 8, 4096).total;
     EXPECT_NEAR(iter, batched, 1e-9 + 0.01 * batched);
 }
 
-TEST(TimingEngineStepping, ValidatesInputs)
+TEST(PricerStepping, ValidatesInputs)
 {
     TimingEngine e;
-    EXPECT_DOUBLE_EQ(
-        e.decodeIterationSeconds(cloudConfig("FullAttn(FlashInfer)"), {}),
-        0.0);
-    EXPECT_THROW(e.decodeIterationSeconds(cloudConfig("Quest"),
-                                          {1024}),
+    const auto pricer = e.makePricer(cloudConfig("FullAttn(FlashInfer)"));
+    EXPECT_EQ(pricer->decodeSeconds({}), 0.0);
+    EXPECT_THROW(pricer->decodeSeconds({1024, 0}), std::invalid_argument);
+    EXPECT_THROW(pricer->prefillSeconds(0, 0, 0), std::invalid_argument);
+    EXPECT_THROW(pricer->prefillSeconds(-1, 0, 0), std::invalid_argument);
+    EXPECT_THROW(pricer->prefillSeconds(1024, -1, 0),
                  std::invalid_argument);
-    EXPECT_THROW(
-        e.requestPrefillSeconds(cloudConfig("FullAttn(FlashInfer)"), 0),
-        std::invalid_argument);
+    EXPECT_THROW(pricer->prefillSeconds(1024, 0, -1),
+                 std::invalid_argument);
+    EXPECT_GT(pricer->prefillSeconds(1, 0, 0), 0.0);
+    // Wave-only systems have no pricer.
+    EXPECT_THROW(e.makePricer(cloudConfig("Quest")), std::invalid_argument);
     EXPECT_FALSE(SystemRegistry::create("ClusterKV")
                      ->supportsContinuousBatching());
     EXPECT_TRUE(SystemRegistry::create("SpeContext")
                     ->supportsContinuousBatching());
 }
 
-TEST(TimingEngineStepping, SpeContextBudgetCapsAttendedContext)
+TEST(PricerStepping, SpeContextBudgetCapsAttendedContext)
 {
     TimingEngine e;
-    const TimingConfig cfg = cloudConfig("SpeContext");
+    const auto sparse = e.makePricer(cloudConfig("SpeContext"));
     // Far beyond the budget, iteration cost grows only with the
     // retrieval head's scoring scan, not with attended KV — so doubling
     // the context costs much less than it does under full attention.
-    const double sparse_short =
-        e.decodeIterationSeconds(cfg, {8192, 8192});
-    const double sparse_long =
-        e.decodeIterationSeconds(cfg, {65536, 65536});
-    const TimingConfig fa = cloudConfig("FullAttn(FlashInfer)");
-    const double full_short = e.decodeIterationSeconds(fa, {8192, 8192});
-    const double full_long =
-        e.decodeIterationSeconds(fa, {65536, 65536});
+    const double sparse_short = sparse->decodeSeconds({8192, 8192});
+    const double sparse_long = sparse->decodeSeconds({65536, 65536});
+    const auto fa = e.makePricer(cloudConfig("FullAttn(FlashInfer)"));
+    const double full_short = fa->decodeSeconds({8192, 8192});
+    const double full_long = fa->decodeSeconds({65536, 65536});
     EXPECT_LT(sparse_long / sparse_short, full_long / full_short);
 }
 
@@ -958,7 +958,7 @@ TEST(Server, PeakInFlightRespectsUniformMemoryBound)
     EXPECT_EQ(r.completed(), 48);
 
     const model::ModelConfig &m = cfg.timing.llm;
-    const int64_t kvb = TimingEngine::kvBytesPerTokenPerLayer(m);
+    const int64_t kvb = core::kvBytesPerTokenPerLayer(m);
     const int64_t weights =
         static_cast<int64_t>(1.3 * m.parameterBytesFp16());
     const int64_t cap =

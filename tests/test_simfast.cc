@@ -9,15 +9,17 @@
  * tolerances: a fast path that is "close" is wrong.
  *
  * Also pinned here because the fast path leans on them:
- *  - SystemPricer bulk windows (beginWindow + k nextRoundSeconds ==
- *    k decodeSeconds() calls on elementwise-grown KV, and runWindow ==
- *    a caller-side nextRoundSeconds() loop, bit for bit), and every
- *    pricer query == the per-call SystemModel method on a grid of
- *    shapes for every continuous-batching system;
+ *  - SystemPricer bulk windows (round k of a window == a fresh
+ *    pricer's decodeSeconds() on the elementwise-grown KV, and
+ *    runWindow == a caller-side loop of one-round runWindow() calls,
+ *    bit for bit), and every query of one reused pricer == the same
+ *    query on a fresh pricer, on a grid of shapes for every
+ *    continuous-batching system;
  *  - serving::roundFloorLowerBound(), the admission cap peers' windows
  *    stop at, never above a clock stepped by n rounded additions;
  *  - MemoryModel::allResidentMaxTokens() as the exact integer
- *    inversion of the all-layers-resident fit test;
+ *    inversion of the all-layers-resident fit test, under both of
+ *    SpeContext's placement rules;
  *  - AdmissionController::sameAdmissionShape(), the router's
  *    one-verdict-per-homogeneous-fleet memo;
  *  - sim::EventClock::fireLane() round accounting and elastic lane
@@ -1085,9 +1087,24 @@ spillLimitTokens(const core::TimingConfig &cfg)
            (core::kvBytesPerTokenPerLayer(cfg.llm) * cfg.llm.layers);
 }
 
-/** Opens a window on `kv` and checks `rounds` nextRoundSeconds() calls
- *  against a fresh pricer's decodeSeconds() and the per-call method on
- *  kv, kv+1, ..., exactly. Returns the window's per-round prices. */
+/** Runs one round of `pricer`'s open window from `now` (runWindow
+ *  with a one-round cap and nothing due); returns the advanced clock. */
+double
+runOneRound(core::SystemPricer &pricer, double now)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    int64_t rounds = 0;
+    double first_now = 0.0;
+    const double t = pricer.runWindow(1, now, inf, inf, rounds, first_now);
+    EXPECT_EQ(rounds, 1);
+    EXPECT_EQ(first_now, t);
+    return t;
+}
+
+/** Opens a window on `kv` and checks `rounds` single rounds of it
+ *  against decodeSeconds() on kv, kv+1, ..., exactly: on one reused
+ *  pricer and on a fresh pricer per round. Returns the window's
+ *  per-round prices. */
 std::vector<double>
 expectWindowMatches(const core::TimingEngine &engine,
                     const core::TimingConfig &cfg,
@@ -1098,9 +1115,9 @@ expectWindowMatches(const core::TimingEngine &engine,
     std::vector<double> prices;
     window.beginWindow(kv);
     for (int round = 0; round < rounds; ++round) {
-        const double got = window.nextRoundSeconds();
+        const double got = runOneRound(window, 0.0);
         if (got != oracle->decodeSeconds(kv) ||
-            got != engine.decodeIterationSeconds(cfg, kv)) {
+            got != engine.makePricer(cfg)->decodeSeconds(kv)) {
             ADD_FAILURE() << cfg.system->name() << " diverged at round "
                           << round;
             break;
@@ -1114,7 +1131,7 @@ expectWindowMatches(const core::TimingEngine &engine,
 
 TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
 {
-    // beginWindow(kv) + k nextRoundSeconds() == k decodeSeconds()
+    // Rounds 0..k-1 of a window opened on kv == k decodeSeconds()
     // calls on kv, kv+1, ..., kv+(k-1), exactly. The KV mix is chosen so the
     // window crosses both interesting lines mid-run: short contexts
     // pass the attention budget (attended-token growth stops) and the
@@ -1153,7 +1170,7 @@ TEST(DecodeWindow, MatchesRepeatedSecondsBitForBit)
     int64_t spilled_rounds = 0;
     for (int round = 0; round < 64; ++round) {
         const double no_spill =
-            engine.decodeIterationSeconds(resident, kv);
+            engine.makePricer(resident)->decodeSeconds(kv);
         if (round <= 20) {
             EXPECT_EQ(prices[round], no_spill) << "round " << round;
         } else {
@@ -1171,12 +1188,19 @@ TEST(DecodeWindow, EmptyBatchWindowIsZero)
     core::TimingEngine engine;
     auto ev = engine.makePricer(timingFor("SpeContext"));
     ev->beginWindow({});
-    EXPECT_EQ(ev->nextRoundSeconds(), 0.0);
-    EXPECT_EQ(ev->nextRoundSeconds(), 0.0);
+    EXPECT_EQ(runOneRound(*ev, 0.0), 0.0);
+    EXPECT_EQ(runOneRound(*ev, 1.5), 1.5);
+    // Zero-cost rounds never reach a horizon; the round cap stops it.
+    const double inf = std::numeric_limits<double>::infinity();
+    int64_t rounds = 0;
+    double first_now = -1.0;
+    EXPECT_EQ(ev->runWindow(7, 2.0, inf, inf, rounds, first_now), 2.0);
+    EXPECT_EQ(rounds, 7);
+    EXPECT_EQ(first_now, 2.0);
 }
 
-/** The loop runWindow() fuses, driven from the caller's side through
- *  nextRoundSeconds(). */
+/** The loop runWindow() fuses, driven from the caller's side one
+ *  round at a time. */
 double
 callerSideWindow(core::SystemPricer &pricer, int64_t max_rounds, double now,
                  double horizon, double t_pending, int64_t &rounds,
@@ -1184,7 +1208,7 @@ callerSideWindow(core::SystemPricer &pricer, int64_t max_rounds, double now,
 {
     rounds = 0;
     for (;;) {
-        now += pricer.nextRoundSeconds();
+        now = runOneRound(pricer, now);
         if (++rounds == 1)
             first_now = now;
         if (rounds >= max_rounds || !(now < horizon) || t_pending <= now)
@@ -1195,10 +1219,12 @@ callerSideWindow(core::SystemPricer &pricer, int64_t max_rounds, double now,
 
 TEST(DecodeWindow, RunWindowMatchesACallerSideLoopBitForBit)
 {
-    // runWindow() on one pricer against a nextRoundSeconds() loop on a
-    // second: the advanced clock, the round count and the clock after
-    // the first round, bit for bit, for a window stopped by each of its
-    // three conditions. The KV mix crosses the 512-token attend cap
+    // runWindow() on one pricer against a caller-side loop of
+    // one-round windows on a second: the advanced clock, the round
+    // count and the clock after the first round, bit for bit, for a
+    // window stopped by each of its three conditions. Both must follow
+    // the clock a fresh pricer's decodeSeconds() steps on the grown
+    // lengths. The KV mix crosses the 512-token attend cap
     // mid-window, and a clock at 1e4 s makes every addition round.
     core::TimingEngine engine;
     const double inf = std::numeric_limits<double>::infinity();
@@ -1210,11 +1236,14 @@ TEST(DecodeWindow, RunWindowMatchesACallerSideLoopBitForBit)
         // The clock after each round of an uncapped window.
         std::vector<double> clock;
         {
-            auto pricer = engine.makePricer(cfg);
-            pricer->beginWindow(kv);
+            std::vector<int64_t> grown = kv;
             double t = now;
-            for (int round = 0; round < 64; ++round)
-                clock.push_back(t += pricer->nextRoundSeconds());
+            for (int round = 0; round < 64; ++round) {
+                t += engine.makePricer(cfg)->decodeSeconds(grown);
+                clock.push_back(t);
+                for (int64_t &s : grown)
+                    ++s;
+            }
         }
         struct Stop
         {
@@ -1266,7 +1295,7 @@ TEST(DecodeWindow, RunWindowMatchesACallerSideLoopBitForBit)
     }
 }
 
-/** The shapes the pricer-vs-per-call grid runs on: the cloud 8B
+/** The shapes the reused-vs-fresh pricer grid runs on: the cloud 8B
  *  default, the same at 24 GiB of HBM (SpeContext offloads), and the
  *  edge 1B — plus, for FullAttn(FlashInfer), offloadingFullAttn(), so
  *  the grid reaches the complete-offloading spill charge. */
@@ -1299,11 +1328,25 @@ pricerBatches()
     return batches;
 }
 
-TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
+/** SystemPricer::fitsCurrent() by its definition, on a fresh pricer:
+ *  admit(kv minus its last entry, 1, kv.back()); an empty batch fits. */
+core::AdmissionDecision
+freshFitsCurrent(const core::TimingConfig &cfg,
+                 const std::vector<int64_t> &kv)
 {
-    // The pricer caches per-(config, batch size) derivations; each of
-    // its queries must still equal the per-call method exactly — on
-    // doubles, and on admission decision plus reason.
+    if (kv.empty())
+        return {true, ""};
+    const std::vector<int64_t> rest(kv.begin(), kv.end() - 1);
+    return core::TimingEngine().makePricer(cfg)->admit(rest, 1, kv.back());
+}
+
+TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
+{
+    // A pricer caches per-(config, batch size) derivations; each query
+    // of one pricer reused across the whole grid (the fast path) must
+    // still equal the same query on a fresh pricer (the reference
+    // loop) exactly — on doubles, and on admission decision plus
+    // reason.
     core::TimingEngine engine;
     const std::vector<std::string> systems = continuousSystems();
     ASSERT_GE(systems.size(), 6u); // SpeContext, 3x FullAttn, H2O, SLLM
@@ -1327,8 +1370,8 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
                     for (int64_t resident : residents) {
                         EXPECT_EQ(pricer->prefillSeconds(prompt, in_flight,
                                                          resident),
-                                  engine.requestPrefillSeconds(
-                                      cfg, prompt, in_flight, resident));
+                                  engine.makePricer(cfg)->prefillSeconds(
+                                      prompt, in_flight, resident));
                         if (system != "SpeContext")
                             continue;
                         // The joined batch's uniformized shape parks
@@ -1342,7 +1385,7 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
                     }
             for (const std::vector<int64_t> &batch : pricerBatches()) {
                 EXPECT_EQ(pricer->decodeSeconds(batch),
-                          engine.decodeIterationSeconds(cfg, batch));
+                          engine.makePricer(cfg)->decodeSeconds(batch));
                 int64_t total = 0;
                 for (int64_t s : batch)
                     total += s;
@@ -1351,7 +1394,7 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
                 const core::AdmissionDecision fit =
                     pricer->fitsCurrent(batch);
                 const core::AdmissionDecision fit_ref =
-                    sys.fitsCurrent(cfg, batch);
+                    freshFitsCurrent(cfg, batch);
                 EXPECT_EQ(fit.admit, fit_ref.admit);
                 EXPECT_EQ(fit.reason, fit_ref.reason);
                 for (int64_t prompt : prompts)
@@ -1359,20 +1402,21 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
                         const core::AdmissionDecision got =
                             pricer->admit(batch, prompt, prompt + gen);
                         const core::AdmissionDecision want =
-                            sys.admit(cfg, batch, prompt, prompt + gen);
+                            engine.makePricer(cfg)->admit(batch, prompt,
+                                                          prompt + gen);
                         EXPECT_EQ(got.admit, want.admit);
                         EXPECT_EQ(got.reason, want.reason);
                         ++(want.admit ? admitted : denied);
                     }
             }
             // Straddle the fit frontier: the longest uniform length n
-            // contexts fit at (per-call oracle, bisected), and one
+            // contexts fit at (fresh-pricer oracle, bisected), and one
             // token past it — where an off-by-one in the pricer's
             // reductions would flip the verdict.
             for (int64_t n : {1, 4, 16}) {
                 const auto fitsAt = [&](int64_t len) {
-                    return sys.fitsCurrent(
-                                  cfg, std::vector<int64_t>(n, len))
+                    return freshFitsCurrent(cfg,
+                                            std::vector<int64_t>(n, len))
                         .admit;
                 };
                 int64_t lo = 1, hi = int64_t{1} << 26;
@@ -1387,11 +1431,11 @@ TEST(SystemPricer, EveryQueryMatchesThePerCallMethodBitForBit)
                     const std::vector<int64_t> rest(n - 1, len);
                     EXPECT_EQ(pricer->fitsCurrent(kv).admit, len == lo);
                     EXPECT_EQ(pricer->fitsCurrent(kv).reason,
-                              sys.fitsCurrent(cfg, kv).reason);
+                              freshFitsCurrent(cfg, kv).reason);
                     const core::AdmissionDecision got =
                         pricer->admit(rest, len, len);
                     const core::AdmissionDecision want =
-                        sys.admit(cfg, rest, len, len);
+                        engine.makePricer(cfg)->admit(rest, len, len);
                     EXPECT_EQ(got.admit, want.admit);
                     EXPECT_EQ(got.reason, want.reason);
                 }
@@ -1431,7 +1475,7 @@ TEST(SystemPricer, MinRoundSecondsLowerBoundsEveryRound)
                 EXPECT_GE(pricer->decodeSeconds(batch), floor_s);
                 pricer->beginWindow(batch);
                 for (int round = 0; round < 64; ++round)
-                    ASSERT_GE(pricer->nextRoundSeconds(), floor_s)
+                    ASSERT_GE(runOneRound(*pricer, 0.0), floor_s)
                         << "round " << round;
             }
         }
@@ -1505,13 +1549,13 @@ TEST(SystemPricer, OpenWindowSurvivesTableGrowth)
                 if (round == 8) {
                     // Larger R than the window's: grows the table.
                     EXPECT_EQ(pricer->prefillSeconds(4096, 63, 200000),
-                              engine.requestPrefillSeconds(cfg, 4096, 63,
-                                                           200000));
+                              engine.makePricer(cfg)->prefillSeconds(
+                                  4096, 63, 200000));
                     (void)pricer->admit(
                         std::vector<int64_t>(127, 1024), 512, 1024);
                 }
-                ASSERT_EQ(pricer->nextRoundSeconds(),
-                          engine.decodeIterationSeconds(cfg, kv))
+                ASSERT_EQ(runOneRound(*pricer, 0.0),
+                          engine.makePricer(cfg)->decodeSeconds(kv))
                     << "round " << round;
                 for (int64_t &s : kv)
                     ++s;
@@ -1524,17 +1568,27 @@ TEST(SystemPricer, OpenWindowSurvivesTableGrowth)
 
 TEST(MemoryModelFast, AllResidentMaxTokensIsTheExactThreshold)
 {
-    // s <= allResidentMaxTokens() iff maxGpuLayers(s) == layers, with
-    // equality tight on both sides of the boundary. Pairings where the
-    // weights fit:
+    // SpeContext's round tail prices a batch of R requests whose
+    // longest context is s as fully resident (l_cpu = 0), skipping the
+    // placement rule, whenever s <= allResidentMaxTokens() of its
+    // batch-size entry's model (memoryInputs(cfg, R)). Every pricer
+    // takes that shortcut, so this test is its only check: the limit
+    // must be the exact threshold of both placement rules at every R,
+    // with equality tight on both sides of the boundary:
+    //  - adaptive (C3): s <= limit iff maxGpuLayers(s) == layers;
+    //  - static (C3 off): s <= limit iff mAllBytesFor(R, s) fits.
+    // Pairings where the weights fit:
     struct Case
     {
         sim::HardwareSpec hw;
         model::ModelConfig llm;
     };
+    sim::HardwareSpec small_hbm = sim::HardwareSpec::cloudA800();
+    small_hbm.gpu_mem_bytes = 24LL << 30;
     const Case cases[] = {
         {sim::HardwareSpec::cloudA800(),
          model::deepseekDistillLlama8bGeometry()},
+        {small_hbm, model::deepseekDistillLlama8bGeometry()},
         {sim::HardwareSpec::edge4060(),
          model::reasoningLlama32_1bGeometry()},
     };
@@ -1542,23 +1596,38 @@ TEST(MemoryModelFast, AllResidentMaxTokensIsTheExactThreshold)
         core::TimingConfig cfg = timingFor("SpeContext");
         cfg.hw = c.hw;
         cfg.llm = c.llm;
-        const sim::MemoryModel mm(
-            core::TimingEngine::memoryInputsFor(cfg, 1));
-        const int64_t limit = mm.allResidentMaxTokens();
-        ASSERT_GT(limit, 0);
-        EXPECT_EQ(mm.maxGpuLayers(limit), cfg.llm.layers);
-        EXPECT_LT(mm.maxGpuLayers(limit + 1), cfg.llm.layers);
-        EXPECT_EQ(mm.maxGpuLayers(1), cfg.llm.layers);
+        for (int64_t r : {1, 8, 64}) {
+            SCOPED_TRACE(cfg.hw.name + " @ " +
+                         std::to_string(cfg.hw.gpu_mem_bytes >> 30) +
+                         " GiB, R = " + std::to_string(r));
+            const sim::MemoryModel mm(cfg.system->memoryInputs(cfg, r));
+            const int64_t limit = mm.allResidentMaxTokens();
+            ASSERT_GT(limit, 1);
+            const auto staticFits = [&](int64_t s) {
+                return mm.mAllBytesFor(r, s) <= cfg.hw.gpu_mem_bytes;
+            };
+            for (int64_t s : {int64_t{1}, limit - 1, limit}) {
+                EXPECT_EQ(mm.maxGpuLayers(s), cfg.llm.layers) << s;
+                EXPECT_TRUE(staticFits(s)) << s;
+            }
+            for (int64_t s : {limit + 1, limit + 2, 2 * limit}) {
+                EXPECT_LT(mm.maxGpuLayers(s), cfg.llm.layers) << s;
+                EXPECT_FALSE(staticFits(s)) << s;
+            }
+        }
     }
 
     // 8B weights alone overflow the 4060: the sentinel is -1, matching
-    // maxGpuLayers never reaching the full-resident count.
+    // maxGpuLayers never reaching the full-resident count and the
+    // static rule never fitting.
     core::TimingConfig big = timingFor("SpeContext");
     big.hw = sim::HardwareSpec::edge4060();
-    const sim::MemoryModel overflow(
-        core::TimingEngine::memoryInputsFor(big, 1));
-    EXPECT_EQ(overflow.allResidentMaxTokens(), -1);
-    EXPECT_LT(overflow.maxGpuLayers(1), big.llm.layers);
+    for (int64_t r : {1, 8, 64}) {
+        const sim::MemoryModel overflow(big.system->memoryInputs(big, r));
+        EXPECT_EQ(overflow.allResidentMaxTokens(), -1);
+        EXPECT_LT(overflow.maxGpuLayers(1), big.llm.layers);
+        EXPECT_GT(overflow.mAllBytesFor(r, 1), big.hw.gpu_mem_bytes);
+    }
 }
 
 // --------------------------------------------- admission-shape memo

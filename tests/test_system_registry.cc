@@ -258,7 +258,7 @@ TEST(SystemModel, FootprintsOrderAsExpected)
     EXPECT_LT(evict, shadow);
     EXPECT_LT(shadow, full);
     EXPECT_EQ(cfg.system->dramFootprintBytes(cfg, 4, s),
-              4 * s * TimingEngine::kvBytesPerTokenPerLayer(cfg.llm) *
+              4 * s * core::kvBytesPerTokenPerLayer(cfg.llm) *
                   cfg.llm.layers);
 }
 
@@ -347,10 +347,11 @@ TEST(SystemParity, EdgeSimulateMatchesLegacyEnumPathBitForBit)
 
 TEST(SystemParity, SteppingHooksMatchLegacyEnumPathBitForBit)
 {
-    // requestPrefillSeconds(4096 joining 3 requests / 30000 resident
-    // KV tokens) and decodeIterationSeconds({2048, 8192, 32768}),
-    // captured from the enum implementation; checked through both the
-    // per-call façade and a SystemPricer.
+    // The prefill of 4096 tokens joining 3 requests / 30000 resident
+    // KV tokens and one decode round over {2048, 8192, 32768},
+    // captured from the enum implementation; checked through a fresh
+    // pricer per query (the reference loop) and through one pricer
+    // reused across queries (the serving fast path).
     struct StepGolden
     {
         const char *system;
@@ -366,15 +367,15 @@ TEST(SystemParity, SteppingHooksMatchLegacyEnumPathBitForBit)
     for (const StepGolden &g : golden) {
         TimingConfig cfg = cloudShape(1, 2048, 2048);
         cfg.system = SystemRegistry::create(g.system);
-        EXPECT_EQ(e.requestPrefillSeconds(cfg, 4096, 3, 30000),
+        EXPECT_EQ(e.makePricer(cfg)->prefillSeconds(4096, 3, 30000),
                   g.prefill)
             << g.system;
-        EXPECT_EQ(e.decodeIterationSeconds(cfg, {2048, 8192, 32768}),
+        EXPECT_EQ(e.makePricer(cfg)->decodeSeconds({2048, 8192, 32768}),
                   g.decode_iter)
             << g.system;
-        // The cached pricer the serving fast path uses must hit the
-        // same goldens.
         auto pricer = e.makePricer(cfg);
+        // Tables the R = 4 entry the prefill then reads.
+        (void)pricer->decodeSeconds(std::vector<int64_t>(4, 1024));
         EXPECT_EQ(pricer->prefillSeconds(4096, 3, 30000), g.prefill)
             << g.system;
         EXPECT_EQ(pricer->decodeSeconds({2048, 8192, 32768}),
@@ -444,11 +445,12 @@ TEST(SystemRegistry, PluginRegistrationIsFirstClass)
     TimingConfig cfg = cloudShape(1, 16, 16);
     cfg.system = SystemRegistry::create("TestOnly");
     EXPECT_EQ(core::TimingEngine().simulate(cfg).throughput, 1.0);
-    // Wave-only default: the base class rejects stepping and admission.
+    // Wave-only default: no pricer, so no stepping and no admission,
+    // through the façade and the base class alike.
     EXPECT_FALSE(cfg.system->supportsContinuousBatching());
-    EXPECT_THROW(core::TimingEngine().decodeIterationSeconds(cfg, {16}),
+    EXPECT_THROW(core::TimingEngine().makePricer(cfg),
                  std::invalid_argument);
-    EXPECT_FALSE(cfg.system->admit(cfg, {}, 16, 32).admit);
+    EXPECT_THROW(cfg.system->makePricer(cfg), std::invalid_argument);
 }
 
 // --------------------------------------------------- geometry presets

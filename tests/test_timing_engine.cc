@@ -41,7 +41,7 @@ TEST(TimingEngine, BackendMapping)
 TEST(TimingEngine, KvBytesPerTokenPerLayer)
 {
     // Llama-8B GQA: 2 * 2 * 8 * 128 bytes = 4 KiB per token per layer.
-    EXPECT_EQ(TimingEngine::kvBytesPerTokenPerLayer(
+    EXPECT_EQ(core::kvBytesPerTokenPerLayer(
                   model::llama31_8bGeometry()),
               4096);
 }
