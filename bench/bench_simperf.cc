@@ -112,10 +112,11 @@ constexpr int kReps = 3;
  *  for stable ratios. */
 constexpr int64_t kGateMinRequests = 20000;
 
-/** Hard per-mode ceilings on allocations per request, ~2x the
- *  measured steady state (legacy ~850, fast ~4) so routine noise
- *  never trips them but a reintroduced per-iteration or per-request
- *  allocation does. */
+/** Hard per-mode ceilings on allocations per request. Legacy prices
+ *  every round on a fresh pricer (~8 allocations a round, ~1,670 a
+ *  request), so one more allocation per round trips its ceiling;
+ *  fast runs ~0.02 against 12, so a reintroduced per-request
+ *  allocation trips it. */
 double
 allocCeiling(const std::string &mode)
 {

@@ -171,7 +171,9 @@ struct TimingResult
 struct AdmissionDecision
 {
     bool admit = false;
-    std::string reason; ///< denial diagnostic, empty on admit
+    /** Denial diagnostic, "" on admit: a string literal, so a probe
+     *  builds nothing. */
+    const char *reason = "";
 };
 
 /**

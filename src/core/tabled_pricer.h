@@ -111,13 +111,13 @@ class TabledPricer final : public SystemPricer
   public:
     using PerR = typename Sys::PerR;
 
+    /** Builds the admission entry (R = 1) up front: a config the
+     *  entry builder rejects throws here, at construction, not at the
+     *  first probe. */
     TabledPricer(const Sys &sys, const TimingConfig &cfg)
         : sys_(sys), cfg_(cfg), ctx_(cfg_, sys.backend()),
-          cap_(sys.attendCap())
+          cap_(sys.attendCap()), one_(sys.tableEntry(cfg_, ctx_, 1))
     {
-        // The admission entry up front: a config the entry builder
-        // rejects throws here, at construction, not at the first probe.
-        entry(1);
     }
 
     double decodeSeconds(const std::vector<int64_t> &kv_lens) override
@@ -274,9 +274,13 @@ class TabledPricer final : public SystemPricer
     }
 
     /** The entry at batch size r, built on first use. Held behind
-     *  unique_ptr so an open window's pointer survives table growth. */
+     *  unique_ptr so an open window's pointer survives table growth;
+     *  the admission entry is a member, so a pricer that only prices
+     *  R = 1 (or is used once) allocates no table. */
     const PerR &entry(int64_t r)
     {
+        if (r == 1)
+            return one_;
         const size_t i = static_cast<size_t>(r);
         if (i >= per_r_.size())
             per_r_.resize(i + 1);
@@ -290,7 +294,8 @@ class TabledPricer final : public SystemPricer
     TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
     PriceContext ctx_; ///< over cfg_
     int64_t cap_;      ///< sys_.attendCap()
-    std::vector<std::unique_ptr<PerR>> per_r_; ///< indexed by R
+    PerR one_;         ///< the entry at R = 1
+    std::vector<std::unique_ptr<PerR>> per_r_; ///< indexed by R >= 2
 
     Window win_; ///< the open window
     /** Its base lengths, kept while a context is under a bounded cap

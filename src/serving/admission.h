@@ -127,8 +127,10 @@ class AdmissionController
      * the system's fit frontier to be monotone under uniform growth:
      * once a length vector fails, every elementwise-larger one fails
      * too. Every registry system satisfies this — their admit() tests
-     * only tighten as r/s_max/total-KV grow. Returns max_rounds for an
-     * empty batch (vacuously fits).
+     * only tighten as r/s_max/total-KV grow — and for the same reason
+     * a proof holds for every sub-batch too: requests that retire
+     * never void the rounds proven for the rest. Returns max_rounds
+     * for an empty batch (vacuously fits).
      */
     int64_t decodeFitRounds(const std::vector<Request> &in_flight,
                             int64_t max_rounds) const;

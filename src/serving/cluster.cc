@@ -492,17 +492,18 @@ Cluster::run(std::vector<Request> trace) const
         // backlogged behind a full batch is pure decode too: it cannot
         // admit before its next retirement (or Optimistic preemption),
         // so it joins the era and its cap sits that many
-        // weight-streaming floors past its clock. Warming lanes below
-        // the barrier are fine to leave booked (their WarmComplete
-        // fires right after the era, at its own instant); a draining
-        // lane below the barrier falls back to the sequential path,
-        // which preserves scale-event order exactly. Every lane stops
-        // at the same uniform barrier the sequential loop would
-        // impose on it (never its own widened cap_min2 horizon: a
-        // peer's recomputed cap can land between cap_min1 and
-        // cap_min2, and overrunning it would let this lane's
-        // retirements be visible to a routing decision that must not
-        // see them yet), so chunk boundaries differ from
+        // weight-streaming floors past its clock; an Optimistic lane
+        // with an empty queue caps at its next possible preemption.
+        // Warming lanes below the barrier are fine to leave booked
+        // (their WarmComplete fires right after the era, at its own
+        // instant); a draining lane below the barrier falls back to
+        // the sequential path, which preserves scale-event order
+        // exactly. Every lane stops at the same uniform barrier the
+        // sequential loop would impose on it (never its own widened
+        // cap_min2 horizon: a peer's recomputed cap can land between
+        // cap_min1 and cap_min2, and overrunning it would let this
+        // lane's retirements be visible to a routing decision that
+        // must not see them yet), so chunk boundaries differ from
         // lane-at-a-time stepping but every simulated quantity is
         // bit-identical.
         if (skip_ahead && std::isfinite(t_replica)) {
@@ -590,6 +591,7 @@ Cluster::run(std::vector<Request> trace) const
         out.fleet.rejected.insert(out.fleet.rejected.end(),
                                   r.rejected.begin(), r.rejected.end());
         out.fleet.iterations += r.iterations;
+        out.fleet.steps += r.steps;
         out.fleet.peak_in_flight += r.peak_in_flight;
         out.fleet.prefix.merge(r.prefix);
         out.fleet.preempt.merge(r.preempt);

@@ -15,13 +15,23 @@
  *    drain) — so every simulated quantity is bit-identical to
  *    one-round-per-step execution; tests/test_simfast.cc pins it.
  *    On a multi-replica fleet, observed or not, it also enables *era
- *    stepping* in Cluster::run: when every lane with an event below
- *    the router barrier is an independently advancing pure-decode
- *    lane, one booking scan runs ALL of them through their bulk
- *    windows, inline in lane-index order, instead of firing one lane
- *    per scan. Pure-decode rounds touch only their own engine and
- *    every lane stops at the same barrier the lane-at-a-time loop
- *    would impose, so the results are bit-identical again.
+ *    stepping* in Cluster::run. The barrier is the earliest of the
+ *    event loop's next boundary and every lane's admission cap (the
+ *    earliest instant the lane could next admit,
+ *    ReplicaEngine::nextPossibleAdmissionSeconds). When every lane
+ *    with an event below it is an independently advancing
+ *    pure-decode lane, one booking scan runs ALL of them through
+ *    their bulk windows to the barrier, inline in lane-index order,
+ *    instead of firing one lane per scan. Pure-decode rounds touch
+ *    only their own engine, so the results are bit-identical again.
+ *    An era also stops the lane that owns the earliest cap there,
+ *    where fired alone it would run on to the second-earliest, so
+ *    eras pay only while caps sit well past the clocks. They do: a
+ *    backlogged lane caps at its next retirement or preemption, and
+ *    an Optimistic lane with an empty queue only at its next
+ *    preemption, since its retirements admit nothing. On a 4-vCPU
+ *    host, eras off left the perfbench prefix-churn workload within
+ *    noise (1.01x) and cost bench_simperf's 16-lane fast rows ~40%.
  *    Turning skip_ahead off restores the literal one-event-at-a-time
  *    loop.
  *

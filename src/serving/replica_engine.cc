@@ -145,6 +145,7 @@ ReplicaEngine::setDecodeCostCache(bool on)
     flushWindow();
     cache_costs_ = on;
     win_live_ = false;
+    opt_fit_rounds_ = -1;
 }
 
 core::SystemPricer &
@@ -571,6 +572,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
     const double event = nextEventSeconds();
     if (!std::isfinite(event))
         throw std::logic_error("ReplicaEngine: step on an idle replica");
+    ++result_.steps;
     now_ = std::max(now_, event);
 
     auto ingestUpTo = [&](double t) {
@@ -750,7 +752,9 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // failure — the identical floating-point compare the per-round
         // loop would have made, so victims are evicted on exactly the
         // same round. (opt_fit_rounds_ caches the proof across calls;
-        // any admission, retirement or preemption voids it.)
+        // admission and preemption void it, retirement does not — see
+        // its declaration — so it is probed up to the batch's last
+        // retirement.)
         int64_t k_retire = 0;
         if (cache_costs_) {
             if (win_live_) {
@@ -766,9 +770,13 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         }
         int64_t bulk_k = k_retire;
         if (cache_costs_ && optimistic_preempt) {
-            if (opt_fit_rounds_ <= 0)
+            if (opt_fit_rounds_ <= 0) {
+                int64_t k_last = 0;
+                for (const Request &r : active_)
+                    k_last = std::max(k_last, r.gen_len - r.generated);
                 opt_fit_rounds_ =
-                    scheduler_.decodeFitRounds(active_, bulk_k);
+                    scheduler_.decodeFitRounds(active_, k_last);
+            }
             bulk_k = std::min(bulk_k, opt_fit_rounds_);
         }
         // One decode window: `rounds` rounds on the batch as-is, the
@@ -854,16 +862,17 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         const size_t batch = active_.size();
         const size_t keep = advanceAndRetire(grow, first_now);
         kv_ready = true; // the pass above refreshed it for next round
-        // An unchanged batch keeps a bulk window (and the fit proof,
-        // one round spent per round run) open across steps;
-        // retirement voids both — indices no longer line up,
-        // recompute when next needed. A single round ran without a
-        // proven fit window (single-request pressure fallback, or no
-        // cached pricer); the contexts grew outside any window, so
-        // stale predictions are void.
+        // An unchanged batch keeps its bulk window open across steps;
+        // a retirement closes it (indices no longer line up). The fit
+        // proof spends one round per round run and survives the
+        // retirement: what is left of the batch is a sub-batch of the
+        // one it was proven for. A single round ran without a proven
+        // fit window (single-request pressure fallback, or no cached
+        // pricer); the contexts grew outside any window, so stale
+        // predictions are void.
         win_live_ = windowed && keep == batch;
         if (optimistic_preempt)
-            opt_fit_rounds_ = win_live_ ? opt_fit_rounds_ - rounds : -1;
+            opt_fit_rounds_ = windowed ? opt_fit_rounds_ - rounds : -1;
 
         // Skip-ahead: keep executing pure-decode rounds inside this
         // call while nothing external can observe or perturb the

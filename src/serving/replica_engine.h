@@ -137,6 +137,9 @@ struct ServeResult
     std::vector<Request> rejected; ///< individually infeasible requests
     double makespan_seconds = 0.0;
     int64_t iterations = 0;    ///< decode iterations executed
+    /** ReplicaEngine::step() calls: host work, not a simulated
+     *  quantity — the fast path runs many rounds per step. */
+    int64_t steps = 0;
     int64_t peak_in_flight = 0;
     PrefixCacheStats prefix;   ///< all-zero when the cache is disabled
     PreemptionStats preempt;   ///< all-zero in Reserve mode
@@ -311,55 +314,47 @@ class ReplicaEngine
      * arrivals against every replica's current state. Skip-ahead on
      * any OTHER lane must therefore never advance past this instant —
      * it is the fleet-internal component of the bulk-stepping horizon.
+     * The bound widens skip-ahead windows only; it never feeds
+     * simulated arithmetic.
      *
      *  - queued work with a free batch slot: now() — the very next
      *    round admits;
      *  - queued work behind a full batch (a backlog): nothing can be
      *    admitted before a retirement frees a slot (or, Optimistic, a
-     *    preemption does). No request can retire within the next n
-     *    rounds (the smallest remaining generation length), and in
-     *    Optimistic mode no preemption either while step() holds a
-     *    live decode-fit window (decodeFitRounds) covering them; each
-     *    round lasts at least the pricer's structural
-     *    minRoundSeconds() floor, so roundFloorLowerBound(now(), n,
-     *    floor) is a sound lower bound. A pending delivery does not
-     *    clip it: without a slot it only joins the queue.
-     *  - Optimistic with a live batch and an empty queue: a preemption
-     *    (whose restore puts an admission one round later) is the
-     *    hazard — the same n-round bound (a fit window holds only
-     *    while no retirement changes the batch), clipped by the
-     *    pending head's arrival (the round crossing it becomes an
-     *    admission round). Without a decode-fit window it is now().
-     *    The bound widens skip-ahead windows only; it never feeds
-     *    simulated arithmetic.
+     *    preemption does) — batchChangeBoundSeconds(). A pending
+     *    delivery does not clip it: without a slot it only joins the
+     *    queue.
+     *  - Optimistic with a live batch and an empty queue: a retirement
+     *    frees a slot nobody waits for, so only a preemption (whose
+     *    restore puts an admission one round later) can admit —
+     *    preemptionBoundSeconds(), clipped by the pending head's
+     *    arrival (the round crossing it becomes an admission round).
+     *    now() without a live decode-fit proof.
      *  - pending deliveries only: the head's arrival time (the round
      *    that crosses it turns into an admission round);
      *  - otherwise +infinity — a Reserve replica with nothing waiting
-     *    can only decode and retire until the next delivery, and
-     *    deliveries themselves only happen at routing instants the
-     *    driver already bounds by.
+     *    can only decode and retire until the next delivery.
+     *
+     * New deliveries arrive only at routing instants — the event
+     * loop's arrival boundary or another lane's admission prefill,
+     * which every lane's horizon already respects — and make the
+     * lane's next round an admission round (cap now()) from then on.
      */
     double nextPossibleAdmissionSeconds() const
     {
         if (admissionPossible())
             return now_;
-        const bool backlogged = !scheduler_.queueEmpty();
         const bool has_pending =
             pending_next_ < static_cast<int64_t>(pending_.size());
-        if (backlogged || (optimistic() && !active_.empty())) {
-            double cap = batchChangeBoundSeconds();
-            if (!backlogged && has_pending) {
-                const double arr =
-                    pending_[pending_next_].arrival_seconds;
-                cap = std::min(cap, arr > now_ ? arr : now_);
-            }
-            return cap;
-        }
-        if (has_pending)
-            return pending_[pending_next_].arrival_seconds > now_
-                       ? pending_[pending_next_].arrival_seconds
-                       : now_;
-        return std::numeric_limits<double>::infinity();
+        const double t_pending =
+            has_pending ? std::max(pending_[pending_next_].arrival_seconds,
+                                   now_)
+                        : std::numeric_limits<double>::infinity();
+        if (!scheduler_.queueEmpty())
+            return batchChangeBoundSeconds();
+        if (optimistic() && !active_.empty())
+            return std::min(preemptionBoundSeconds(), t_pending);
+        return t_pending;
     }
 
     /**
@@ -427,14 +422,15 @@ class ReplicaEngine
     std::vector<Request> pending_; ///< delivered, arrival not reached
     int64_t pending_next_ = 0;     ///< first live index into pending_
     /**
-     * Optimistic decode-fit window: how many future rounds are still
+     * Optimistic decode-fit proof: how many future rounds are still
      * proven to pass the preemption check from the *current* batch
-     * state (Scheduler::decodeFitRounds, probed once per window and
-     * decremented per round run). -1 = unknown, recompute before the
-     * next bulk window. Invalidated whenever the batch composition
-     * changes (admission, retirement, preemption) — the prediction
-     * assumes uniform +1 growth of a fixed membership. Reserve-mode
-     * engines never read it.
+     * state (Scheduler::decodeFitRounds, probed up to the batch's last
+     * retirement and decremented per round run). -1 = unknown,
+     * recompute before the next bulk window. Admission and preemption
+     * void it; a retirement does not — the fit test only tightens as
+     * the batch size, Σ s and max s grow, so every sub-batch of a
+     * fitting batch fits, and the rounds proven for the batch hold for
+     * what is left of it. Reserve-mode engines never read it.
      */
     int64_t opt_fit_rounds_ = -1;
     /** The pricer's bulk decode window is still open from the last
@@ -544,8 +540,8 @@ class ReplicaEngine
      *  minRoundSeconds() each, where n is the smallest remaining
      *  generation length (discounting win_defer_rounds_, so it is what
      *  an eager reconciliation would read), further capped by the live
-     *  decode-fit window in Optimistic mode. now() in the reference
-     *  loop (no cached pricer), or when no floor or fit window proves
+     *  decode-fit proof in Optimistic mode. now() in the reference
+     *  loop (no cached pricer), or when no floor or fit proof proves
      *  anything. */
     double batchChangeBoundSeconds() const
     {
@@ -563,6 +559,19 @@ class ReplicaEngine
         for (const Request &r : active_)
             n = std::min(n, r.gen_len - r.generated - win_defer_rounds_);
         return roundFloorLowerBound(now_, n, floor_s);
+    }
+
+    /** Sound lower bound on this Optimistic replica's next preemption:
+     *  the live decode-fit proof's opt_fit_rounds_ rounds, each at
+     *  least minRoundSeconds(). The proof survives retirements, so the
+     *  bound carries no retirement term. now() in the reference loop
+     *  or without a live proof. */
+    double preemptionBoundSeconds() const
+    {
+        if (!cache_costs_)
+            return now_;
+        return roundFloorLowerBound(now_, opt_fit_rounds_,
+                                    pricer_->minRoundSeconds());
     }
 
     /** Move pending requests with arrival <= t into the queue. */

@@ -197,12 +197,12 @@ class Scheduler
     /**
      * Rounds of decode-fit headroom from the current state, capped at
      * `max_rounds`: the count of consecutive future rounds whose
-     * nextDecodeTokenFits() check is guaranteed to pass while the
-     * batch composition stays fixed. Reserve mode returns max_rounds
-     * (reservations cover all growth); Optimistic delegates to
-     * AdmissionController::decodeFitRounds(), whose contract (probe
-     * indexing, monotonicity requirement, conservative first-failure
-     * semantics) this facade inherits.
+     * nextDecodeTokenFits() check is guaranteed to pass while no
+     * request joins the batch (requests may leave it). Reserve mode
+     * returns max_rounds (reservations cover all growth); Optimistic
+     * delegates to AdmissionController::decodeFitRounds(), whose
+     * contract (probe indexing, monotonicity requirement, conservative
+     * first-failure semantics) this facade inherits.
      */
     int64_t decodeFitRounds(const std::vector<Request> &active,
                             int64_t max_rounds) const;

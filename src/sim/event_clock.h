@@ -80,7 +80,9 @@ class EventClock
 
     /**
      * Publish scheduling counters into `obs`: clock.rounds (fire()
-     * calls — event-loop rounds resolved), clock.lane_updates (set()
+     * calls — event-loop rounds resolved; an event loop that steps
+     * several lanes per round fires none of them, so this is not a
+     * count of lane steps), clock.lane_updates (set()
      * calls) and clock.lane<i>.fires (how often each lane won the
      * round — fleet balance at a glance). No-op without a registry.
      */

@@ -39,6 +39,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -514,11 +515,15 @@ TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
 {
     // Host-independent engagement gate: on the Optimistic prefix-churn
     // fleet the default fast path must retire several decode rounds
-    // per event-loop fire. Each lane's admission cap sits a
-    // weight-streaming floor per provably uninterrupted round past its
-    // clock (SystemPricer::minRoundSeconds); with no floor every cap
-    // equals its lane's clock and peers step about one round per fire.
-    // Counters are never compiled out, so this holds in every build.
+    // per ReplicaEngine::step() call (lone fires and era lane steps
+    // alike). Each lane's admission cap sits a weight-streaming floor
+    // per provably preemption-free round past its clock
+    // (SystemPricer::minRoundSeconds); a lane with an empty queue
+    // leaves out its next retirement, which admits nothing, so peers
+    // run past it. This fleet runs 17.3 rounds per step; with the
+    // retirement term back in the empty-queue cap it runs 8.9, and
+    // with no floor about one; the gate asks for 12. The step count is
+    // a plain result field, so this holds in every build.
     core::TimingEngine engine;
     obs::CounterRegistry counters;
     ClusterConfig cc = prefixChurnFleet(SchedulerMode::Optimistic);
@@ -527,15 +532,20 @@ TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
         Cluster(engine, cc).run(prefixChurnTrace());
     ASSERT_GT(result.completed(), 0);
 
-    int64_t decode_iters = 0;
-    for (size_t r = 0; r < cc.replicas.size(); ++r)
+    int64_t decode_iters = 0, steps = 0;
+    for (size_t r = 0; r < cc.replicas.size(); ++r) {
         decode_iters += counters.valueOf(
             "replica" + std::to_string(r) + ".decode_iterations");
+        steps += result.per_replica[r].steps;
+    }
     EXPECT_EQ(decode_iters, result.fleet.iterations);
-    const int64_t fires = counters.valueOf("clock.rounds");
-    ASSERT_GT(fires, 0);
-    EXPECT_GE(decode_iters, 4 * fires)
-        << decode_iters << " decode rounds in " << fires << " fires";
+    EXPECT_EQ(steps, result.fleet.steps);
+    ASSERT_GT(steps, 0);
+    // Every step is a lone fire or an era lane step, and every lone
+    // fire steps one lane.
+    EXPECT_GE(steps, counters.valueOf("clock.rounds"));
+    EXPECT_GE(decode_iters, 12 * steps)
+        << decode_iters << " decode rounds in " << steps << " steps";
 }
 
 TEST(SimFast, OptimisticEvictionFleetsMatchReference)
@@ -566,6 +576,58 @@ TEST(SimFast, OptimisticEvictionFleetsMatchReference)
         // vacuously.
         EXPECT_GT(preemptions, 0) << system;
     }
+}
+
+TEST(SimFast, RetirementInsideALiveFitProofMatchesReference)
+{
+    // An Optimistic lane keeps its decode-fit proof across a
+    // retirement and spends it on what is left of the batch. One H2O
+    // lane admits a short request and six long ones at t = 0. The long
+    // prompts sit 100 tokens under the longest uniform length six
+    // contexts fit at, so the batch grows into a preemption about 100
+    // rounds in; the short request retires at round 64, while the
+    // proof probed for all seven is still live (checked below). A
+    // proof that kept its rounds through the retirement unspent would
+    // overrun that preemption. The default fast path must match the
+    // reference loop bit for bit.
+    core::TimingEngine engine;
+    ClusterConfig cc;
+    cc.replicas = {evictionReplica("H2O")};
+    auto pricer = engine.makePricer(cc.replicas[0].timing);
+    int64_t lo = 1, hi = cc.replicas[0].timing.system->options().budget;
+    ASSERT_FALSE(pricer->fitsCurrent(std::vector<int64_t>(6, hi)).admit);
+    while (hi - lo > 1) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        (pricer->fitsCurrent(std::vector<int64_t>(6, mid)).admit ? lo
+                                                                  : hi) =
+            mid;
+    }
+    const int64_t short_prompt = 16, short_gen = 64;
+    const int64_t long_prompt = lo - 100;
+    std::vector<Request> trace;
+    for (int64_t id = 0; id < 7; ++id) {
+        Request r;
+        r.id = id;
+        r.prompt_len = id == 0 ? short_prompt : long_prompt;
+        r.gen_len = id == 0 ? short_gen : 1000;
+        trace.push_back(r);
+    }
+    // Round short_gen - 1, the short request's last, passes the
+    // preemption check with all seven contexts, so the proof probed
+    // once all seven are admitted covers the retirement.
+    std::vector<int64_t> at_retire(7, long_prompt + short_gen);
+    at_retire[0] = short_prompt + short_gen;
+    ASSERT_TRUE(pricer->fitsCurrent(at_retire).admit);
+
+    const ClusterResult reference =
+        runFleet(engine, cc, trace, false, false);
+    const ClusterResult fast = runFleet(engine, cc, trace, true, true);
+    ASSERT_EQ(reference.completed(), 7);
+    for (const RequestRecord &rec : reference.fleet.metrics.records())
+        if (rec.id == 0)
+            EXPECT_EQ(rec.preemptions, 0);
+    EXPECT_GT(reference.fleet.preempt.preemptions, 0);
+    expectSameSimulation(reference, fast);
 }
 
 TEST(SimFast, OptimisticEvictionFleetsRunMultiRoundWindows)
@@ -1396,7 +1458,7 @@ TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
                 const core::AdmissionDecision fit_ref =
                     freshFitsCurrent(cfg, batch);
                 EXPECT_EQ(fit.admit, fit_ref.admit);
-                EXPECT_EQ(fit.reason, fit_ref.reason);
+                EXPECT_STREQ(fit.reason, fit_ref.reason);
                 for (int64_t prompt : prompts)
                     for (int64_t gen : {int64_t{1}, int64_t{16384}}) {
                         const core::AdmissionDecision got =
@@ -1405,7 +1467,7 @@ TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
                             engine.makePricer(cfg)->admit(batch, prompt,
                                                           prompt + gen);
                         EXPECT_EQ(got.admit, want.admit);
-                        EXPECT_EQ(got.reason, want.reason);
+                        EXPECT_STREQ(got.reason, want.reason);
                         ++(want.admit ? admitted : denied);
                     }
             }
@@ -1430,14 +1492,14 @@ TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
                     const std::vector<int64_t> kv(n, len);
                     const std::vector<int64_t> rest(n - 1, len);
                     EXPECT_EQ(pricer->fitsCurrent(kv).admit, len == lo);
-                    EXPECT_EQ(pricer->fitsCurrent(kv).reason,
-                              freshFitsCurrent(cfg, kv).reason);
+                    EXPECT_STREQ(pricer->fitsCurrent(kv).reason,
+                                 freshFitsCurrent(cfg, kv).reason);
                     const core::AdmissionDecision got =
                         pricer->admit(rest, len, len);
                     const core::AdmissionDecision want =
                         engine.makePricer(cfg)->admit(rest, len, len);
                     EXPECT_EQ(got.admit, want.admit);
-                    EXPECT_EQ(got.reason, want.reason);
+                    EXPECT_STREQ(got.reason, want.reason);
                 }
             }
         }
@@ -1449,6 +1511,122 @@ TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
     // full-attention decode spill charge.
     EXPECT_GT(spe_offloading_prefills, 0);
     EXPECT_GT(full_attn_spilling_batches, 0);
+}
+
+TEST(SystemPricer, EverySubBatchOfAFittingBatchFits)
+{
+    // An Optimistic lane keeps its decode-fit proof across retirements
+    // (ReplicaEngine::opt_fit_rounds_), which is sound only if the fit
+    // test is monotone under removal: when fitsCurrent(lens) admits,
+    // every sub-multiset of lens admits too. Random batches sit at and
+    // around each fit frontier — in length (the longest uniform length
+    // n contexts fit at, n = 2..8), in count (the most 128k-token
+    // contexts that fit; budget-bounded systems only meet a frontier
+    // this way) and, for complete offloading, around the
+    // full-attention spill limit. Every sub-multiset of an admitted
+    // batch of up to ten contexts is checked; a larger one checks each
+    // leave-one-out sub-batch and 32 random ones.
+    core::TimingEngine engine;
+    std::mt19937_64 rng(20261019);
+    const auto draw = [&](int64_t lo, int64_t hi) {
+        return lo + static_cast<int64_t>(
+                        rng() % static_cast<uint64_t>(hi - lo + 1));
+    };
+    // Largest x in [lo, hi) with fits(x), when fits(lo) && !fits(hi).
+    const auto frontier = [](int64_t lo, int64_t hi, const auto &fits) {
+        if (!fits(lo) || fits(hi))
+            return int64_t{-1};
+        while (hi - lo > 1) {
+            const int64_t mid = lo + (hi - lo) / 2;
+            (fits(mid) ? lo : hi) = mid;
+        }
+        return lo;
+    };
+    for (const std::string &system : continuousSystems()) {
+        int64_t fitting = 0, failing = 0;
+        for (const core::TimingConfig &cfg : pricerShapes(system)) {
+            SCOPED_TRACE(system + " on " + cfg.hw.name + " @ " +
+                         std::to_string(cfg.hw.gpu_mem_bytes >> 30) +
+                         " GiB");
+            auto pricer = engine.makePricer(cfg);
+            const auto fits = [&](const std::vector<int64_t> &lens) {
+                return pricer->fitsCurrent(lens).admit;
+            };
+            // (batch-size range, length centre) around each frontier.
+            struct Centre
+            {
+                int64_t n_lo, n_hi, len;
+            };
+            std::vector<Centre> centres;
+            for (int64_t n = 2; n <= 8; ++n) {
+                const int64_t len =
+                    frontier(1, int64_t{1} << 26, [&](int64_t l) {
+                        return fits(std::vector<int64_t>(n, l));
+                    });
+                if (len > 0)
+                    centres.push_back({2, n, len});
+            }
+            const int64_t long_ctx = int64_t{1} << 17;
+            const int64_t count = frontier(1, 4096, [&](int64_t n) {
+                return fits(std::vector<int64_t>(n, long_ctx));
+            });
+            if (count > 0)
+                centres.push_back({std::max<int64_t>(2, count / 2),
+                                   count + count / 2 + 1, long_ctx});
+            if (cfg.system->options().allow_full_attention_offload)
+                for (int64_t n = 2; n <= 8; ++n)
+                    centres.push_back({n, n, spillLimitTokens(cfg) / n});
+            for (const Centre &c : centres) {
+                for (int trial = 0; trial < 24; ++trial) {
+                    std::vector<int64_t> lens(
+                        static_cast<size_t>(draw(c.n_lo, c.n_hi)));
+                    for (int64_t &s : lens)
+                        s = draw(std::max<int64_t>(1, c.len / 2),
+                                 c.len + c.len / 2);
+                    if (!fits(lens)) {
+                        ++failing;
+                        continue;
+                    }
+                    ++fitting;
+                    // keep[i]: lens[i] is in the sub-batch.
+                    const size_t m = lens.size();
+                    const auto expectSubFits =
+                        [&](const std::vector<bool> &keep) {
+                            std::vector<int64_t> sub;
+                            for (size_t i = 0; i < m; ++i)
+                                if (keep[i])
+                                    sub.push_back(lens[i]);
+                            EXPECT_TRUE(fits(sub))
+                                << sub.size() << " of " << m
+                                << " fitting contexts do not fit";
+                        };
+                    std::vector<bool> keep(m);
+                    if (m <= 10) {
+                        for (uint32_t mask = 0; mask + 1 < (1u << m);
+                             ++mask) {
+                            for (size_t i = 0; i < m; ++i)
+                                keep[i] = (mask >> i) & 1u;
+                            expectSubFits(keep);
+                        }
+                        continue;
+                    }
+                    for (size_t out = 0; out < m; ++out) {
+                        for (size_t i = 0; i < m; ++i)
+                            keep[i] = i != out;
+                        expectSubFits(keep);
+                    }
+                    for (int r = 0; r < 32; ++r) {
+                        for (size_t i = 0; i < m; ++i)
+                            keep[i] = rng() & 1u;
+                        expectSubFits(keep);
+                    }
+                }
+            }
+        }
+        // Both sides of the frontiers were drawn.
+        EXPECT_GT(fitting, 0) << system;
+        EXPECT_GT(failing, 0) << system;
+    }
 }
 
 TEST(SystemPricer, MinRoundSecondsLowerBoundsEveryRound)
