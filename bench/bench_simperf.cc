@@ -113,14 +113,14 @@ constexpr int kReps = 3;
 constexpr int64_t kGateMinRequests = 20000;
 
 /** Hard per-mode ceilings on allocations per request. Legacy prices
- *  every round on a fresh pricer (~8 allocations a round, ~1,670 a
- *  request), so one more allocation per round trips its ceiling;
- *  fast runs ~0.02 against 12, so a reintroduced per-request
- *  allocation trips it. */
+ *  every round on a fresh pricer (~3.3 allocations a round over ~204
+ *  rounds a request, ~665 a request), so one more allocation per
+ *  round trips its ceiling; fast runs ~0.02 against 12, so a
+ *  reintroduced per-request allocation trips it. */
 double
 allocCeiling(const std::string &mode)
 {
-    return mode == "legacy" ? 1800.0 : 12.0;
+    return mode == "legacy" ? 800.0 : 12.0;
 }
 
 serving::ReplicaConfig

@@ -62,8 +62,10 @@ sim::MemoryModelInputs
 SystemModel::memoryInputs(const TimingConfig &cfg, int64_t requests) const
 {
     sim::MemoryModelInputs mmin;
-    mmin.llm = cfg.llm;
-    mmin.dlm = model::dlmGeometryFor(cfg.llm);
+    // No memory query reads a model name, and the pricers build these
+    // inputs for every batch size they table: copy no names.
+    mmin.llm = cfg.llm.unnamed();
+    mmin.dlm = model::unnamedDlmGeometryFor(cfg.llm);
     mmin.requests = requests;
     mmin.budget = opts_.budget;
     mmin.gpu_mem_bytes = cfg.hw.gpu_mem_bytes;

@@ -302,6 +302,21 @@ class SystemPricer
      */
     virtual AdmissionDecision fitsCurrent(
         const std::vector<int64_t> &kv_lens) = 0;
+
+    /**
+     * How many upcoming decode rounds still fit: the count of leading
+     * j in [0, max_rounds) for which fitsCurrent(kv_lens + j)
+     * (elementwise) admits, i.e. the first failing j, capped at
+     * max_rounds. 0 when max_rounds <= 0; max_rounds for an empty
+     * batch. Relies on the fit test only tightening as the batch
+     * size, Σ min(admit cap, s) and max s grow, which every
+     * continuous system satisfies; under it the answer equals a
+     * round-by-round scan of fitsCurrent(). TabledPricer probes the
+     * system's reduced admission integers, so no probe refills a
+     * length vector or makes a virtual call.
+     */
+    virtual int64_t fitRounds(const std::vector<int64_t> &kv_lens,
+                              int64_t max_rounds) = 0;
 };
 
 /** Bytes of KV cache per token per layer per request at FP16. */
@@ -361,7 +376,9 @@ class SystemModel
     // ---- Memory footprint ------------------------------------------
 
     /** Memory-model inputs (the {LLM, DLM, budget, GPU capacity} block
-     *  of Eq. 6-8) for `requests` concurrent requests. */
+     *  of Eq. 6-8) for `requests` concurrent requests. Both geometries
+     *  carry the default name (ModelConfig::unnamed()), so building
+     *  the inputs allocates nothing. */
     sim::MemoryModelInputs memoryInputs(const TimingConfig &cfg,
                                         int64_t requests) const;
 

@@ -95,17 +95,20 @@ class EvictionSystem final : public TabledSystem<EvictionSystem>
 
     /** Each request reserves min(final_len, budget) resident tokens;
      *  eviction bounds prefill residency too. */
-    AdmissionDecision admitWith(const TimingConfig &cfg,
-                                const PriceContext &c, const PerR &one,
-                                const int64_t *lens, size_t n,
-                                int64_t candidate_prompt_len,
-                                int64_t candidate_final_len) const;
+    int64_t admitCap() const { return opts_.budget; }
+
+    /** Admission verdict on the budget-bounded total `kv_tokens`. */
+    AdmissionDecision admitReduced(const TimingConfig &cfg,
+                                   const PriceContext &c, const PerR &one,
+                                   int64_t r, int64_t kv_tokens,
+                                   int64_t s_max,
+                                   int64_t candidate_prompt_len) const;
 
   private:
     /** Resident KV tokens of one request at context length s. */
     int64_t residentTokens(int64_t s) const
     {
-        return std::min(s, opts_.budget);
+        return std::min(s, admitCap());
     }
 
     /** One-time scoring pass over the prompt: H2O's accumulated
@@ -199,16 +202,15 @@ EvictionSystem::simulate(const TimingConfig &cfg) const
 }
 
 AdmissionDecision
-EvictionSystem::admitWith(const TimingConfig &cfg, const PriceContext &c,
-                          const PerR &one, const int64_t *lens, size_t n,
-                          int64_t candidate_prompt_len,
-                          int64_t candidate_final_len) const
+EvictionSystem::admitReduced(const TimingConfig &cfg,
+                             const PriceContext &c, const PerR &one,
+                             int64_t r, int64_t kv_tokens, int64_t s_max,
+                             int64_t candidate_prompt_len) const
 {
     (void)one;
+    (void)r;
+    (void)s_max;
     (void)candidate_prompt_len;
-    int64_t kv_tokens = residentTokens(candidate_final_len);
-    for (size_t i = 0; i < n; ++i)
-        kv_tokens += residentTokens(lens[i]);
     if (c.weights + kv_tokens * c.kvb * cfg.llm.layers >
         cfg.hw.gpu_mem_bytes)
         return {false, "budget-bounded KV reservations exceed GPU memory"};

@@ -66,12 +66,15 @@ class FullAttentionSystem final : public TabledSystem<FullAttentionSystem>
                        int64_t in_flight_requests,
                        int64_t resident_kv_tokens) const;
 
-    /** Admission verdict on the summed reservations. */
-    AdmissionDecision admitWith(const TimingConfig &cfg,
-                                const PriceContext &c, const PerR &one,
-                                const int64_t *lens, size_t n,
-                                int64_t candidate_prompt_len,
-                                int64_t candidate_final_len) const;
+    /** Every token of a reservation is held. */
+    int64_t admitCap() const { return std::numeric_limits<int64_t>::max(); }
+
+    /** Admission verdict on the summed reservations `kv_tokens`. */
+    AdmissionDecision admitReduced(const TimingConfig &cfg,
+                                   const PriceContext &c, const PerR &one,
+                                   int64_t r, int64_t kv_tokens,
+                                   int64_t s_max,
+                                   int64_t candidate_prompt_len) const;
 
   private:
     /** Prefill attention scratch: eager materializes the (S x S)
@@ -201,17 +204,16 @@ FullAttentionSystem::roundSeconds(const TimingConfig &cfg,
 }
 
 AdmissionDecision
-FullAttentionSystem::admitWith(const TimingConfig &cfg,
-                               const PriceContext &c, const PerR &one,
-                               const int64_t *lens, size_t n,
-                               int64_t candidate_prompt_len,
-                               int64_t candidate_final_len) const
+FullAttentionSystem::admitReduced(const TimingConfig &cfg,
+                                  const PriceContext &c, const PerR &one,
+                                  int64_t r, int64_t kv_tokens,
+                                  int64_t s_max,
+                                  int64_t candidate_prompt_len) const
 {
     (void)one;
+    (void)r;
+    (void)s_max;
     const model::ModelConfig &m = cfg.llm;
-    int64_t kv_tokens = candidate_final_len;
-    for (size_t i = 0; i < n; ++i)
-        kv_tokens += lens[i];
     const int64_t kv_total = kv_tokens * c.kvb * m.layers;
     const int64_t gpu = cfg.hw.gpu_mem_bytes;
 

@@ -10,6 +10,7 @@
 #include "core/tabled_pricer.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace specontext {
 namespace core {
@@ -74,14 +75,17 @@ class SpeContextSystem final : public TabledSystem<SpeContextSystem>
                        int64_t in_flight_requests,
                        int64_t resident_kv_tokens) const;
 
-    /** Can a request of `candidate_final_len` final tokens join the
-     *  `n` in-flight reservations at `lens`? `one` is the entry at
-     *  R = 1 (its headroom queries take explicit request counts). */
-    AdmissionDecision admitWith(const TimingConfig &cfg,
-                                const PriceContext &c, const PerR &one,
-                                const int64_t *lens, size_t n,
-                                int64_t candidate_prompt_len,
-                                int64_t candidate_final_len) const;
+    /** Every token of a reservation is held (GPU or DRAM). */
+    int64_t admitCap() const { return std::numeric_limits<int64_t>::max(); }
+
+    /** Can `r` reservations totalling `kv_tokens`, the longest
+     *  `s_max`, run? `one` is the entry at R = 1 (its headroom queries
+     *  take explicit request counts). */
+    AdmissionDecision admitReduced(const TimingConfig &cfg,
+                                   const PriceContext &c, const PerR &one,
+                                   int64_t r, int64_t kv_tokens,
+                                   int64_t s_max,
+                                   int64_t candidate_prompt_len) const;
 
   private:
     /** KV layers resident in CPU DRAM for `requests` uniform requests
@@ -325,21 +329,14 @@ SpeContextSystem::roundSeconds(const TimingConfig &cfg, const PriceContext &c,
 }
 
 AdmissionDecision
-SpeContextSystem::admitWith(const TimingConfig &cfg, const PriceContext &c,
-                            const PerR &one, const int64_t *lens, size_t n,
-                            int64_t candidate_prompt_len,
-                            int64_t candidate_final_len) const
+SpeContextSystem::admitReduced(const TimingConfig &cfg,
+                               const PriceContext &c, const PerR &one,
+                               int64_t r, int64_t kv_tokens, int64_t s_max,
+                               int64_t candidate_prompt_len) const
 {
     (void)candidate_prompt_len;
-    const int64_t r = static_cast<int64_t>(n) + 1;
     // Eq. 7 prices R uniform-length requests; bound the heterogeneous
     // batch by its longest final reservation (conservative).
-    int64_t s_max = candidate_final_len;
-    int64_t kv_tokens = candidate_final_len;
-    for (size_t i = 0; i < n; ++i) {
-        s_max = std::max(s_max, lens[i]);
-        kv_tokens += lens[i];
-    }
     if (!one.mm.fitsWithOffload(r, s_max))
         return {false, "no offload level fits (Eq. 7 headroom exhausted)"};
     // Offloaded layers land in CPU DRAM; the full KV cache must fit

@@ -14,8 +14,13 @@
  *    (INT64_MAX for full attention);
  *  - `double roundSeconds(cfg, ctx, entry, R, attended_total, s_max)`:
  *    the round tail that turns the reduced integers into seconds;
- *  - `prefillWith(cfg, ctx, entry at in-flight + 1, ...)` and
- *    `admitWith(cfg, ctx, entry at R = 1, ...)`: the admission hooks.
+ *  - `prefillWith(cfg, ctx, entry at in-flight + 1, ...)`: the
+ *    admission prefill;
+ *  - `int64_t admitCap()` and `admitReduced(cfg, ctx, entry at R = 1,
+ *    R, kv_tokens, s_max, candidate_prompt_len)`: the memory test. It
+ *    reads only R, the reserved total Σ min(admitCap, s_i) and the
+ *    longest context max s_i (candidate included), and must only
+ *    tighten as any of them grows.
  *
  * In return it gets `TabledPricer<Sys>`, the only SystemPricer: it
  * binds the context once, tables the entries by R and runs the
@@ -25,6 +30,11 @@
  * Every hook takes the bound TimingConfig and its PriceContext as two
  * arguments; the pricer passes its own member config, so an inlined
  * tail reads the geometry at a fixed offset.
+ *
+ * Since the memory test reads reduced integers only, the pricer also
+ * answers fitRounds() (how many upcoming decode rounds still fit) by
+ * probing those integers a number of rounds ahead: no probe rebuilds a
+ * length vector or makes a virtual call.
  */
 #pragma once
 
@@ -116,7 +126,8 @@ class TabledPricer final : public SystemPricer
      *  first probe. */
     TabledPricer(const Sys &sys, const TimingConfig &cfg)
         : sys_(sys), cfg_(cfg), ctx_(cfg_, sys.backend()),
-          cap_(sys.attendCap()), one_(sys.tableEntry(cfg_, ctx_, 1))
+          cap_(sys.attendCap()), admit_cap_(sys.admitCap()),
+          one_(sys.tableEntry(cfg_, ctx_, 1))
     {
     }
 
@@ -218,10 +229,9 @@ class TabledPricer final : public SystemPricer
                             int64_t candidate_prompt_len,
                             int64_t candidate_final_len) override
     {
-        return sys_.admitWith(cfg_, ctx_, entry(1),
-                              in_flight_final_lens.data(),
-                              in_flight_final_lens.size(),
-                              candidate_prompt_len, candidate_final_len);
+        return admitLens(in_flight_final_lens.data(),
+                         in_flight_final_lens.size(), candidate_prompt_len,
+                         candidate_final_len);
     }
 
     /** admit(rest, 1, back) (see SystemPricer::fitsCurrent), with the
@@ -230,11 +240,84 @@ class TabledPricer final : public SystemPricer
     {
         if (kv_lens.empty())
             return {true, ""};
-        return sys_.admitWith(cfg_, ctx_, entry(1), kv_lens.data(),
-                              kv_lens.size() - 1, 1, kv_lens.back());
+        return admitLens(kv_lens.data(), kv_lens.size() - 1, 1,
+                         kv_lens.back());
+    }
+
+    /** fitsCurrent(kv_lens + j) is the memory test on R, Σ min(admit
+     *  cap, s_i + j) and max s_i + j: one reduction, then a gallop and
+     *  bisection over j whose probes read only those integers (under
+     *  an unbounded cap the total is Σ + R j; under a bounded one it
+     *  is re-summed from kv_lens). */
+    int64_t fitRounds(const std::vector<int64_t> &kv_lens,
+                      int64_t max_rounds) override
+    {
+        if (max_rounds <= 0)
+            return 0;
+        if (kv_lens.empty())
+            return max_rounds;
+        const int64_t r = static_cast<int64_t>(kv_lens.size());
+        int64_t total = 0;
+        int64_t s_max = 0;
+        for (int64_t s : kv_lens) {
+            total += std::min(admit_cap_, s);
+            s_max = std::max(s_max, s);
+        }
+        const bool bounded =
+            admit_cap_ != std::numeric_limits<int64_t>::max();
+        const auto pass = [&](int64_t j) {
+            int64_t kv = total + r * j;
+            if (bounded) {
+                kv = 0;
+                for (int64_t s : kv_lens)
+                    kv += std::min(admit_cap_, s + j);
+            }
+            return sys_.admitReduced(cfg_, ctx_, one_, r, kv, s_max + j, 1)
+                .admit;
+        };
+        if (!pass(0))
+            return 0;
+        // Gallop out from the known-true probe, then bisect to the
+        // first failure; the test only tightens as the integers grow,
+        // so the frontier is one threshold. Galloping keeps the probed
+        // lengths within twice the frontier.
+        int64_t t = 0;  // highest probe known to pass
+        int64_t f = -1; // lowest probe known to fail (-1: none yet)
+        for (int64_t step = 1; t < max_rounds - 1; step *= 2) {
+            const int64_t p = std::min(t + step, max_rounds - 1);
+            if (!pass(p)) {
+                f = p;
+                break;
+            }
+            t = p;
+        }
+        if (f < 0)
+            return max_rounds;
+        while (f - t > 1) {
+            const int64_t mid = t + (f - t) / 2;
+            (pass(mid) ? t : f) = mid;
+        }
+        return f;
     }
 
   private:
+    /** The memory test of a candidate with `final_len` tokens (prompt
+     *  `prompt_len`) joining `n` contexts of `lens`: reduce, then ask
+     *  the system. */
+    AdmissionDecision admitLens(const int64_t *lens, size_t n,
+                                int64_t prompt_len, int64_t final_len) const
+    {
+        int64_t kv = std::min(admit_cap_, final_len);
+        int64_t s_max = final_len;
+        for (size_t i = 0; i < n; ++i) {
+            kv += std::min(admit_cap_, lens[i]);
+            s_max = std::max(s_max, lens[i]);
+        }
+        return sys_.admitReduced(cfg_, ctx_, one_,
+                                 static_cast<int64_t>(n) + 1, kv, s_max,
+                                 prompt_len);
+    }
+
     /** An open window's reduced integers (see the class comment). */
     struct Window
     {
@@ -291,10 +374,11 @@ class TabledPricer final : public SystemPricer
     }
 
     const Sys &sys_;
-    TimingConfig cfg_; ///< owns the system keepalive (shared_ptr inside)
-    PriceContext ctx_; ///< over cfg_
-    int64_t cap_;      ///< sys_.attendCap()
-    PerR one_;         ///< the entry at R = 1
+    TimingConfig cfg_;  ///< owns the system keepalive (shared_ptr inside)
+    PriceContext ctx_;  ///< over cfg_
+    int64_t cap_;       ///< sys_.attendCap()
+    int64_t admit_cap_; ///< sys_.admitCap()
+    PerR one_;          ///< the entry at R = 1
     std::vector<std::unique_ptr<PerR>> per_r_; ///< indexed by R >= 2
 
     Window win_; ///< the open window

@@ -40,6 +40,14 @@ viewable(const TokenPiece &run, size_t page)
     return run.owner != nullptr && run.size >= page;
 }
 
+/** A child link: the child's index and its first token, so the child
+ *  search can binary-search first tokens without loading children. */
+struct Kid
+{
+    int32_t first;
+    int32_t node;
+};
+
 } // namespace
 
 /** One cached edge: a run of blocks viewed in an immutable block. */
@@ -58,8 +66,8 @@ struct PrefixTree::Node
     const int32_t *data = nullptr;
     int64_t len = 0;
     BlockRef owner;
-    /** Child indices, sorted by first block. */
-    std::vector<int32_t> kids;
+    /** Children, sorted by first block (so also by first token). */
+    std::vector<Kid> kids;
 
     bool pinned() const { return handles > 0 || pinned_kids > 0; }
 };
@@ -115,13 +123,13 @@ PrefixTree::newEdge(int32_t parent, const int32_t *data, int64_t len,
     n.len = len;
     n.owner = std::move(owner);
     const TokenSpan first(data, page);
-    std::vector<int32_t> &kids = p.kids;
+    std::vector<Kid> &kids = p.kids;
     kids.insert(std::lower_bound(kids.begin(), kids.end(), first,
-                                 [&](int32_t kid, const TokenSpan &b) {
-                                     return blockLess(node(kid).data, b,
-                                                      0, page);
+                                 [&](const Kid &kid, const TokenSpan &b) {
+                                     return blockLess(node(kid.node).data,
+                                                      b, 0, page);
                                  }),
-                i);
+                Kid{*data, i});
     return i;
 }
 
@@ -180,13 +188,15 @@ PrefixTree::splitAbove(int32_t lower, int64_t depth)
     up.data = lo.data;
     up.len = keep;
     up.owner = lo.owner;
-    up.kids.assign(1, lower);
+    up.kids.assign(1, Kid{lo.data[keep], lower});
     lo.data += keep;
     lo.len -= keep;
     lo.parent = upper;
     // Same first block, so the parent's child order is unchanged.
-    std::vector<int32_t> &siblings = node(up.parent).kids;
-    *std::find(siblings.begin(), siblings.end(), lower) = upper;
+    std::vector<Kid> &siblings = node(up.parent).kids;
+    std::find_if(siblings.begin(), siblings.end(), [&](const Kid &kid) {
+        return kid.node == lower;
+    })->node = upper;
     return upper;
 }
 
@@ -209,18 +219,29 @@ PrefixTree::walkMatch(TokenSpan tokens) const
     size_t q = 0; // tokens matched so far: the query offset
     Walk w{kRoot, 0};
     while (q < full) {
-        const std::vector<int32_t> &kids = node(w.node).kids;
+        const std::vector<Kid> &kids = node(w.node).kids;
         int32_t next;
         if (kids.size() == 1) {
-            next = kids.front();
+            next = kids.front().node;
         } else {
+            // Children with a smaller first token all sort before the
+            // query's block and those with a larger one after it, so
+            // only the run sharing its first token needs a block
+            // compare; the lower bound is in that run or just past it.
+            const int32_t t = tokens[q];
+            const auto lo = std::lower_bound(
+                kids.begin(), kids.end(), t,
+                [](const Kid &kid, int32_t v) { return kid.first < v; });
+            const auto hi = std::upper_bound(
+                lo, kids.end(), t,
+                [](int32_t v, const Kid &kid) { return v < kid.first; });
             const auto it = std::lower_bound(
-                kids.begin(), kids.end(), q, [&](int32_t kid, size_t at) {
-                    return blockLess(node(kid).data, tokens, at, page);
+                lo, hi, q, [&](const Kid &kid, size_t at) {
+                    return blockLess(node(kid.node).data, tokens, at, page);
                 });
             if (it == kids.end())
                 break;
-            next = *it;
+            next = it->node;
         }
         const Node &edge = node(next);
         const size_t edge_len = static_cast<size_t>(edge.len);
@@ -418,8 +439,9 @@ PrefixTree::evict(int64_t tokens)
             continue;
         auto entry = evictable_.extract(oldest);
         Node &parent = node(v.parent);
-        parent.kids.erase(
-            std::find(parent.kids.begin(), parent.kids.end(), victim));
+        parent.kids.erase(std::find_if(
+            parent.kids.begin(), parent.kids.end(),
+            [&](const Kid &kid) { return kid.node == victim; }));
         // Fold the victim's stamp in before the parent can become
         // evictable: it then carries the newest release of its subtree.
         parent.last_use = std::max(parent.last_use, v.last_use);

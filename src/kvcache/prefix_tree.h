@@ -53,8 +53,10 @@
  *
  * Matching compares tokens, with one exact shortcut. A walk costs one
  * compare per edge rather than one node hop per block: at a node with
- * several children a lower_bound on the first block picks the edge,
- * then kv::equalPrefix() counts the equal leading tokens of as much of
+ * several children a lower_bound on the first block picks the edge
+ * (each node keeps its children's first tokens next to their indices,
+ * so the search loads only the children that share the query's first
+ * token), then kv::equalPrefix() counts the equal leading tokens of as much of
  * the edge as the query has full blocks, floored to a block where the
  * match stops. Where the query's piece points at the very tokens the
  * edge views, that run is equal without reading it: the edge keeps

@@ -263,13 +263,16 @@ prunedRetrievalHeadParams(const ModelConfig &base)
 ModelConfig
 dlmGeometryFor(const ModelConfig &base)
 {
-    // The name is built in one allocation: the pricers derive a DLM
-    // geometry for every batch size they table.
-    std::string name;
-    name.reserve(base.name.size() + 4);
-    name.append(base.name).append("-DLM");
-    ModelConfig c = base;
-    c.name = std::move(name);
+    ModelConfig c = unnamedDlmGeometryFor(base);
+    c.name.reserve(base.name.size() + 4);
+    c.name.assign(base.name).append("-DLM");
+    return c;
+}
+
+ModelConfig
+unnamedDlmGeometryFor(const ModelConfig &base)
+{
+    ModelConfig c = base.unnamed();
     c.layers = 1;
     // EAGLE-3 drafts train with a native 2K window; the retrieval head
     // stretches it with YaRN to cover the base model's context (§4.3).

@@ -88,6 +88,27 @@ struct ModelConfig
                tied_embeddings == o.tied_embeddings;
     }
     bool operator!=(const ModelConfig &o) const { return !(*this == o); }
+
+    /** This geometry under the default name: every field but the name
+     *  (the fields operator== lists), copied without allocating, for
+     *  consumers that read no name (sim::MemoryModel). */
+    ModelConfig unnamed() const
+    {
+        ModelConfig c;
+        c.attention = attention;
+        c.layers = layers;
+        c.q_heads = q_heads;
+        c.kv_heads = kv_heads;
+        c.head_dim = head_dim;
+        c.hidden = hidden;
+        c.ffn_hidden = ffn_hidden;
+        c.vocab = vocab;
+        c.mla_latent_dim = mla_latent_dim;
+        c.rope_theta = rope_theta;
+        c.yarn_scale = yarn_scale;
+        c.tied_embeddings = tied_embeddings;
+        return c;
+    }
 };
 
 /** Small live config used by tests/examples; runs real forward passes. */
@@ -113,6 +134,10 @@ ModelConfig reasoningLlama32_1bGeometry();
  * layer, same head layout, same vocab (~0.5B params for an 8B base).
  */
 ModelConfig dlmGeometryFor(const ModelConfig &base);
+
+/** dlmGeometryFor(base) under the default name, built without
+ *  allocating. */
+ModelConfig unnamedDlmGeometryFor(const ModelConfig &base);
 
 /**
  * Names of the paper-scale geometry presets, in the paper's evaluation

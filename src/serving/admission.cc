@@ -1,7 +1,7 @@
 #include "serving/admission.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace specontext {
 namespace serving {
@@ -63,44 +63,11 @@ int64_t
 AdmissionController::decodeFitRounds(const std::vector<Request> &in_flight,
                                      int64_t max_rounds) const
 {
-    if (max_rounds <= 0)
-        return 0;
-    if (in_flight.empty())
-        return max_rounds;
-    // pass(j): the exact decodeStepFits() predicate evaluated j rounds
-    // ahead — every context at kvLen() + 1 + j.
-    const auto pass = [&](int64_t j) {
-        lens_scratch_.clear();
-        for (const Request &q : in_flight)
-            lens_scratch_.push_back(q.kvLen() + 1 + j);
-        return pricer_->fitsCurrent(lens_scratch_).admit;
-    };
-    if (!pass(0))
-        return 0;
-    // Gallop out from the known-true probe, then bisect to the first
-    // failure. Monotonicity (see header) makes the frontier a single
-    // threshold, so ~2 log2(max_rounds) probes bound it exactly.
-    int64_t t = 0;  // highest probe index known true
-    int64_t f = -1; // lowest probe index known false (-1: none yet)
-    for (int64_t step = 1; t < max_rounds - 1; step *= 2) {
-        const int64_t p = std::min(t + step, max_rounds - 1);
-        if (pass(p)) {
-            t = p;
-        } else {
-            f = p;
-            break;
-        }
-    }
-    if (f < 0)
-        return max_rounds; // probes 0..max_rounds-1 all pass
-    while (f - t > 1) {
-        const int64_t mid = t + (f - t) / 2;
-        if (pass(mid))
-            t = mid;
-        else
-            f = mid;
-    }
-    return f; // pass(j) holds exactly for j < f
+    // Round 0 is the decodeStepFits() lengths; the pricer grows them.
+    lens_scratch_.clear();
+    for (const Request &q : in_flight)
+        lens_scratch_.push_back(q.kvLen() + 1);
+    return pricer_->fitRounds(lens_scratch_, max_rounds);
 }
 
 bool

@@ -122,15 +122,16 @@ class AdmissionController
      * the scheduler would run at that round's entry — so the returned
      * count n means rounds 0..n-1 are preemption-free and round n (if
      * n < max_rounds) is the predicted first failure; the caller must
-     * still re-run the genuine per-round check there. Found by
-     * galloping + bisection (O(log max_rounds) probes), which REQUIRES
-     * the system's fit frontier to be monotone under uniform growth:
-     * once a length vector fails, every elementwise-larger one fails
-     * too. Every registry system satisfies this — their admit() tests
-     * only tighten as r/s_max/total-KV grow — and for the same reason
-     * a proof holds for every sub-batch too: requests that retire
-     * never void the rounds proven for the rest. Returns max_rounds
-     * for an empty batch (vacuously fits).
+     * still re-run the genuine per-round check there. One pass over
+     * the batch's lengths, then core::SystemPricer::fitRounds(), which
+     * searches the system's reduced admission integers. That needs the
+     * fit test to be monotone under uniform growth — once a length
+     * vector fails, every elementwise-larger one fails too. Every
+     * registry system satisfies this (their admit() tests only tighten
+     * as r, s_max and total KV grow), and for the same reason a proof
+     * holds for every sub-batch too: requests that retire never void
+     * the rounds proven for the rest. Returns max_rounds for an empty
+     * batch (vacuously fits).
      */
     int64_t decodeFitRounds(const std::vector<Request> &in_flight,
                             int64_t max_rounds) const;

@@ -592,6 +592,8 @@ Cluster::run(std::vector<Request> trace) const
                                   r.rejected.begin(), r.rejected.end());
         out.fleet.iterations += r.iterations;
         out.fleet.steps += r.steps;
+        out.fleet.pressure_checks += r.pressure_checks;
+        out.fleet.fit_queries += r.fit_queries;
         out.fleet.peak_in_flight += r.peak_in_flight;
         out.fleet.prefix.merge(r.prefix);
         out.fleet.preempt.merge(r.preempt);

@@ -722,13 +722,20 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // admission gate guarantees a lone request always fits through
         // its final length, so the loop cannot strand the batch — the
         // > 1 guard is a belt-and-suspenders backstop against a
-        // non-monotone system model.
-        if (optimistic_preempt)
+        // non-monotone system model. A live fit proof already proves
+        // this round's check (it held for the batch it was proven for,
+        // and every sub-batch of a fitting batch fits), so the check
+        // and the flush it needs run only without one. The reference
+        // loop never holds a proof and checks every round.
+        if (optimistic_preempt && opt_fit_rounds_ <= 0) {
             flushWindow(); // the pressure check reads live lengths
-        while (optimistic_preempt && active_.size() > 1 &&
-               !scheduler_.nextDecodeTokenFits(active_)) {
-            preemptVictim();
-            kv_ready = false;
+            while (active_.size() > 1) {
+                ++result_.pressure_checks;
+                if (scheduler_.nextDecodeTokenFits(active_))
+                    break;
+                preemptVictim();
+                kv_ready = false;
+            }
         }
 
         // One decode iteration advances every in-flight request by one
@@ -753,7 +760,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // loop would have made, so victims are evicted on exactly the
         // same round. (opt_fit_rounds_ caches the proof across calls;
         // admission and preemption void it, retirement does not — see
-        // its declaration — so it is probed up to the batch's last
+        // its declaration — so it is queried up to the batch's last
         // retirement.)
         int64_t k_retire = 0;
         if (cache_costs_) {
@@ -776,6 +783,7 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                     k_last = std::max(k_last, r.gen_len - r.generated);
                 opt_fit_rounds_ =
                     scheduler_.decodeFitRounds(active_, k_last);
+                ++result_.fit_queries;
             }
             bulk_k = std::min(bulk_k, opt_fit_rounds_);
         }

@@ -140,6 +140,14 @@ struct ServeResult
     /** ReplicaEngine::step() calls: host work, not a simulated
      *  quantity — the fast path runs many rounds per step. */
     int64_t steps = 0;
+    /** Optimistic KV-pressure checks run (Scheduler::
+     *  nextDecodeTokenFits calls), each an O(batch) pass; host work.
+     *  The fast path runs them only where no decode-fit proof is
+     *  live. */
+    int64_t pressure_checks = 0;
+    /** Decode-fit proof refreshes (Scheduler::decodeFitRounds calls);
+     *  host work, fast path only. */
+    int64_t fit_queries = 0;
     int64_t peak_in_flight = 0;
     PrefixCacheStats prefix;   ///< all-zero when the cache is disabled
     PreemptionStats preempt;   ///< all-zero in Reserve mode
@@ -424,13 +432,15 @@ class ReplicaEngine
     /**
      * Optimistic decode-fit proof: how many future rounds are still
      * proven to pass the preemption check from the *current* batch
-     * state (Scheduler::decodeFitRounds, probed up to the batch's last
-     * retirement and decremented per round run). -1 = unknown,
+     * state (Scheduler::decodeFitRounds, queried up to the batch's
+     * last retirement and decremented per round run). -1 = unknown,
      * recompute before the next bulk window. Admission and preemption
      * void it; a retirement does not — the fit test only tightens as
      * the batch size, Σ s and max s grow, so every sub-batch of a
      * fitting batch fits, and the rounds proven for the batch hold for
-     * what is left of it. Reserve-mode engines never read it.
+     * what is left of it. While it is positive the next round's
+     * pressure check is proven to pass, so step() skips it (and the
+     * window flush it needs). Reserve-mode engines never read it.
      */
     int64_t opt_fit_rounds_ = -1;
     /** The pricer's bulk decode window is still open from the last
@@ -609,9 +619,9 @@ class ReplicaEngine
     /** Apply win_defer_rounds_ to every active request (generated and
      *  the KV mirror) and reset the lag to zero. Must run before any
      *  code reads or mutates per-request live state directly:
-     *  admission (resident scan, optimistic fitsCurrent), the
-     *  optimistic pressure check, victim selection, and the per-round
-     *  fallback. The pricer's window stays open — a flush restores
+     *  admission (resident scan, optimistic fitsCurrent), an
+     *  optimistic pressure check (run only without a live fit proof),
+     *  victim selection, and the per-round fallback. The pricer's window stays open — a flush restores
      *  the eager-reconciliation invariant without closing anything. */
     void flushWindow();
 

@@ -200,9 +200,12 @@ class Scheduler
      * nextDecodeTokenFits() check is guaranteed to pass while no
      * request joins the batch (requests may leave it). Reserve mode
      * returns max_rounds (reservations cover all growth); Optimistic
-     * delegates to AdmissionController::decodeFitRounds(), whose
-     * contract (probe indexing, monotonicity requirement, conservative
-     * first-failure semantics) this facade inherits.
+     * delegates to AdmissionController::decodeFitRounds() (one length
+     * pass plus core::SystemPricer::fitRounds()), whose contract
+     * (round indexing, monotonicity requirement, first-failure
+     * semantics) this facade inherits. A live answer also proves
+     * every nextDecodeTokenFits() check inside it, so the engine skips
+     * those checks while a proof lasts.
      */
     int64_t decodeFitRounds(const std::vector<Request> &active,
                             int64_t max_rounds) const;

@@ -11,7 +11,8 @@
  * burst, plus seeded differential runs (a shallow and a deep prompt
  * pool, queried as borrowed vectors, owned blocks and shared head +
  * tail blocks) against a brute-force per-block full-scan model tree,
- * eviction events included.
+ * eviction events included, and a sibling-heavy pool whose children
+ * share first tokens.
  */
 #include <gtest/gtest.h>
 
@@ -1209,6 +1210,83 @@ TEST(PrefixTree, DeepChainsMatchFullScanModel)
             },
             12, 1500, &deepest_hit);
         EXPECT_GE(deepest_hit, 16 * kPage);
+    }
+}
+
+/** Sibling-heavy prompt pool over a three-symbol alphabet: at the
+ *  root and below shared family prefixes, many children start with the
+ *  same token and differ later in their first block, so the child
+ *  search must compare blocks among equal first tokens; the short
+ *  alphabet also makes later divergences split edges. */
+std::vector<std::vector<int32_t>>
+siblingPromptPool(std::mt19937 &rng)
+{
+    std::vector<std::vector<int32_t>> pool;
+    const auto appendRandom = [&](std::vector<int32_t> &p, int64_t n) {
+        for (int64_t i = 0; i < n; ++i)
+            p.push_back(static_cast<int32_t>(rng() % 3));
+    };
+    for (int v = 0; v < 12; ++v) {
+        std::vector<int32_t> p;
+        appendRandom(p, kPage * (1 + rng() % 4) + rng() % kPage);
+        pool.push_back(p);
+    }
+    for (int32_t f = 0; f < 2; ++f) {
+        const std::vector<int32_t> shared = seq(10000 * (f + 1), 2 * kPage);
+        for (int v = 0; v < 6; ++v) {
+            std::vector<int32_t> p = shared;
+            appendRandom(p, kPage * (1 + rng() % 3) + rng() % kPage);
+            pool.push_back(p);
+        }
+    }
+    return pool;
+}
+
+/** Parents (block-aligned prefixes) in `pool` with two children whose
+ *  first blocks differ but start with the same token, split by whether
+ *  the parent is the root. */
+std::pair<int, int>
+equalFirstTokenParents(const std::vector<std::vector<int32_t>> &pool)
+{
+    std::map<std::pair<std::vector<int32_t>, int32_t>,
+             std::set<std::vector<int32_t>>>
+        children;
+    for (const std::vector<int32_t> &t : pool)
+        for (size_t at = 0; at + kPage <= t.size(); at += kPage)
+            children[{std::vector<int32_t>(t.begin(), t.begin() + at),
+                      t[at]}]
+                .insert(std::vector<int32_t>(t.begin() + at,
+                                             t.begin() + at + kPage));
+    int root = 0, inner = 0;
+    for (const auto &[key, blocks] : children)
+        if (blocks.size() > 1)
+            ++(key.first.empty() ? root : inner);
+    return {root, inner};
+}
+
+TEST(PrefixTree, EqualFirstTokenSiblingsMatchFullScanModel)
+{
+    // The child search binary-searches the first tokens each node
+    // keeps with its child links and compares blocks only among
+    // children sharing the query's first token; those tokens must
+    // follow every insertion, split and eviction. Any child picked other than the one a lower_bound over
+    // whole first blocks picks would end a walk short of the model's
+    // hit.
+    for (uint32_t seed : {21u, 22u, 23u, 24u, 25u, 26u}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        std::mt19937 rng(seed);
+        const std::vector<std::vector<int32_t>> pool =
+            siblingPromptPool(rng);
+        const auto [root, inner] = equalFirstTokenParents(pool);
+        EXPECT_GT(root, 0);
+        EXPECT_GT(inner, 0);
+        runAgainstModel(
+            pool, rng,
+            [&] {
+                return rng() % 16 == 0 ? 0
+                                       : static_cast<int64_t>(rng() % 40);
+            },
+            6, 1500);
     }
 }
 

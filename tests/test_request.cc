@@ -6,8 +6,9 @@
  * the same tokens, and copying a whole trace allocates only the
  * vector's own buffer — and head + tail prompts (indexing across the
  * boundary, equality with flat prompts, a head kept alive by a prefix
- * tree edge, nested heads rejected). Also pins that Cluster::run
- * leaves the caller's trace exactly as generated. Allocations are
+ * tree edge, nested heads rejected). Also pins that sortByArrival is
+ * stable and leaves a sorted trace untouched without allocating, and
+ * that Cluster::run leaves the caller's trace exactly as generated. Allocations are
  * counted by
  * replacing the global operator new in this translation unit, as
  * bench/bench_simperf.cc does.
@@ -412,6 +413,52 @@ TEST(Request, CopyingASharedPrefixTraceAllocatesOnlyTheVector)
         EXPECT_EQ(pieceData(copy[i].prompt_tokens, 1),
                   pieceData(trace[i].prompt_tokens, 1));
     }
+}
+
+/** Requests with the given arrivals, ids 0, 1, ... */
+std::vector<Request>
+arrivingAt(const std::vector<double> &arrivals)
+{
+    std::vector<Request> trace;
+    for (double t : arrivals) {
+        Request r;
+        r.id = static_cast<int64_t>(trace.size());
+        r.arrival_seconds = t;
+        trace.push_back(r);
+    }
+    return trace;
+}
+
+std::vector<int64_t>
+idsOf(const std::vector<Request> &trace)
+{
+    std::vector<int64_t> ids;
+    for (const Request &r : trace)
+        ids.push_back(r.id);
+    return ids;
+}
+
+TEST(Request, SortByArrivalIsStable)
+{
+    std::vector<Request> trace =
+        arrivingAt({1.0, 0.5, 1.0, 0.5, 2.0, 1.0});
+    serving::sortByArrival(trace);
+    EXPECT_EQ(idsOf(trace), (std::vector<int64_t>{1, 3, 0, 2, 5, 4}));
+}
+
+TEST(Request, SortByArrivalLeavesASortedTraceUntouched)
+{
+    // Equal arrivals keep their input order, ids out of order
+    // included. Host-independent: the sorted input is detected and
+    // not sorted again, so nothing is allocated (a stable sort takes
+    // a temporary buffer).
+    std::vector<Request> trace = arrivingAt({0.5, 1.0, 1.0, 1.0, 2.0});
+    std::swap(trace[1].id, trace[3].id);
+    const std::vector<int64_t> ids = idsOf(trace);
+    const int64_t before = allocs();
+    serving::sortByArrival(trace);
+    EXPECT_EQ(allocs() - before, 0);
+    EXPECT_EQ(idsOf(trace), ids);
 }
 
 TEST(Request, ClusterRunLeavesTheCallersTraceAsGenerated)

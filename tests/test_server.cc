@@ -348,9 +348,10 @@ TEST(Trace, MultiTurnSessionsInterleaveSortedWithSequentialIds)
     ASSERT_EQ(trace.size(), 18u);
     for (size_t i = 0; i < trace.size(); ++i) {
         EXPECT_EQ(trace[i].id, static_cast<int64_t>(i));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(trace[i].arrival_seconds,
                       trace[i - 1].arrival_seconds);
+        }
     }
     // Deterministic in the seed.
     const auto again = workload::multiTurnTrace(mt);
@@ -507,8 +508,9 @@ TEST(Trace, DiurnalRateSwingsBetweenTroughAndPeak)
         EXPECT_LE(a[i].prompt_len, dc.prompt_hi);
         EXPECT_GE(a[i].gen_len, dc.gen_lo);
         EXPECT_LE(a[i].gen_len, dc.gen_hi);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrival_seconds, a[i - 1].arrival_seconds);
+        }
     }
     // Count arrivals in the trough quarter (period edges) vs the peak
     // quarter (mid-period), folding every period together. With ratio
@@ -540,8 +542,9 @@ TEST(Trace, FlashCrowdConcentratesArrivalsInsideTheBurstWindow)
     ASSERT_EQ(a.size(), 600u);
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_DOUBLE_EQ(a[i].arrival_seconds, b[i].arrival_seconds);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrival_seconds, a[i - 1].arrival_seconds);
+        }
     }
     // The 50 s burst window must be ~8x denser than an equally long
     // pre-burst baseline window ([50, 100)).
@@ -645,8 +648,9 @@ TEST(Trace, RagSpikeIsHugePromptTinyGenAndUncacheable)
         EXPECT_DOUBLE_EQ(a[i].arrival_seconds, b[i].arrival_seconds);
         EXPECT_EQ(a[i].prompt_len, b[i].prompt_len);
         EXPECT_EQ(a[i].id, static_cast<int64_t>(i));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrival_seconds, a[i - 1].arrival_seconds);
+        }
         EXPECT_GE(a[i].prompt_len, rs.prompt_lo);
         EXPECT_LE(a[i].prompt_len, rs.prompt_hi);
         EXPECT_GE(a[i].gen_len, rs.gen_lo);
@@ -674,8 +678,9 @@ TEST(Trace, AgenticLoopGrowsContextAndReplaysItAsPrefix)
         EXPECT_DOUBLE_EQ(a[i].arrival_seconds, b[i].arrival_seconds);
         EXPECT_EQ(a[i].prompt_tokens, b[i].prompt_tokens);
         EXPECT_EQ(a[i].id, static_cast<int64_t>(i));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrival_seconds, a[i - 1].arrival_seconds);
+        }
         EXPECT_EQ(a[i].prompt_len,
                   static_cast<int64_t>(a[i].prompt_tokens.size()));
         EXPECT_GE(a[i].gen_len, al.gen_lo);

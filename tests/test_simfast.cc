@@ -548,6 +548,38 @@ TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
         << decode_iters << " decode rounds in " << steps << " steps";
 }
 
+TEST(SimFast, OptimisticPrefixChurnChecksPressureOnlyToRefreshItsProof)
+{
+    // Host-independent gate: a live decode-fit proof already proves
+    // the next round's KV-pressure check (it held for the batch it was
+    // proven for, and every sub-batch of a fitting batch fits), so on
+    // the Optimistic prefix-churn fleet, which never preempts, the
+    // fast path runs a pressure check only where it refreshes the
+    // proof: 132 checks for 152 refreshes. With the check back at
+    // every window head it runs 726. The reference loop holds no proof
+    // and checks every round. Both counts are plain result fields, so
+    // this holds in every build.
+    core::TimingEngine engine;
+    const std::vector<Request> trace = prefixChurnTrace();
+    const ClusterConfig cc = prefixChurnFleet(SchedulerMode::Optimistic);
+    const ClusterResult fast = runFleet(engine, cc, trace, true, true);
+    ASSERT_EQ(fast.fleet.preempt.preemptions, 0);
+    int64_t checks = 0, refreshes = 0;
+    for (const serving::ServeResult &r : fast.per_replica) {
+        checks += r.pressure_checks;
+        refreshes += r.fit_queries;
+    }
+    EXPECT_EQ(checks, fast.fleet.pressure_checks);
+    EXPECT_EQ(refreshes, fast.fleet.fit_queries);
+    ASSERT_GT(refreshes, 0);
+    EXPECT_LE(checks, refreshes);
+
+    const ClusterResult reference = runFleet(engine, cc, trace, false, false);
+    EXPECT_EQ(reference.fleet.fit_queries, 0);
+    EXPECT_GT(reference.fleet.pressure_checks, checks);
+    expectSameSimulation(reference, fast);
+}
+
 TEST(SimFast, OptimisticEvictionFleetsMatchReference)
 {
     // H2O and StreamingLLM lanes price through the same tabled pricer
@@ -624,8 +656,9 @@ TEST(SimFast, RetirementInsideALiveFitProofMatchesReference)
     const ClusterResult fast = runFleet(engine, cc, trace, true, true);
     ASSERT_EQ(reference.completed(), 7);
     for (const RequestRecord &rec : reference.fleet.metrics.records())
-        if (rec.id == 0)
+        if (rec.id == 0) {
             EXPECT_EQ(rec.preemptions, 0);
+        }
     EXPECT_GT(reference.fleet.preempt.preemptions, 0);
     expectSameSimulation(reference, fast);
 }
@@ -1626,6 +1659,166 @@ TEST(SystemPricer, EverySubBatchOfAFittingBatchFits)
         // Both sides of the frontiers were drawn.
         EXPECT_GT(fitting, 0) << system;
         EXPECT_GT(failing, 0) << system;
+    }
+}
+
+/** The decode-fit horizon by its definition, the oracle of
+ *  SystemPricer::fitRounds(): gallop out from round 0, then bisect to
+ *  the first j at which fitsCurrent(kv + j) fails, on a length vector
+ *  rebuilt for every probe. */
+int64_t
+gallopFitRounds(core::SystemPricer &pricer, const std::vector<int64_t> &kv,
+                int64_t max_rounds)
+{
+    if (max_rounds <= 0)
+        return 0;
+    if (kv.empty())
+        return max_rounds;
+    std::vector<int64_t> probe;
+    const auto pass = [&](int64_t j) {
+        probe.clear();
+        for (int64_t s : kv)
+            probe.push_back(s + j);
+        return pricer.fitsCurrent(probe).admit;
+    };
+    if (!pass(0))
+        return 0;
+    int64_t t = 0, f = -1;
+    for (int64_t step = 1; t < max_rounds - 1; step *= 2) {
+        const int64_t p = std::min(t + step, max_rounds - 1);
+        if (!pass(p)) {
+            f = p;
+            break;
+        }
+        t = p;
+    }
+    if (f < 0)
+        return max_rounds;
+    while (f - t > 1) {
+        const int64_t mid = t + (f - t) / 2;
+        (pass(mid) ? t : f) = mid;
+    }
+    return f;
+}
+
+TEST(SystemPricer, FitRoundsMatchesTheGallop)
+{
+    // SystemPricer::fitRounds() answers from the reduced admission
+    // integers what the gallop above answers by probing fitsCurrent()
+    // on grown length vectors; both must agree for every continuous
+    // system. Random batches sit at and around each threshold the fit
+    // test or its reduction turns on: the longest uniform length n
+    // contexts fit at (n = 1..8), the most 128k-token contexts that
+    // fit, the full-attention spill limit (complete offloading), and
+    // the per-request budget, where an eviction system's reservation
+    // stops growing. Each batch is asked for 0, 1, its longest
+    // remaining generation and a large number of rounds. The
+    // controller's decodeFitRounds() (lengths kvLen() + 1) must agree
+    // as well.
+    core::TimingEngine engine;
+    std::mt19937_64 rng(20261020);
+    const auto draw = [&](int64_t lo, int64_t hi) {
+        return lo + static_cast<int64_t>(
+                        rng() % static_cast<uint64_t>(hi - lo + 1));
+    };
+    const auto frontier = [](int64_t lo, int64_t hi, const auto &fits) {
+        if (!fits(lo) || fits(hi))
+            return int64_t{-1};
+        while (hi - lo > 1) {
+            const int64_t mid = lo + (hi - lo) / 2;
+            (fits(mid) ? lo : hi) = mid;
+        }
+        return lo;
+    };
+    for (const std::string &system : continuousSystems()) {
+        // Horizons strictly inside the asked window, and ones that
+        // fail at once or outlast it.
+        int64_t inside = 0, none = 0, all = 0;
+        for (const core::TimingConfig &cfg : pricerShapes(system)) {
+            SCOPED_TRACE(system + " on " + cfg.hw.name + " @ " +
+                         std::to_string(cfg.hw.gpu_mem_bytes >> 30) +
+                         " GiB");
+            auto pricer = engine.makePricer(cfg);
+            const serving::AdmissionController controller(cfg);
+            const auto fits = [&](const std::vector<int64_t> &lens) {
+                return pricer->fitsCurrent(lens).admit;
+            };
+            struct Centre
+            {
+                int64_t n_lo, n_hi, len;
+            };
+            std::vector<Centre> centres;
+            for (int64_t n = 1; n <= 8; ++n) {
+                const int64_t len =
+                    frontier(1, int64_t{1} << 26, [&](int64_t l) {
+                        return fits(std::vector<int64_t>(n, l));
+                    });
+                if (len > 0)
+                    centres.push_back({1, n, len});
+            }
+            const int64_t long_ctx = int64_t{1} << 17;
+            const int64_t count = frontier(1, 4096, [&](int64_t n) {
+                return fits(std::vector<int64_t>(n, long_ctx));
+            });
+            if (count > 0)
+                centres.push_back({std::max<int64_t>(1, count / 2),
+                                   count + count / 2 + 1, long_ctx});
+            if (cfg.system->options().allow_full_attention_offload)
+                for (int64_t n = 1; n <= 8; ++n)
+                    centres.push_back({n, n, spillLimitTokens(cfg) / n});
+            // Around the budget at the count frontier: contexts under
+            // it grow an eviction system's reservation until they reach
+            // it.
+            const int64_t budget = cfg.system->options().budget;
+            const int64_t at_budget = frontier(1, 4096, [&](int64_t n) {
+                return fits(std::vector<int64_t>(n, budget));
+            });
+            centres.push_back(
+                {std::max<int64_t>(1, at_budget / 2),
+                 at_budget > 0 ? at_budget + at_budget / 2 + 1 : 64,
+                 budget});
+            for (const Centre &c : centres) {
+                for (int trial = 0; trial < 16; ++trial) {
+                    std::vector<int64_t> kv(
+                        static_cast<size_t>(draw(c.n_lo, c.n_hi)));
+                    // Half the batches straddle the centre; the rest
+                    // sit within a few rounds of it.
+                    const int64_t spread =
+                        trial % 2 ? std::max<int64_t>(1, c.len / 2) : 8;
+                    for (int64_t &s : kv)
+                        s = std::max<int64_t>(
+                            2, draw(c.len - spread, c.len + spread));
+                    std::vector<Request> batch;
+                    for (int64_t s : kv) {
+                        Request q;
+                        q.prompt_len = s - 1; // kvLen() + 1 == s
+                        q.gen_len = 1;
+                        batch.push_back(q);
+                    }
+                    for (int64_t max_rounds :
+                         {int64_t{0}, int64_t{1}, draw(2, 4096),
+                          int64_t{1} << 30}) {
+                        const int64_t want =
+                            gallopFitRounds(*pricer, kv, max_rounds);
+                        EXPECT_EQ(pricer->fitRounds(kv, max_rounds), want)
+                            << kv.size() << " contexts around "
+                            << c.len << ", max_rounds " << max_rounds;
+                        EXPECT_EQ(controller.decodeFitRounds(batch,
+                                                             max_rounds),
+                                  want);
+                        if (max_rounds <= 0)
+                            continue;
+                        ++(want == 0 ? none
+                                     : want == max_rounds ? all : inside);
+                    }
+                }
+            }
+            EXPECT_EQ(pricer->fitRounds({}, 7), 7);
+            EXPECT_EQ(pricer->fitRounds({}, 0), 0);
+        }
+        EXPECT_GT(inside, 0) << system;
+        EXPECT_GT(none, 0) << system;
+        EXPECT_GT(all, 0) << system;
     }
 }
 
