@@ -59,13 +59,6 @@ struct SpeContextFeatures
     bool retrieval_head = true; ///< C1: sparse attention via DLM head
     bool async_elastic = true;  ///< C2: async prefetch + elastic loading
     bool adaptive_memory = true;///< C3: Algorithm 1/2 placement
-
-    bool operator==(const SpeContextFeatures &o) const
-    {
-        return retrieval_head == o.retrieval_head &&
-               async_elastic == o.async_elastic &&
-               adaptive_memory == o.adaptive_memory;
-    }
 };
 
 /**
@@ -121,22 +114,6 @@ struct SystemOptions
      *  and >= 0. SystemRegistry::create() calls it before any
      *  factory runs. */
     void validate() const;
-
-    /** Exact fieldwise equality: two systems created under the same
-     *  registry key with equal options are behaviorally identical
-     *  (systems are stateless pure functions of their options). */
-    bool operator==(const SystemOptions &o) const
-    {
-        return budget == o.budget && page_size == o.page_size &&
-               avg_cluster_size == o.avg_cluster_size &&
-               cluster_iterations == o.cluster_iterations &&
-               elastic_overlap == o.elastic_overlap &&
-               features == o.features &&
-               allow_full_attention_offload ==
-                   o.allow_full_attention_offload &&
-               recent_window == o.recent_window &&
-               prefix_reload_gbps == o.prefix_reload_gbps;
-    }
 };
 
 /** One simulated run: geometry, hardware, system, and batch shape. */
@@ -285,35 +262,25 @@ class SystemPricer
         int64_t candidate_prompt_len, int64_t candidate_final_len) = 0;
 
     /**
-     * Current-footprint sibling of admit() — the query optimistic
-     * (preemptive) serving schedules against. Where admit() prices the
+     * How many upcoming decode rounds still fit — the query optimistic
+     * (preemptive) serving schedules against. Where admit() prices a
      * batch at its booked final-length *reservations*, this prices it
-     * at explicit *current* KV lengths (`kv_lens[i]` tokens live right
-     * now, no candidate, no prefill scratch): can the batch execute one
-     * decode iteration at these lengths under this system's memory
-     * discipline? The serving::Scheduler calls it with every length
-     * one past the live context to decide whether the next decode
-     * token fits or victims must be preempted.
-     *
-     * Defined as admit(kv_lens minus its last entry, 1, kv_lens.back()):
-     * the last length plays the candidate at a 1-token prompt (so
-     * eager's prefill-scratch term stays negligible). Admits trivially
-     * on an empty batch.
-     */
-    virtual AdmissionDecision fitsCurrent(
-        const std::vector<int64_t> &kv_lens) = 0;
-
-    /**
-     * How many upcoming decode rounds still fit: the count of leading
-     * j in [0, max_rounds) for which fitsCurrent(kv_lens + j)
-     * (elementwise) admits, i.e. the first failing j, capped at
-     * max_rounds. 0 when max_rounds <= 0; max_rounds for an empty
-     * batch. Relies on the fit test only tightening as the batch
-     * size, Σ min(admit cap, s) and max s grow, which every
-     * continuous system satisfies; under it the answer equals a
-     * round-by-round scan of fitsCurrent(). TabledPricer probes the
-     * system's reduced admission integers, so no probe refills a
-     * length vector or makes a virtual call.
+     * at explicit *current* KV lengths: round j fits when the batch
+     * can execute one decode iteration at kv_lens + j (elementwise)
+     * under this system's memory discipline, i.e. when
+     * admit(kv_lens + j minus its last entry, 1, its last entry)
+     * admits — the last length plays the candidate at a 1-token
+     * prompt, so eager's prefill-scratch term stays negligible.
+     * Returns the first failing j, capped at max_rounds: 0 when
+     * max_rounds <= 0 or round 0 already fails (the serving::Scheduler
+     * passes every length one past the live context, so 0 means the
+     * next decode token does not fit and victims must be preempted);
+     * max_rounds for an empty batch. Relies on the fit test only
+     * tightening as the batch size, Σ min(admit cap, s) and max s
+     * grow, which every continuous system satisfies; under it the
+     * answer equals a round-by-round scan of that admit() test.
+     * TabledPricer probes the system's reduced admission integers, so
+     * no probe refills a length vector or makes a virtual call.
      */
     virtual int64_t fitRounds(const std::vector<int64_t> &kv_lens,
                               int64_t max_rounds) = 0;

@@ -225,27 +225,26 @@ class TabledPricer final : public SystemPricer
                                 resident_kv_tokens);
     }
 
+    /** Reduce, then ask the system. */
     AdmissionDecision admit(const std::vector<int64_t> &in_flight_final_lens,
                             int64_t candidate_prompt_len,
                             int64_t candidate_final_len) override
     {
-        return admitLens(in_flight_final_lens.data(),
-                         in_flight_final_lens.size(), candidate_prompt_len,
-                         candidate_final_len);
+        int64_t kv = std::min(admit_cap_, candidate_final_len);
+        int64_t s_max = candidate_final_len;
+        for (int64_t s : in_flight_final_lens) {
+            kv += std::min(admit_cap_, s);
+            s_max = std::max(s_max, s);
+        }
+        const int64_t r =
+            static_cast<int64_t>(in_flight_final_lens.size()) + 1;
+        return sys_.admitReduced(cfg_, ctx_, one_, r, kv, s_max,
+                                 candidate_prompt_len);
     }
 
-    /** admit(rest, 1, back) (see SystemPricer::fitsCurrent), with the
-     *  rest passed in place. */
-    AdmissionDecision fitsCurrent(const std::vector<int64_t> &kv_lens) override
-    {
-        if (kv_lens.empty())
-            return {true, ""};
-        return admitLens(kv_lens.data(), kv_lens.size() - 1, 1,
-                         kv_lens.back());
-    }
-
-    /** fitsCurrent(kv_lens + j) is the memory test on R, Σ min(admit
-     *  cap, s_i + j) and max s_i + j: one reduction, then a gallop and
+    /** Round j's fit test, admit(rest, 1, back) on kv_lens + j, is the
+     *  memory test on R, Σ min(admit cap, s_i + j) and max s_i + j,
+     *  with a 1-token prompt: one reduction, then a gallop and
      *  bisection over j whose probes read only those integers (under
      *  an unbounded cap the total is Σ + R j; under a bounded one it
      *  is re-summed from kv_lens). */
@@ -301,23 +300,6 @@ class TabledPricer final : public SystemPricer
     }
 
   private:
-    /** The memory test of a candidate with `final_len` tokens (prompt
-     *  `prompt_len`) joining `n` contexts of `lens`: reduce, then ask
-     *  the system. */
-    AdmissionDecision admitLens(const int64_t *lens, size_t n,
-                                int64_t prompt_len, int64_t final_len) const
-    {
-        int64_t kv = std::min(admit_cap_, final_len);
-        int64_t s_max = final_len;
-        for (size_t i = 0; i < n; ++i) {
-            kv += std::min(admit_cap_, lens[i]);
-            s_max = std::max(s_max, lens[i]);
-        }
-        return sys_.admitReduced(cfg_, ctx_, one_,
-                                 static_cast<int64_t>(n) + 1, kv, s_max,
-                                 prompt_len);
-    }
-
     /** An open window's reduced integers (see the class comment). */
     struct Window
     {

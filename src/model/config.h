@@ -75,23 +75,9 @@ struct ModelConfig
     /** Throws std::invalid_argument when fields are inconsistent. */
     void validate() const;
 
-    /** Exact fieldwise equality (geometry memoization keys). */
-    bool operator==(const ModelConfig &o) const
-    {
-        return name == o.name && attention == o.attention &&
-               layers == o.layers && q_heads == o.q_heads &&
-               kv_heads == o.kv_heads && head_dim == o.head_dim &&
-               hidden == o.hidden && ffn_hidden == o.ffn_hidden &&
-               vocab == o.vocab && mla_latent_dim == o.mla_latent_dim &&
-               rope_theta == o.rope_theta &&
-               yarn_scale == o.yarn_scale &&
-               tied_embeddings == o.tied_embeddings;
-    }
-    bool operator!=(const ModelConfig &o) const { return !(*this == o); }
-
-    /** This geometry under the default name: every field but the name
-     *  (the fields operator== lists), copied without allocating, for
-     *  consumers that read no name (sim::MemoryModel). */
+    /** This geometry under the default name: every field but the name,
+     *  copied without allocating, for consumers that read no name
+     *  (sim::MemoryModel). */
     ModelConfig unnamed() const
     {
         ModelConfig c;

@@ -115,9 +115,17 @@ Cluster::Cluster(const core::TimingEngine &engine, ClusterConfig cfg)
 ClusterResult
 Cluster::run(std::vector<Request> trace) const
 {
-    // Reject a malformed prompt before any replica exists, not when
-    // its request reaches ReplicaEngine::deliver mid-simulation.
+    // Reject a malformed request before any replica exists, not when
+    // it reaches ReplicaEngine::deliver mid-simulation. A NaN arrival
+    // would break the arrival sort (requests silently vanish), an
+    // infinite one never comes due, and a negative one trips the
+    // delivery-order guard with a misleading message.
     for (const Request &r : trace) {
+        if (!std::isfinite(r.arrival_seconds) || r.arrival_seconds < 0.0)
+            throw std::invalid_argument(
+                "Cluster: request " + std::to_string(r.id) +
+                " has arrival_seconds " + std::to_string(r.arrival_seconds) +
+                "; it must be finite and non-negative");
         if (!r.prompt_tokens.empty() &&
             static_cast<int64_t>(r.prompt_tokens.size()) != r.prompt_len)
             throw std::invalid_argument(
@@ -592,7 +600,6 @@ Cluster::run(std::vector<Request> trace) const
                                   r.rejected.begin(), r.rejected.end());
         out.fleet.iterations += r.iterations;
         out.fleet.steps += r.steps;
-        out.fleet.pressure_checks += r.pressure_checks;
         out.fleet.fit_queries += r.fit_queries;
         out.fleet.peak_in_flight += r.peak_in_flight;
         out.fleet.prefix.merge(r.prefix);

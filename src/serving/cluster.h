@@ -230,8 +230,9 @@ class Cluster
      * identical inputs give bit-identical results. Passing a trace by
      * copy is cheap: the copies share every prompt's tokens.
      * @throws std::invalid_argument, before any replica is built, when
-     * a request's non-empty prompt_tokens disagrees in size with its
-     * prompt_len (the message names the request id).
+     * a request's arrival_seconds is NaN, infinite or negative, or its
+     * non-empty prompt_tokens disagrees in size with its prompt_len
+     * (the message names the request id).
      */
     ClusterResult run(std::vector<Request> trace) const;
 

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/memory_model.h"
+
 namespace specontext {
 namespace serving {
 
@@ -78,19 +80,17 @@ ReplicaEngine::ReplicaEngine(const core::TimingEngine &engine,
                              ReplicaConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)),
       scheduler_(cfg_.timing, schedulerConfigFor(cfg_)),
-      pricer_(engine_.makePricer(cfg_.timing)),
       prefix_tree_(prefixTreeConfigFor(cfg_))
 {
-    if (cfg_.max_batch <= 0)
-        throw std::invalid_argument(
-            "ReplicaEngine: non-positive max_batch");
     if (cfg_.prefix_cache.budget_bytes < 0)
         throw std::invalid_argument(
             "ReplicaEngine: negative prefix-cache budget");
     configured_prefix_budget_ = prefix_tree_.config().budget_bytes;
     kv_bytes_per_token_ = kvBytesPerToken(cfg_.timing);
     kv_capacity_bytes_ = std::max<int64_t>(rawKvCapacityBytes(cfg_), 1);
-    model_bytes_ = scheduler_.admission().memoryModel().modelBytes();
+    model_bytes_ =
+        sim::MemoryModel(cfg_.timing.system->memoryInputs(cfg_.timing, 1))
+            .modelBytes();
     if (cfg_.name.empty()) {
         cfg_.name = "replica" + std::to_string(cfg_.id) + "(" +
                     cfg_.timing.hw.name + "/" +
@@ -151,10 +151,11 @@ ReplicaEngine::setDecodeCostCache(bool on)
 core::SystemPricer &
 ReplicaEngine::roundPricer()
 {
+    if (cache_costs_)
+        return scheduler_.pricer();
     // The reference loop re-derives every price from scratch.
-    if (!cache_costs_)
-        pricer_ = engine_.makePricer(cfg_.timing);
-    return *pricer_;
+    fresh_pricer_ = engine_.makePricer(cfg_.timing);
+    return *fresh_pricer_;
 }
 
 void
@@ -415,6 +416,11 @@ ReplicaEngine::snapshotPrefixStats()
 void
 ReplicaEngine::deliver(Request r)
 {
+    // A NaN arrival passes the order check below and never comes due,
+    // so the replica would step forever without going idle.
+    if (!std::isfinite(r.arrival_seconds))
+        throw std::invalid_argument(
+            "ReplicaEngine: non-finite arrival_seconds");
     if (r.arrival_seconds < last_delivered_arrival_)
         throw std::invalid_argument(
             "ReplicaEngine: deliveries must be in arrival order");
@@ -586,8 +592,8 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
     // candidate. A denial with other requests in flight just means
     // "wait for retirements"; a denial on an idle replica means the
     // request can never fit here. Admission reads live per-request
-    // state (the resident scan, optimistic fitsCurrent), so any
-    // deferred window rounds apply first.
+    // state (the resident scan, optimistic current-footprint pricing),
+    // so any deferred window rounds apply first.
     if (admissionPossible())
         flushWindow();
     while (admissionPossible()) {
@@ -702,9 +708,9 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         return; // round spent rejecting; next event is a future arrival
     }
 
-    // Reserve mode's nextDecodeTokenFits is unconditionally true
-    // (final-length reservations already cover growth), so the
-    // KV-pressure check is hoisted out of the round loop entirely.
+    // Reserve mode never preempts (final-length reservations already
+    // cover growth), so the decode-fit query is hoisted out of the
+    // round loop entirely.
     const bool optimistic_preempt = optimistic();
     // kv_scratch_ mirrors active_'s kvLen()s for the decode call; the
     // advance-and-retire pass below maintains it in place, so only
@@ -716,22 +722,28 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
     bool kv_ready = win_live_;
     for (;;) {
         // Optimistic KV pressure: every in-flight context grows one
-        // token this iteration; while that would oversubscribe the
-        // memory model's headroom, evict victims (policy-ordered,
-        // deterministic) until the survivors fit. The feasibleAlone()
-        // admission gate guarantees a lone request always fits through
-        // its final length, so the loop cannot strand the batch — the
-        // > 1 guard is a belt-and-suspenders backstop against a
-        // non-monotone system model. A live fit proof already proves
-        // this round's check (it held for the batch it was proven for,
-        // and every sub-batch of a fitting batch fits), so the check
-        // and the flush it needs run only without one. The reference
-        // loop never holds a proof and checks every round.
+        // token this iteration. Without a live fit proof, ask how many
+        // rounds fit — up to the batch's last retirement on the fast
+        // path, just this one in the reference loop — and while not
+        // even this round fits, evict victims (policy-ordered,
+        // deterministic) and ask again. The feasibleAlone() admission
+        // gate guarantees a lone request always fits through its final
+        // length, so the loop cannot strand the batch — the > 1 guard
+        // is a belt-and-suspenders backstop against a non-monotone
+        // system model. A live proof already covers this round (it
+        // held for the batch it was proven for, and every sub-batch of
+        // a fitting batch fits), so neither the query nor the flush it
+        // needs runs while one lasts.
         if (optimistic_preempt && opt_fit_rounds_ <= 0) {
-            flushWindow(); // the pressure check reads live lengths
-            while (active_.size() > 1) {
-                ++result_.pressure_checks;
-                if (scheduler_.nextDecodeTokenFits(active_))
+            flushWindow(); // the query reads live lengths
+            for (;;) {
+                int64_t k = 1;
+                if (cache_costs_)
+                    for (const Request &r : active_)
+                        k = std::max(k, r.gen_len - r.generated);
+                opt_fit_rounds_ = scheduler_.decodeFitRounds(active_, k);
+                ++result_.fit_queries;
+                if (opt_fit_rounds_ > 0 || active_.size() <= 1)
                     break;
                 preemptVictim();
                 kv_ready = false;
@@ -752,16 +764,15 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         // retirement, and the earliest retirement round is known up
         // front (the smallest remaining generation length), so every
         // round before it can run without per-request work. Optimistic
-        // mode additionally needs a preemption-free horizon:
-        // decodeFitRounds() proves the next opt_fit_rounds_ pressure
-        // checks pass with the batch as-is, so the window is capped
-        // there and the *genuine* check re-runs at the predicted first
-        // failure — the identical floating-point compare the per-round
-        // loop would have made, so victims are evicted on exactly the
-        // same round. (opt_fit_rounds_ caches the proof across calls;
-        // admission and preemption void it, retirement does not — see
-        // its declaration — so it is queried up to the batch's last
-        // retirement.)
+        // mode additionally needs a preemption-free horizon: the fit
+        // query above proved the next opt_fit_rounds_ rounds fit with
+        // the batch as-is, so the window is capped there and the query
+        // re-runs at the predicted first failure, where its first
+        // probe is the very test the per-round reference loop makes —
+        // victims are evicted on exactly the same round.
+        // (opt_fit_rounds_ caches the proof across calls; admission
+        // and preemption void it, retirement does not — see its
+        // declaration.)
         int64_t k_retire = 0;
         if (cache_costs_) {
             if (win_live_) {
@@ -776,17 +787,8 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
             }
         }
         int64_t bulk_k = k_retire;
-        if (cache_costs_ && optimistic_preempt) {
-            if (opt_fit_rounds_ <= 0) {
-                int64_t k_last = 0;
-                for (const Request &r : active_)
-                    k_last = std::max(k_last, r.gen_len - r.generated);
-                opt_fit_rounds_ =
-                    scheduler_.decodeFitRounds(active_, k_last);
-                ++result_.fit_queries;
-            }
+        if (cache_costs_ && optimistic_preempt)
             bulk_k = std::min(bulk_k, opt_fit_rounds_);
-        }
         // One decode window: `rounds` rounds on the batch as-is, the
         // first finishing at `first_now`. A bulk window (`windowed`)
         // has the pricer advance the reduced KV integers incrementally
@@ -798,8 +800,9 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
         const bool windowed = bulk_k >= 1;
         const bool was_live = win_live_;
         if (windowed) {
+            core::SystemPricer &pricer = scheduler_.pricer();
             if (!was_live)
-                pricer_->beginWindow(kv_scratch_);
+                pricer.beginWindow(kv_scratch_);
             // Entered with admissible queued work (a free slot, but
             // admission denied on memory this step, or a preemption
             // just freed one) the single-round loop breaks after one
@@ -812,9 +815,8 @@ ReplicaEngine::step(const IngestFn &ingest, double horizon)
                 pending_next_ < static_cast<int64_t>(pending_.size())
                     ? pending_[pending_next_].arrival_seconds
                     : std::numeric_limits<double>::infinity();
-            now_ = pricer_->runWindow(admissionPossible() ? 1 : bulk_k,
-                                      now_, horizon, t_pending, rounds,
-                                      first_now);
+            now_ = pricer.runWindow(admissionPossible() ? 1 : bulk_k, now_,
+                                    horizon, t_pending, rounds, first_now);
         } else {
             now_ += roundPricer().decodeSeconds(kv_scratch_);
             first_now = now_;

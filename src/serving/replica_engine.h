@@ -9,7 +9,7 @@
  * the hardware, model geometry and SystemModel), the in-flight batch,
  * the prefix cache and a local clock; admission and preemption policy
  * live in the serving::Scheduler it embeds (which owns the waiting
- * queue and the memory-model admission test). The caller delivers
+ * queue and the lane's one pricer). The caller delivers
  * routed arrivals with deliver() and repeatedly invokes step(), which
  * runs one scheduling round at the replica's next event time:
  *
@@ -140,13 +140,11 @@ struct ServeResult
     /** ReplicaEngine::step() calls: host work, not a simulated
      *  quantity — the fast path runs many rounds per step. */
     int64_t steps = 0;
-    /** Optimistic KV-pressure checks run (Scheduler::
-     *  nextDecodeTokenFits calls), each an O(batch) pass; host work.
-     *  The fast path runs them only where no decode-fit proof is
-     *  live. */
-    int64_t pressure_checks = 0;
-    /** Decode-fit proof refreshes (Scheduler::decodeFitRounds calls);
-     *  host work, fast path only. */
+    /** Optimistic decode-fit queries (Scheduler::decodeFitRounds
+     *  calls), each an O(batch) pass; host work. One runs wherever no
+     *  proof is live — every round in the reference loop, only to
+     *  refresh a spent proof on the fast path — plus one more after
+     *  each preemption. */
     int64_t fit_queries = 0;
     int64_t peak_in_flight = 0;
     PrefixCacheStats prefix;   ///< all-zero when the cache is disabled
@@ -193,15 +191,12 @@ class ReplicaEngine
 
     /**
      * @throws std::invalid_argument when cfg.timing.system cannot be
-     * continuously batched or max_batch is non-positive.
+     * continuously batched, max_batch is non-positive (both from the
+     * Scheduler) or the prefix-cache budget is negative.
      */
     ReplicaEngine(const core::TimingEngine &engine, ReplicaConfig cfg);
 
     const ReplicaConfig &config() const { return cfg_; }
-    const AdmissionController &admission() const
-    {
-        return scheduler_.admission();
-    }
     const Scheduler &scheduler() const { return scheduler_; }
 
     /** True when this replica admits optimistically (and preempts). */
@@ -283,8 +278,9 @@ class ReplicaEngine
     /** Hand over a routed request; it waits in the pending list until
      *  the replica clock reaches its arrival time. Deliveries must be
      *  in non-decreasing arrival order per replica.
-     *  @throws std::invalid_argument when prompt_tokens is non-empty
-     *  but its size disagrees with prompt_len. */
+     *  @throws std::invalid_argument when the arrival is not finite or
+     *  precedes the previous delivery's, or when prompt_tokens is
+     *  non-empty but its size disagrees with prompt_len. */
     void deliver(Request r);
 
     /**
@@ -398,13 +394,13 @@ class ReplicaEngine
     /**
      * Toggle the cached per-lane pricer (core::SystemPricer): on,
      * every decode round and admission prefill is priced by the lane's
-     * one pricer, which derives the cost/memory models once per batch
-     * size and runs bulk decode windows; off (the construction
+     * one pricer (Scheduler::pricer(), which also answers every
+     * admission probe), deriving the cost/memory models once per batch
+     * size and running bulk decode windows; off (the construction
      * default), each prefill and round is priced on a fresh pricer —
      * the reference loop, with the pre-fast-path cost profile. Either
      * way the simulated durations are bit-identical; drivers set this
-     * from SimFastPath::cache_decode_costs. Admission probes always go
-     * through the scheduler's own pricer.
+     * from SimFastPath::cache_decode_costs.
      */
     void setDecodeCostCache(bool on);
 
@@ -419,10 +415,10 @@ class ReplicaEngine
     const core::TimingEngine &engine_;
     ReplicaConfig cfg_;
     Scheduler scheduler_;
-    /** Decode and prefill pricer: the lane's one pricer when
-     *  cache_costs_, else replaced by a fresh one before every prefill
-     *  and round (see roundPricer()). */
-    std::unique_ptr<core::SystemPricer> pricer_;
+    /** The reference loop's pricer, replaced by a fresh one before
+     *  every prefill and round (see roundPricer()); unused when
+     *  cache_costs_. */
+    std::unique_ptr<core::SystemPricer> fresh_pricer_;
     bool cache_costs_ = false; ///< setDecodeCostCache()
 
     double now_ = 0.0;
@@ -431,16 +427,17 @@ class ReplicaEngine
     int64_t pending_next_ = 0;     ///< first live index into pending_
     /**
      * Optimistic decode-fit proof: how many future rounds are still
-     * proven to pass the preemption check from the *current* batch
-     * state (Scheduler::decodeFitRounds, queried up to the batch's
-     * last retirement and decremented per round run). -1 = unknown,
-     * recompute before the next bulk window. Admission and preemption
-     * void it; a retirement does not — the fit test only tightens as
-     * the batch size, Σ s and max s grow, so every sub-batch of a
-     * fitting batch fits, and the rounds proven for the batch hold for
-     * what is left of it. While it is positive the next round's
-     * pressure check is proven to pass, so step() skips it (and the
-     * window flush it needs). Reserve-mode engines never read it.
+     * proven to fit from the *current* batch state
+     * (Scheduler::decodeFitRounds, queried up to the batch's last
+     * retirement — one round in the reference loop — and decremented
+     * per round run). <= 0 = none live: step() queries before the next
+     * round and preempts while the answer is 0. Admission and
+     * preemption void it; a retirement does not — the fit test only
+     * tightens as the batch size, Σ s and max s grow, so every
+     * sub-batch of a fitting batch fits, and the rounds proven for the
+     * batch hold for what is left of it. While it is positive step()
+     * asks nothing (and skips the window flush a query needs).
+     * Reserve-mode engines never read it.
      */
     int64_t opt_fit_rounds_ = -1;
     /** The pricer's bulk decode window is still open from the last
@@ -557,7 +554,7 @@ class ReplicaEngine
     {
         if (!cache_costs_)
             return now_;
-        const double floor_s = pricer_->minRoundSeconds();
+        const double floor_s = scheduler_.pricer().minRoundSeconds();
         if (!(floor_s > 0.0))
             return now_;
         int64_t n = std::numeric_limits<int64_t>::max();
@@ -581,7 +578,7 @@ class ReplicaEngine
         if (!cache_costs_)
             return now_;
         return roundFloorLowerBound(now_, opt_fit_rounds_,
-                                    pricer_->minRoundSeconds());
+                                    scheduler_.pricer().minRoundSeconds());
     }
 
     /** Move pending requests with arrival <= t into the queue. */
@@ -619,10 +616,11 @@ class ReplicaEngine
     /** Apply win_defer_rounds_ to every active request (generated and
      *  the KV mirror) and reset the lag to zero. Must run before any
      *  code reads or mutates per-request live state directly:
-     *  admission (resident scan, optimistic fitsCurrent), an
-     *  optimistic pressure check (run only without a live fit proof),
-     *  victim selection, and the per-round fallback. The pricer's window stays open — a flush restores
-     *  the eager-reconciliation invariant without closing anything. */
+     *  admission (the resident scan, optimistic current-footprint
+     *  pricing), an optimistic decode-fit query (run only without a
+     *  live proof), victim selection, and the per-round fallback. The
+     *  pricer's window stays open — a flush restores the
+     *  eager-reconciliation invariant without closing anything. */
     void flushWindow();
 
     /** step() must hand control back to the driver: the horizon is

@@ -4,7 +4,7 @@
  *
  * A Request is one user call in an open-loop arrival trace: it arrives
  * at a wall-clock instant with a prompt and a generation target, waits
- * in the RequestQueue until the AdmissionController finds KV headroom,
+ * in the RequestQueue until its replica's Scheduler finds KV headroom,
  * is prefilled, then advances one token per server iteration until it
  * retires. All timestamps are in simulated seconds from trace start;
  * negative means "not reached yet".

@@ -227,41 +227,9 @@ Router::feasibleReplicas(const Request &r, const Fleet &fleet,
                          std::vector<size_t> &out)
 {
     out.clear();
-    // One feasibility verdict covers every lane whose admission shape
-    // matches (fleets are usually homogeneous): the controller prices
-    // the candidate against an idle replica, so lanes with the same
-    // system and config must agree — re-deriving the memory-model
-    // headroom per lane was the router's hottest redundant work.
-    // Shapes are classified once per lane over the router's lifetime,
-    // so the steady-state arrival pays one feasibleAlone() per class
-    // and zero shape comparisons.
-    if (shape_class_.size() < fleet.size())
-        shape_class_.resize(fleet.size(), -1);
-    shape_verdict_.assign(shape_rep_.size(), int8_t{-1});
-    for (size_t i : routable) {
-        int32_t c = shape_class_[i];
-        if (c < 0) {
-            const AdmissionController &ac = fleet[i]->admission();
-            for (size_t k = 0; k < shape_rep_.size(); ++k) {
-                if (ac.sameAdmissionShape(
-                        fleet[shape_rep_[k]]->admission())) {
-                    c = static_cast<int32_t>(k);
-                    break;
-                }
-            }
-            if (c < 0) {
-                c = static_cast<int32_t>(shape_rep_.size());
-                shape_rep_.push_back(i);
-                shape_verdict_.push_back(int8_t{-1});
-            }
-            shape_class_[i] = c;
-        }
-        int8_t &v = shape_verdict_[static_cast<size_t>(c)];
-        if (v < 0)
-            v = fleet[i]->admission().feasibleAlone(r) ? 1 : 0;
-        if (v)
+    for (size_t i : routable)
+        if (fleet[i]->scheduler().feasibleAlone(r))
             out.push_back(i);
-    }
     if (out.empty())
         out.assign(routable.begin(), routable.end());
 }

@@ -144,7 +144,7 @@ class Router
     /** Fill `out` with the routable indices able to serve `r` at all;
      *  the whole routable set when none can (the pick then
      *  hard-rejects, keeping accounting policy-free). */
-    void feasibleReplicas(const Request &r,
+    static void feasibleReplicas(const Request &r,
                           const std::vector<std::unique_ptr<ReplicaEngine>>
                               &replicas,
                           const std::vector<size_t> &routable,
@@ -162,16 +162,6 @@ class Router
     std::vector<int64_t> hits_scratch_;
     std::vector<size_t> warmest_scratch_;
     std::vector<size_t> cached_scratch_;
-
-    /** Admission-shape classes, the router's per-arrival feasibility
-     *  memo. Replica configs are immutable and lanes are only ever
-     *  appended (a retired slot keeps its engine), so each lane is
-     *  classified exactly once over the router's lifetime; after that
-     *  an arrival pays one feasibleAlone() per *class* — typically one
-     *  for the whole fleet — instead of a shape comparison per lane. */
-    std::vector<int32_t> shape_class_; ///< lane -> class id, -1 unknown
-    std::vector<size_t> shape_rep_;    ///< class id -> exemplar lane
-    std::vector<int8_t> shape_verdict_; ///< per-arrival verdict cache
 
     /** Always-on placement counters (null = observability off). */
     obs::CounterRegistry *counters_ = nullptr;

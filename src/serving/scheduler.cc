@@ -37,8 +37,8 @@ PreemptionStats::merge(const PreemptionStats &other)
     restore_prefill_tokens += other.restore_prefill_tokens;
 }
 
-Scheduler::Scheduler(core::TimingConfig timing, SchedulerConfig cfg)
-    : cfg_(cfg), admission_(std::move(timing)),
+Scheduler::Scheduler(const core::TimingConfig &timing, SchedulerConfig cfg)
+    : cfg_(cfg), pricer_(core::TimingEngine().makePricer(timing)),
       queue_(cfg.queue_policy)
 {
     if (cfg_.max_batch <= 0)
@@ -90,17 +90,35 @@ Scheduler::admit(const std::vector<Request> &active,
     return d;
 }
 
+namespace {
+
+bool
+degenerate(const Request &r)
+{
+    return r.prompt_len <= 0 || r.gen_len <= 0;
+}
+
+} // namespace
+
 AdmissionDecision
 Scheduler::admitUncounted(const std::vector<Request> &active,
                           const Request &candidate) const
 {
-    if (cfg_.mode == SchedulerMode::Reserve)
-        return admission_.admit(active, candidate);
+    if (cfg_.mode == SchedulerMode::Reserve) {
+        // Every request is priced at its final-length reservation.
+        if (degenerate(candidate))
+            return {false, "degenerate request shape"};
+        lens_.clear();
+        for (const Request &q : active)
+            lens_.push_back(q.finalLen());
+        return pricer_->admit(lens_, candidate.prompt_len,
+                              candidate.finalLen());
+    }
     // Optimistic: a request whose *final* context could never fit even
     // on an idle replica must still hard-reject — admitted on its
     // (smaller) current footprint it would grow until no victim set
     // can save it, then cycle through preempt/restore forever.
-    if (!admission_.feasibleAlone(candidate))
+    if (!feasibleAlone(candidate))
         return {false,
                 "final-length reservation infeasible even alone"};
     // And its worst-case restore (a full final-context prefill) must
@@ -109,19 +127,41 @@ Scheduler::admitUncounted(const std::vector<Request> &active,
     // eventually dropped as Rejected with its completed work lost.
     // Only prefill-scratch-heavy systems (eager attention's O(S^2)
     // term) distinguish this from the final-length gate above.
-    if (!admission_.restoreFeasibleAlone(candidate))
+    if (!restoreFeasibleAlone(candidate))
         return {false,
                 "worst-case restore (final-context prefill) "
                 "infeasible even alone"};
-    return admission_.admitCurrent(active, candidate);
+    // The batch at its live contexts; the candidate's live footprint
+    // after (re)prefill is its current context — prompt plus whatever
+    // it had generated before a preemption — which is also the
+    // prefill shape.
+    lens_.clear();
+    for (const Request &q : active)
+        lens_.push_back(q.kvLen());
+    return pricer_->admit(lens_, candidate.kvLen(), candidate.kvLen());
 }
 
 bool
-Scheduler::nextDecodeTokenFits(const std::vector<Request> &active) const
+Scheduler::feasibleAlone(const Request &candidate) const
 {
-    if (cfg_.mode == SchedulerMode::Reserve)
-        return true; // final-length reservations already cover growth
-    return admission_.decodeStepFits(active).admit;
+    if (degenerate(candidate))
+        return false;
+    lens_.clear();
+    return pricer_->admit(lens_, candidate.prompt_len, candidate.finalLen())
+        .admit;
+}
+
+bool
+Scheduler::restoreFeasibleAlone(const Request &candidate) const
+{
+    if (degenerate(candidate))
+        return false;
+    // The deepest possible restore prefills the whole final context in
+    // one pass (all gen_len tokens generated, then preempted); prompt
+    // monotonicity makes this the worst prefill-scratch shape.
+    lens_.clear();
+    return pricer_->admit(lens_, candidate.finalLen(), candidate.finalLen())
+        .admit;
 }
 
 int64_t
@@ -130,7 +170,11 @@ Scheduler::decodeFitRounds(const std::vector<Request> &active,
 {
     if (cfg_.mode == SchedulerMode::Reserve)
         return max_rounds; // reservations already cover all growth
-    return admission_.decodeFitRounds(active, max_rounds);
+    // Round 0 prices the next token; the pricer grows the lengths.
+    lens_.clear();
+    for (const Request &q : active)
+        lens_.push_back(q.kvLen() + 1);
+    return pricer_->fitRounds(lens_, max_rounds);
 }
 
 namespace {

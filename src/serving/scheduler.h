@@ -1,28 +1,40 @@
 /**
  * @file
  * Unified iteration-level scheduler of the continuous-batching engine:
- * one policy object behind which the three previously separate
- * admission mechanisms — the AdmissionController's memory test, the
- * RequestQueue's candidate ordering, and the admit loop that lived
- * inside ReplicaEngine — now sit, with two scheduling modes:
+ * one policy object that owns a replica's admission test, its waiting
+ * queue's candidate ordering and its preemption policy, with two
+ * scheduling modes:
  *
  *  - Reserve (the default): pessimistic final-length booking. A
  *    request joins only when its KV reservation at *final* length fits
  *    next to every in-flight reservation — vLLM's classic discipline,
- *    deadlock-free by construction and bit-for-bit identical to the
+ *    deadlock-free by construction (admitting on current lengths
+ *    would deadlock: every in-flight request grows each iteration and
+ *    none can be evicted) and bit-for-bit identical to the
  *    pre-Scheduler engine (BENCH_serving/cluster/prefix.json are
  *    pinned against it).
  *
  *  - Optimistic: admit on the *current* KV footprint (the candidate's
  *    prompt plus any generated tokens it must recompute, in-flight
  *    requests at their live contexts). Contexts grow every decode
- *    iteration, so a step can oversubscribe the sim::MemoryModel
- *    headroom; when nextDecodeTokenFits() says the next token does not
- *    fit, the engine preempts victims chosen by selectVictim() —
- *    releasing their KV and PrefixTree pins and re-enqueueing them for
- *    recompute — until the survivors fit. A preempted request's prompt
- *    usually restores through the prefix cache; only its generated
- *    history is re-prefilled (counted as recompute tokens).
+ *    iteration, so a step can oversubscribe the memory model; when
+ *    decodeFitRounds() says not even the next token fits, the engine
+ *    preempts victims chosen by selectVictim() — releasing their KV
+ *    and PrefixTree pins and re-enqueueing them for recompute — until
+ *    the survivors fit. A preempted request's prompt usually restores
+ *    through the prefix cache; only its generated history is
+ *    re-prefilled (counted as recompute tokens).
+ *
+ * Every memory question goes to the lane's one core::SystemPricer
+ * (core::TimingEngine::makePricer), so each system brings its own
+ * discipline: SpeContext admits through sim::MemoryModel's Eq. 7
+ * headroom (some offload level 0..L must fit, Algorithm 1/2's
+ * invariant) plus the CPU-DRAM ceiling on offloaded KV; full-attention
+ * systems admit iff 1.3x weights + total KV fit in HBM (plus eager's
+ * prefill scratch), with the optional CPU spill of
+ * SystemOptions::allow_full_attention_offload; permanent-eviction
+ * systems (H2O, StreamingLLM) reserve min(length, budget) tokens per
+ * request. The scheduler only turns requests into length vectors.
  *
  * Victim selection is policy-driven (last-admitted, shortest-progress,
  * fewest-prefix-hit-tokens) and deterministic: equal-pressure ties
@@ -36,15 +48,19 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/timing_engine.h"
 #include "obs/obs.h"
-#include "serving/admission.h"
 #include "serving/request.h"
 #include "serving/request_queue.h"
 
 namespace specontext {
 namespace serving {
+
+/** Outcome of one admission test. */
+using AdmissionDecision = core::AdmissionDecision;
 
 /** Admission discipline of the scheduler. */
 enum class SchedulerMode {
@@ -106,23 +122,30 @@ struct PreemptionStats
 
 /**
  * One replica's admission + preemption policy object. Owns the waiting
- * queue and the memory-model admission test; the ReplicaEngine asks it
- * what to admit, whether the next decode token fits, and whom to evict
- * when it does not. Pure policy — the engine keeps the clock, the
- * in-flight batch and the prefix cache.
+ * queue and the lane's one pricer; the ReplicaEngine asks it what to
+ * admit, how many decode rounds still fit, and whom to evict when not
+ * even the next one does. Pure policy — the engine keeps the clock,
+ * the in-flight batch and the prefix cache.
  */
 class Scheduler
 {
   public:
     /**
-     * @throws std::invalid_argument when timing.system is null or
-     * cannot be continuously batched, or cfg.max_batch is
-     * non-positive.
+     * @throws std::invalid_argument when cfg.max_batch is non-positive,
+     * or as core::TimingEngine::makePricer does: timing.system is null
+     * or cannot be continuously batched, or timing.llm / timing.hw is
+     * invalid.
      */
-    Scheduler(core::TimingConfig timing, SchedulerConfig cfg);
+    Scheduler(const core::TimingConfig &timing, SchedulerConfig cfg);
 
     const SchedulerConfig &config() const { return cfg_; }
-    const AdmissionController &admission() const { return admission_; }
+
+    /** The lane's one pricer, bound to the scheduler's TimingConfig:
+     *  every admission probe here, and the engine's fast-path prefills
+     *  and decode windows. Admission probes never touch its window
+     *  state, so the two uses do not interfere. */
+    core::SystemPricer &pricer() const { return *pricer_; }
+
     bool optimistic() const
     {
         return cfg_.mode == SchedulerMode::Optimistic;
@@ -178,34 +201,38 @@ class Scheduler
     AdmissionDecision admit(const std::vector<Request> &active,
                             const Request &candidate) const;
 
-    /** Mode-independent hard-reject test (final length, idle server) —
-     *  the same gate Router policies filter candidates with. */
-    bool feasibleAlone(const Request &candidate) const
-    {
-        return admission_.feasibleAlone(candidate);
-    }
+    /** Mode-independent hard-reject test: does the candidate's final
+     *  length fit on an otherwise idle replica? A false here means the
+     *  request can never be served — the same gate Router policies
+     *  filter candidates with. */
+    bool feasibleAlone(const Request &candidate) const;
+
+    /** Would the candidate's *worst-case restore* fit alone — a
+     *  prefill of its full final context (prompt + every generated
+     *  token recomputed at once)? Distinct from feasibleAlone() only
+     *  for systems whose prefill cost grows with the prefilled span
+     *  (eager attention's O(S^2) scratch); Optimistic admission gates
+     *  on it so a preempted request can always be restored rather than
+     *  silently dropped mid-generation. */
+    bool restoreFeasibleAlone(const Request &candidate) const;
 
     // ---- Preemption --------------------------------------------------
 
-    /** True when every in-flight request can grow one more decode
-     *  token. Always true in Reserve mode (reservations guarantee
-     *  it); Optimistic delegates to the system's current-footprint
-     *  query (AdmissionController::decodeStepFits, which asks the
-     *  bound core::SystemPricer::fitsCurrent). */
-    bool nextDecodeTokenFits(const std::vector<Request> &active) const;
-
     /**
      * Rounds of decode-fit headroom from the current state, capped at
-     * `max_rounds`: the count of consecutive future rounds whose
-     * nextDecodeTokenFits() check is guaranteed to pass while no
-     * request joins the batch (requests may leave it). Reserve mode
-     * returns max_rounds (reservations cover all growth); Optimistic
-     * delegates to AdmissionController::decodeFitRounds() (one length
-     * pass plus core::SystemPricer::fitRounds()), whose contract
-     * (round indexing, monotonicity requirement, first-failure
-     * semantics) this facade inherits. A live answer also proves
-     * every nextDecodeTokenFits() check inside it, so the engine skips
-     * those checks while a proof lasts.
+     * `max_rounds`: the count of consecutive future decode rounds that
+     * fit while no request joins the batch (requests may leave it).
+     * Round j prices every context at kvLen() + 1 + j, so 0 means not
+     * even the next token fits — the Optimistic preemption trigger —
+     * and an answer n < max_rounds predicts round n as the first
+     * failure. Reserve mode returns max_rounds (reservations cover all
+     * growth); Optimistic is one length pass plus
+     * core::SystemPricer::fitRounds(), which needs the fit test to
+     * only tighten as the batch size, Σ s and max s grow. Every
+     * registry system satisfies this, and for the same reason a proof
+     * holds for every sub-batch too: requests that retire never void
+     * the rounds proven for the rest. Returns max_rounds for an empty
+     * batch.
      */
     int64_t decodeFitRounds(const std::vector<Request> &active,
                             int64_t max_rounds) const;
@@ -226,7 +253,12 @@ class Scheduler
                    const Request &candidate) const;
 
     SchedulerConfig cfg_;
-    AdmissionController admission_;
+    /** See pricer(). Probes are logically const, so the const admission
+     *  queries call it; not thread-safe, like the pricer. */
+    std::unique_ptr<core::SystemPricer> pricer_;
+    /** Reused length buffer of every probe (the serving loop asks
+     *  millions of times; none allocates in steady state). */
+    mutable std::vector<int64_t> lens_;
     RequestQueue queue_;
     int64_t queued_final_tokens_ = 0;
     int64_t queued_live_tokens_ = 0;

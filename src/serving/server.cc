@@ -32,8 +32,7 @@ singleReplicaCluster(const ServerConfig &cfg)
 } // namespace
 
 Server::Server(const core::TimingEngine &engine, ServerConfig cfg)
-    : cfg_(std::move(cfg)), admission_(cfg_.timing),
-      cluster_(engine, singleReplicaCluster(cfg_))
+    : cfg_(std::move(cfg)), cluster_(engine, singleReplicaCluster(cfg_))
 {
 }
 
@@ -49,26 +48,28 @@ serveWaves(const core::TimingEngine &engine, const ServerConfig &cfg,
 {
     if (cfg.max_batch <= 0)
         throw std::invalid_argument("serveWaves: non-positive max_batch");
-    const AdmissionController admission(cfg.timing);
     const std::unique_ptr<core::SystemPricer> pricer =
         engine.makePricer(cfg.timing);
     sortByArrival(trace);
     ServeResult out;
     double now = 0.0;
+    // Every member's length, reused by each admission probe and decode
+    // round.
+    std::vector<int64_t> lens;
 
     // Static batching pads every member to the wave's longest prompt
     // and generation, so admission must price the padded shape.
     auto paddedFits = [&](const std::vector<Request> &wave,
                           const Request &cand) {
-        Request pad;
-        pad.prompt_len = cand.prompt_len;
-        pad.gen_len = cand.gen_len;
+        int64_t prompt = cand.prompt_len, gen = cand.gen_len;
         for (const Request &r : wave) {
-            pad.prompt_len = std::max(pad.prompt_len, r.prompt_len);
-            pad.gen_len = std::max(pad.gen_len, r.gen_len);
+            prompt = std::max(prompt, r.prompt_len);
+            gen = std::max(gen, r.gen_len);
         }
-        const std::vector<Request> in_flight(wave.size(), pad);
-        return admission.admit(in_flight, pad).admit;
+        if (prompt <= 0 || gen <= 0)
+            return false; // degenerate request shape
+        lens.assign(wave.size(), prompt + gen);
+        return pricer->admit(lens, prompt, prompt + gen).admit;
     };
 
     size_t i = 0;
@@ -118,8 +119,8 @@ serveWaves(const core::TimingEngine &engine, const ServerConfig &cfg,
         }
 
         for (int64_t t = 0; t < max_gen; ++t) {
-            std::vector<int64_t> kv_lens(wave.size(), max_prompt + t);
-            now += pricer->decodeSeconds(kv_lens);
+            lens.assign(wave.size(), max_prompt + t);
+            now += pricer->decodeSeconds(lens);
             ++out.iterations;
             for (Request &r : wave) {
                 if (r.first_token_seconds < 0.0)

@@ -10,9 +10,9 @@
  * Table 3 setup. Production traffic is open-loop and mixed-length, so
  * this server instead advances all in-flight requests ONE decode
  * iteration at a time, priced by a core::SystemPricer,
- * admitting newly arrived requests (admission.h decides whether their
- * KV reservation fits) and retiring finished ones at every iteration
- * boundary — no barriers, Orca/vLLM-style.
+ * admitting newly arrived requests (the serving::Scheduler asks that
+ * pricer whether their KV reservation fits) and retiring finished ones
+ * at every iteration boundary — no barriers, Orca/vLLM-style.
  *
  * serveWaves() runs the same trace through barrier scheduling with
  * identical cost accounting, so the two disciplines are directly
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/timing_engine.h"
-#include "serving/admission.h"
 #include "serving/cluster.h"
 #include "serving/fast_path.h"
 #include "serving/metrics.h"
@@ -63,7 +62,6 @@ class Server
     Server(const core::TimingEngine &engine, ServerConfig cfg);
 
     const ServerConfig &config() const { return cfg_; }
-    const AdmissionController &admission() const { return admission_; }
 
     /**
      * Serve an open-loop arrival trace to completion. Requests are
@@ -73,14 +71,13 @@ class Server
      *
      * This is the single replica's result of a 1-replica Cluster run
      * over the same trace (tests/test_cluster.cc pins the parity),
-     * and throws as Cluster::run does on a prompt_tokens size that
-     * disagrees with prompt_len.
+     * and throws as Cluster::run does on a bad arrival time or a
+     * prompt_tokens size that disagrees with prompt_len.
      */
     ServeResult run(std::vector<Request> trace) const;
 
   private:
     ServerConfig cfg_;
-    AdmissionController admission_;
     Cluster cluster_;
 };
 

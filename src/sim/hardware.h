@@ -59,21 +59,6 @@ struct HardwareSpec
      * the launch/sync latencies are finite and non-negative.
      */
     void validate() const;
-
-    /** Exact fieldwise equality (pricing memoization keys). */
-    bool operator==(const HardwareSpec &o) const
-    {
-        return name == o.name &&
-               gpu_tflops_fp16 == o.gpu_tflops_fp16 &&
-               hbm_bw_gbps == o.hbm_bw_gbps &&
-               pcie_bw_gbps == o.pcie_bw_gbps &&
-               cpu_dram_bw_gbps == o.cpu_dram_bw_gbps &&
-               gpu_mem_bytes == o.gpu_mem_bytes &&
-               cpu_mem_bytes == o.cpu_mem_bytes &&
-               kernel_launch_us == o.kernel_launch_us &&
-               sync_us == o.sync_us;
-    }
-    bool operator!=(const HardwareSpec &o) const { return !(*this == o); }
 };
 
 /**

@@ -106,8 +106,8 @@ TEST(Router, RoundRobinSkipsReplicasThatCanNeverServeTheRequest)
     // ~2M-token context: KV exceeds the edge box's 24 GB DRAM but fits
     // the cloud host's 1 TB, so only replica 1 is feasible.
     const Request huge = makeRequest(0, 0.0, 2'000'000, 512);
-    ASSERT_FALSE(fleet[0]->admission().feasibleAlone(huge));
-    ASSERT_TRUE(fleet[1]->admission().feasibleAlone(huge));
+    ASSERT_FALSE(fleet[0]->scheduler().feasibleAlone(huge));
+    ASSERT_TRUE(fleet[1]->scheduler().feasibleAlone(huge));
     EXPECT_EQ(router.route(huge, fleet), 1u);
     EXPECT_EQ(router.route(huge, fleet), 1u);
 }
@@ -537,6 +537,78 @@ TEST(PrefixCache, MismatchedPromptTokensAreRejectedBeforeTheRun)
     }
 }
 
+/** Run four requests on two SpeContext replicas (and on a Server),
+ *  the third with id 4242 arriving at `arrival`: both entry points must
+ *  throw, naming the id, before any replica is built. */
+void
+expectArrivalRejectedBeforeTheRun(double arrival)
+{
+    core::TimingEngine e;
+    std::vector<Request> trace;
+    for (int64_t id = 0; id < 4; ++id)
+        trace.push_back(makeRequest(id, 0.5 * double(id), 2048, 64));
+    trace[2].id = 4242;
+    trace[2].arrival_seconds = arrival;
+
+    obs::CounterRegistry counters;
+    ClusterConfig cc;
+    cc.replicas = {cloudReplica(), cloudReplica()};
+    cc.obs.counters = &counters;
+    try {
+        Cluster(e, cc).run(trace);
+        ADD_FAILURE() << "Cluster::run accepted arrival " << arrival;
+    } catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find("4242"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_TRUE(counters.snapshot().empty());
+
+    ServerConfig sc;
+    sc.timing = cloudReplica().timing;
+    try {
+        Server(e, sc).run(trace);
+        ADD_FAILURE() << "Server::run accepted arrival " << arrival;
+    } catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find("4242"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(Cluster, NonFiniteArrivalIsRejectedAtDelivery)
+{
+    // Delivered straight to an engine, a NaN arrival would never come
+    // due, and the replica would step forever without going idle.
+    core::TimingEngine e;
+    ReplicaEngine rep(e, cloudReplica());
+    for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()})
+        EXPECT_THROW(rep.deliver(makeRequest(0, t, 2048, 8)),
+                     std::invalid_argument);
+    EXPECT_TRUE(rep.idle());
+}
+
+TEST(Cluster, NanArrivalIsRejectedBeforeTheRun)
+{
+    // A NaN would break the arrival sort, and requests would vanish.
+    expectArrivalRejectedBeforeTheRun(
+        std::numeric_limits<double>::quiet_NaN());
+}
+
+TEST(Cluster, InfiniteArrivalIsRejectedBeforeTheRun)
+{
+    // An arrival that never comes due would vanish.
+    expectArrivalRejectedBeforeTheRun(
+        std::numeric_limits<double>::infinity());
+}
+
+TEST(Cluster, NegativeArrivalIsRejectedBeforeTheRun)
+{
+    // Unchecked, it would throw mid-run, blaming the delivery order.
+    expectArrivalRejectedBeforeTheRun(-5.0);
+}
+
 TEST(PrefixCache, DuplicateRequestIdsKeepIndependentPins)
 {
     // Pins are keyed per admission, not per request id: two in-flight
@@ -701,8 +773,8 @@ TEST(Router, AllInfeasibleFleetFallsBackDeterministically)
     // ~2M-token context: KV exceeds the edge box's DRAM on both.
     Request huge = makeRequest(0, 0.0, 2'000'000, 512);
     huge.prompt_tokens = PromptTokens(std::vector<int32_t>(2'000'000, 5));
-    ASSERT_FALSE(fleet[0]->admission().feasibleAlone(huge));
-    ASSERT_FALSE(fleet[1]->admission().feasibleAlone(huge));
+    ASSERT_FALSE(fleet[0]->scheduler().feasibleAlone(huge));
+    ASSERT_FALSE(fleet[1]->scheduler().feasibleAlone(huge));
 
     for (auto policy : {RouterPolicy::LeastKvLoad,
                         RouterPolicy::PrefixAffinity}) {

@@ -169,8 +169,8 @@ TEST(Scheduler, OptimisticAdmitsOnCurrentWhereReserveDenies)
     cand.gen_len = 32768;
     EXPECT_FALSE(reserve.admit(active, cand).admit);
     EXPECT_TRUE(optimistic.admit(active, cand).admit);
-    // And the decode-pressure query agrees the live batch still fits.
-    EXPECT_TRUE(optimistic.nextDecodeTokenFits(active));
+    // And the decode-fit query agrees the live batch's next token fits.
+    EXPECT_EQ(optimistic.decodeFitRounds(active, 1), 1);
 }
 
 TEST(Scheduler, OptimisticStillHardRejectsFinalLengthInfeasible)
@@ -211,13 +211,13 @@ TEST(Scheduler, OptimisticGatesOnWorstCaseRestoreFeasibility)
     EXPECT_TRUE(reserve.feasibleAlone(r));
     EXPECT_TRUE(reserve.admit({}, r).admit);
     EXPECT_TRUE(optimistic.feasibleAlone(r));
-    EXPECT_FALSE(optimistic.admission().restoreFeasibleAlone(r));
+    EXPECT_FALSE(optimistic.restoreFeasibleAlone(r));
     EXPECT_FALSE(optimistic.admit({}, r).admit);
     // FlashAttn has no quadratic scratch: both gates agree there.
     Scheduler flash(cloudTiming(), {SchedulerMode::Optimistic,
                                     VictimPolicy::LastAdmitted,
                                     serving::QueuePolicy::Fifo, 64});
-    EXPECT_TRUE(flash.admission().restoreFeasibleAlone(r));
+    EXPECT_TRUE(flash.restoreFeasibleAlone(r));
     EXPECT_TRUE(flash.admit({}, r).admit);
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Tests of the continuous-batching serving subsystem: request queue
  * policies, latency metrics, Poisson trace generation, memory-model
- * admission control, the Server loop's lifecycle invariants, and the
+ * admission control (serving::Scheduler's Reserve test), the Server
+ * loop's lifecycle invariants, and the
  * continuous-vs-wave throughput ordering.
  */
 #include <gtest/gtest.h>
@@ -22,11 +23,11 @@ using core::SystemOptions;
 using core::SystemRegistry;
 using core::TimingConfig;
 using core::TimingEngine;
-using serving::AdmissionController;
 using serving::QueuePolicy;
 using serving::Request;
 using serving::RequestQueue;
 using serving::RequestState;
+using serving::Scheduler;
 using serving::ServerConfig;
 using serving::ServingMetrics;
 
@@ -784,21 +785,24 @@ TEST(Trace, AgenticLoopValidationRejectsDegenerateKnobs)
 
 TEST(Admission, RejectsWaveOnlySystems)
 {
-    EXPECT_THROW(AdmissionController(cloudConfig("Quest")),
+    EXPECT_THROW(Scheduler(cloudConfig("Quest"), {}),
                  std::invalid_argument);
-    EXPECT_THROW(AdmissionController(cloudConfig("ShadowKV")),
+    EXPECT_THROW(Scheduler(cloudConfig("ShadowKV"), {}),
                  std::invalid_argument);
 }
 
 TEST(Admission, SpeContextAdmitImpliesMemoryModelHeadroom)
 {
-    const AdmissionController ac(cloudConfig("SpeContext"));
-    const sim::MemoryModel mm = ac.memoryModel();
+    // A default (Reserve) scheduler books every request at its final
+    // length.
+    const TimingConfig cfg = cloudConfig("SpeContext");
+    const Scheduler sched(cfg, {});
+    const sim::MemoryModel mm(cfg.system->memoryInputs(cfg, 1));
     std::vector<Request> in_flight;
     const Request cand = makeRequest(0, 0.0, 32768, 2048);
     // Grow the batch until admission denies; every admitted state must
     // satisfy the Eq. 7 offload-feasibility invariant.
-    while (ac.admit(in_flight, cand).admit) {
+    while (sched.admit(in_flight, cand).admit) {
         in_flight.push_back(cand);
         const auto r = static_cast<int64_t>(in_flight.size());
         EXPECT_TRUE(mm.fitsWithOffload(r, cand.finalLen()));
@@ -806,34 +810,33 @@ TEST(Admission, SpeContextAdmitImpliesMemoryModelHeadroom)
     }
     // The denial is the memory model's edge, not an arbitrary cap.
     const auto r = static_cast<int64_t>(in_flight.size()) + 1;
-    const int64_t kvb =
-        core::kvBytesPerTokenPerLayer(ac.config().llm);
+    const int64_t kvb = core::kvBytesPerTokenPerLayer(cfg.llm);
     const bool gpu_fits = mm.fitsWithOffload(r, cand.finalLen());
-    const bool cpu_fits = r * cand.finalLen() * kvb *
-                              ac.config().llm.layers <=
-                          ac.config().hw.cpu_mem_bytes;
+    const bool cpu_fits = r * cand.finalLen() * kvb * cfg.llm.layers <=
+                          cfg.hw.cpu_mem_bytes;
     EXPECT_FALSE(gpu_fits && cpu_fits);
 }
 
 TEST(Admission, FullAttentionDeniesWhenKvExceedsHbm)
 {
-    const AdmissionController ac(cloudConfig("FullAttn(FlashInfer)"));
+    const TimingConfig cfg = cloudConfig("FullAttn(FlashInfer)");
+    const Scheduler sched(cfg, {});
     const Request cand = makeRequest(0, 0.0, 16384, 2048);
     std::vector<Request> in_flight;
-    while (ac.admit(in_flight, cand).admit) {
+    while (sched.admit(in_flight, cand).admit) {
         in_flight.push_back(cand);
         ASSERT_LT(in_flight.size(), 4096u);
     }
     // Check the denial against the exact byte arithmetic.
-    const model::ModelConfig &m = ac.config().llm;
+    const model::ModelConfig &m = cfg.llm;
     const int64_t kvb = core::kvBytesPerTokenPerLayer(m);
     const int64_t weights =
         static_cast<int64_t>(1.3 * m.parameterBytesFp16());
     const auto r = static_cast<int64_t>(in_flight.size());
     EXPECT_LE(weights + r * cand.finalLen() * kvb * m.layers,
-              ac.config().hw.gpu_mem_bytes);
+              cfg.hw.gpu_mem_bytes);
     EXPECT_GT(weights + (r + 1) * cand.finalLen() * kvb * m.layers,
-              ac.config().hw.gpu_mem_bytes);
+              cfg.hw.gpu_mem_bytes);
 }
 
 TEST(Admission, MemoryModelHeadroomQueriesAreConsistent)
@@ -989,9 +992,7 @@ TEST(Server, InfeasibleRequestIsRejectedOthersComplete)
     ASSERT_EQ(r.rejected.size(), 1u);
     EXPECT_EQ(r.rejected[0].id, 1);
     EXPECT_EQ(r.rejected[0].state, RequestState::Rejected);
-    EXPECT_FALSE(serving::Server(e, cfg)
-                     .admission()
-                     .feasibleAlone(r.rejected[0]));
+    EXPECT_FALSE(Scheduler(cfg.timing, {}).feasibleAlone(r.rejected[0]));
 }
 
 TEST(Server, ContinuousBatchingBeatsWavesOnMixedPoissonTrace)

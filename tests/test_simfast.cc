@@ -20,8 +20,7 @@
  *  - MemoryModel::allResidentMaxTokens() as the exact integer
  *    inversion of the all-layers-resident fit test, under both of
  *    SpeContext's placement rules;
- *  - AdmissionController::sameAdmissionShape(), the router's
- *    one-verdict-per-homogeneous-fleet memo;
+ *  - the router asking every lane for its own feasibility verdict;
  *  - sim::EventClock::fireLane() round accounting and elastic lane
  *    add/retire under skip-ahead;
  *  - ServingMetrics summary-cache invalidation on merge-into-nonempty
@@ -47,7 +46,6 @@
 #include "core/timing_engine.h"
 #include "obs/analysis.h"
 #include "obs/obs.h"
-#include "serving/admission.h"
 #include "serving/cluster.h"
 #include "serving/metrics.h"
 #include "serving/replica_engine.h"
@@ -59,7 +57,6 @@
 namespace specontext {
 namespace {
 
-using serving::AdmissionController;
 using serving::Cluster;
 using serving::ClusterConfig;
 using serving::ClusterResult;
@@ -300,6 +297,18 @@ expectSameSimulation(const ClusterResult &a, const ClusterResult &b)
     EXPECT_EQ(sa.tpot_mean, sb.tpot_mean);
     EXPECT_EQ(sa.queue_delay_mean, sb.queue_delay_mean);
     EXPECT_EQ(sa.throughput_tokens_per_s, sb.throughput_tokens_per_s);
+}
+
+/** Can a batch at these current KV lengths execute one decode round?
+ *  The fit test SystemPricer::fitRounds() scans, by its definition:
+ *  admit(kv minus its last entry, 1, kv.back()); an empty batch fits. */
+core::AdmissionDecision
+fitsCurrent(core::SystemPricer &pricer, const std::vector<int64_t> &kv)
+{
+    if (kv.empty())
+        return {true, ""};
+    const std::vector<int64_t> rest(kv.begin(), kv.end() - 1);
+    return pricer.admit(rest, 1, kv.back());
 }
 
 ClusterResult
@@ -548,35 +557,38 @@ TEST(SimFast, OptimisticPrefixChurnRunsMultiRoundWindows)
         << decode_iters << " decode rounds in " << steps << " steps";
 }
 
-TEST(SimFast, OptimisticPrefixChurnChecksPressureOnlyToRefreshItsProof)
+TEST(SimFast, OptimisticPrefixChurnQueriesFitOnlyToRefreshItsProof)
 {
-    // Host-independent gate: a live decode-fit proof already proves
-    // the next round's KV-pressure check (it held for the batch it was
-    // proven for, and every sub-batch of a fitting batch fits), so on
-    // the Optimistic prefix-churn fleet, which never preempts, the
-    // fast path runs a pressure check only where it refreshes the
-    // proof: 132 checks for 152 refreshes. With the check back at
-    // every window head it runs 726. The reference loop holds no proof
-    // and checks every round. Both counts are plain result fields, so
-    // this holds in every build.
+    // Host-independent gate: the decode-fit query is the KV-pressure
+    // check, and a live proof already covers the next round (it held
+    // for the batch it was proven for, and every sub-batch of a
+    // fitting batch fits), so on the Optimistic prefix-churn fleet,
+    // which never preempts, the fast path queries only where a proof
+    // is spent: 152 queries in 812 steps. With a query at every window
+    // head it makes 942; the gate allows one per four steps. The
+    // reference loop holds no proof past its round, so it queries every
+    // round, plus once more after each preemption. Both counts are
+    // plain result fields, so this holds in every build.
     core::TimingEngine engine;
     const std::vector<Request> trace = prefixChurnTrace();
     const ClusterConfig cc = prefixChurnFleet(SchedulerMode::Optimistic);
     const ClusterResult fast = runFleet(engine, cc, trace, true, true);
     ASSERT_EQ(fast.fleet.preempt.preemptions, 0);
-    int64_t checks = 0, refreshes = 0;
+    int64_t queries = 0, steps = 0;
     for (const serving::ServeResult &r : fast.per_replica) {
-        checks += r.pressure_checks;
-        refreshes += r.fit_queries;
+        queries += r.fit_queries;
+        steps += r.steps;
     }
-    EXPECT_EQ(checks, fast.fleet.pressure_checks);
-    EXPECT_EQ(refreshes, fast.fleet.fit_queries);
-    ASSERT_GT(refreshes, 0);
-    EXPECT_LE(checks, refreshes);
+    EXPECT_EQ(queries, fast.fleet.fit_queries);
+    EXPECT_EQ(steps, fast.fleet.steps);
+    ASSERT_GT(queries, 0);
+    EXPECT_LE(4 * queries, steps)
+        << queries << " fit queries in " << steps << " steps";
 
     const ClusterResult reference = runFleet(engine, cc, trace, false, false);
-    EXPECT_EQ(reference.fleet.fit_queries, 0);
-    EXPECT_GT(reference.fleet.pressure_checks, checks);
+    EXPECT_EQ(reference.fleet.fit_queries,
+              reference.fleet.iterations +
+                  reference.fleet.preempt.preemptions);
     expectSameSimulation(reference, fast);
 }
 
@@ -602,6 +614,11 @@ TEST(SimFast, OptimisticEvictionFleetsMatchReference)
                 runFleet(engine, cc, trace, true, true);
             ASSERT_GT(reference.completed(), 0);
             preemptions += reference.fleet.preempt.preemptions;
+            // The reference loop asks every round, and again after
+            // each preemption.
+            EXPECT_EQ(reference.fleet.fit_queries,
+                      reference.fleet.iterations +
+                          reference.fleet.preempt.preemptions);
             expectSameSimulation(reference, fast);
         }
         // Contexts grew into preemptions, so the case cannot pass
@@ -627,11 +644,11 @@ TEST(SimFast, RetirementInsideALiveFitProofMatchesReference)
     cc.replicas = {evictionReplica("H2O")};
     auto pricer = engine.makePricer(cc.replicas[0].timing);
     int64_t lo = 1, hi = cc.replicas[0].timing.system->options().budget;
-    ASSERT_FALSE(pricer->fitsCurrent(std::vector<int64_t>(6, hi)).admit);
+    ASSERT_FALSE(fitsCurrent(*pricer, std::vector<int64_t>(6, hi)).admit);
     while (hi - lo > 1) {
         const int64_t mid = lo + (hi - lo) / 2;
-        (pricer->fitsCurrent(std::vector<int64_t>(6, mid)).admit ? lo
-                                                                  : hi) =
+        (fitsCurrent(*pricer, std::vector<int64_t>(6, mid)).admit ? lo
+                                                                   : hi) =
             mid;
     }
     const int64_t short_prompt = 16, short_gen = 64;
@@ -649,7 +666,7 @@ TEST(SimFast, RetirementInsideALiveFitProofMatchesReference)
     // once all seven are admitted covers the retirement.
     std::vector<int64_t> at_retire(7, long_prompt + short_gen);
     at_retire[0] = short_prompt + short_gen;
-    ASSERT_TRUE(pricer->fitsCurrent(at_retire).admit);
+    ASSERT_TRUE(fitsCurrent(*pricer, at_retire).admit);
 
     const ClusterResult reference =
         runFleet(engine, cc, trace, false, false);
@@ -1423,16 +1440,12 @@ pricerBatches()
     return batches;
 }
 
-/** SystemPricer::fitsCurrent() by its definition, on a fresh pricer:
- *  admit(kv minus its last entry, 1, kv.back()); an empty batch fits. */
+/** fitsCurrent() on a fresh pricer. */
 core::AdmissionDecision
 freshFitsCurrent(const core::TimingConfig &cfg,
                  const std::vector<int64_t> &kv)
 {
-    if (kv.empty())
-        return {true, ""};
-    const std::vector<int64_t> rest(kv.begin(), kv.end() - 1);
-    return core::TimingEngine().makePricer(cfg)->admit(rest, 1, kv.back());
+    return fitsCurrent(*core::TimingEngine().makePricer(cfg), kv);
 }
 
 TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
@@ -1487,11 +1500,12 @@ TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
                 if (offload && total > spillLimitTokens(cfg))
                     ++full_attn_spilling_batches;
                 const core::AdmissionDecision fit =
-                    pricer->fitsCurrent(batch);
+                    fitsCurrent(*pricer, batch);
                 const core::AdmissionDecision fit_ref =
                     freshFitsCurrent(cfg, batch);
                 EXPECT_EQ(fit.admit, fit_ref.admit);
                 EXPECT_STREQ(fit.reason, fit_ref.reason);
+                EXPECT_EQ(pricer->fitRounds(batch, 1), fit_ref.admit ? 1 : 0);
                 for (int64_t prompt : prompts)
                     for (int64_t gen : {int64_t{1}, int64_t{16384}}) {
                         const core::AdmissionDecision got =
@@ -1524,9 +1538,10 @@ TEST(SystemPricer, EveryQueryMatchesAFreshPricerBitForBit)
                 for (int64_t len : {lo, hi}) {
                     const std::vector<int64_t> kv(n, len);
                     const std::vector<int64_t> rest(n - 1, len);
-                    EXPECT_EQ(pricer->fitsCurrent(kv).admit, len == lo);
-                    EXPECT_STREQ(pricer->fitsCurrent(kv).reason,
+                    EXPECT_EQ(fitsCurrent(*pricer, kv).admit, len == lo);
+                    EXPECT_STREQ(fitsCurrent(*pricer, kv).reason,
                                  freshFitsCurrent(cfg, kv).reason);
+                    EXPECT_EQ(pricer->fitRounds(kv, 1), len == lo ? 1 : 0);
                     const core::AdmissionDecision got =
                         pricer->admit(rest, len, len);
                     const core::AdmissionDecision want =
@@ -1583,7 +1598,7 @@ TEST(SystemPricer, EverySubBatchOfAFittingBatchFits)
                          " GiB");
             auto pricer = engine.makePricer(cfg);
             const auto fits = [&](const std::vector<int64_t> &lens) {
-                return pricer->fitsCurrent(lens).admit;
+                return fitsCurrent(*pricer, lens).admit;
             };
             // (batch-size range, length centre) around each frontier.
             struct Centre
@@ -1679,7 +1694,7 @@ gallopFitRounds(core::SystemPricer &pricer, const std::vector<int64_t> &kv,
         probe.clear();
         for (int64_t s : kv)
             probe.push_back(s + j);
-        return pricer.fitsCurrent(probe).admit;
+        return fitsCurrent(pricer, probe).admit;
     };
     if (!pass(0))
         return 0;
@@ -1712,9 +1727,9 @@ TEST(SystemPricer, FitRoundsMatchesTheGallop)
     // fit, the full-attention spill limit (complete offloading), and
     // the per-request budget, where an eviction system's reservation
     // stops growing. Each batch is asked for 0, 1, its longest
-    // remaining generation and a large number of rounds. The
-    // controller's decodeFitRounds() (lengths kvLen() + 1) must agree
-    // as well.
+    // remaining generation and a large number of rounds. An
+    // Optimistic scheduler's decodeFitRounds() (lengths kvLen() + 1)
+    // must agree as well; a Reserve one answers every round.
     core::TimingEngine engine;
     std::mt19937_64 rng(20261020);
     const auto draw = [&](int64_t lo, int64_t hi) {
@@ -1739,9 +1754,13 @@ TEST(SystemPricer, FitRoundsMatchesTheGallop)
                          std::to_string(cfg.hw.gpu_mem_bytes >> 30) +
                          " GiB");
             auto pricer = engine.makePricer(cfg);
-            const serving::AdmissionController controller(cfg);
+            const serving::Scheduler optimistic(
+                cfg, {SchedulerMode::Optimistic,
+                      serving::VictimPolicy::LastAdmitted,
+                      serving::QueuePolicy::Fifo, 64});
+            const serving::Scheduler reserve(cfg, {});
             const auto fits = [&](const std::vector<int64_t> &lens) {
-                return pricer->fitsCurrent(lens).admit;
+                return fitsCurrent(*pricer, lens).admit;
             };
             struct Centre
             {
@@ -1803,9 +1822,11 @@ TEST(SystemPricer, FitRoundsMatchesTheGallop)
                         EXPECT_EQ(pricer->fitRounds(kv, max_rounds), want)
                             << kv.size() << " contexts around "
                             << c.len << ", max_rounds " << max_rounds;
-                        EXPECT_EQ(controller.decodeFitRounds(batch,
+                        EXPECT_EQ(optimistic.decodeFitRounds(batch,
                                                              max_rounds),
                                   want);
+                        EXPECT_EQ(reserve.decodeFitRounds(batch, max_rounds),
+                                  max_rounds);
                         if (max_rounds <= 0)
                             continue;
                         ++(want == 0 ? none
@@ -2001,39 +2022,67 @@ TEST(MemoryModelFast, AllResidentMaxTokensIsTheExactThreshold)
     }
 }
 
-// --------------------------------------------- admission-shape memo
+// ----------------------------------------- router feasibility verdicts
 
-TEST(AdmissionShape, EqualConfigsFromDistinctInstancesMatch)
+TEST(RouterFeasibility, LanesThatDifferInOneAdmissionInputGetTheirOwnVerdicts)
 {
-    // Fleets build one SystemModel instance per replica; the router's
-    // memo must still recognize them as the same admission shape.
-    core::TimingConfig a = timingFor("SpeContext", 2048);
-    core::TimingConfig b = timingFor("SpeContext", 2048);
-    ASSERT_NE(a.system.get(), b.system.get());
-    const AdmissionController ca(a), cb(b);
-    EXPECT_TRUE(ca.sameAdmissionShape(cb));
-    EXPECT_TRUE(cb.sameAdmissionShape(ca));
-    EXPECT_TRUE(ca.sameAdmissionShape(ca));
-}
-
-TEST(AdmissionShape, AnyDecisionRelevantDifferenceBreaksTheMatch)
-{
-    const core::TimingConfig base = timingFor("SpeContext", 2048);
-    const AdmissionController cbase(base);
-
-    const AdmissionController cbudget(timingFor("SpeContext", 4096));
-    EXPECT_FALSE(cbase.sameAdmissionShape(cbudget));
-
-    const AdmissionController csystem(timingFor("H2O", 2048));
-    EXPECT_FALSE(cbase.sameAdmissionShape(csystem));
-
-    core::TimingConfig hw = base;
-    hw.hw = sim::HardwareSpec::edge4060();
-    EXPECT_FALSE(cbase.sameAdmissionShape(AdmissionController(hw)));
-
-    core::TimingConfig llm = base;
-    llm.llm = model::reasoningLlama32_1bGeometry();
-    EXPECT_FALSE(cbase.sameAdmissionShape(AdmissionController(llm)));
+    // The router asks every routable lane whether it could serve the
+    // request even alone. Two lanes that differ in one input the
+    // admission test reads (the KV budget, the HBM size or the system)
+    // can disagree, and under every policy the request must land on
+    // the lane that can serve it, on either side of the fleet. A
+    // verdict shared between the lanes would send it to the other one,
+    // or (both judged infeasible) let the policy pick from the whole
+    // fleet.
+    core::TimingEngine engine;
+    struct Variant
+    {
+        const char *input;
+        core::TimingConfig a, b;
+    };
+    core::TimingConfig small_hbm = timingFor("FullAttn(FlashInfer)");
+    small_hbm.hw.gpu_mem_bytes = 40LL << 30;
+    const std::vector<Variant> variants = {
+        {"budget", timingFor("H2O", 2048), timingFor("H2O", 1 << 20)},
+        {"hbm", timingFor("FullAttn(FlashInfer)"), small_hbm},
+        {"system", timingFor("SpeContext"),
+         timingFor("FullAttn(FlashInfer)")},
+    };
+    for (const Variant &v : variants) {
+        SCOPED_TRACE(v.input);
+        const serving::Scheduler sa(v.a, {}), sb(v.b, {});
+        // The shortest power-of-two prompt exactly one lane can serve.
+        Request r;
+        r.gen_len = 512;
+        r.prompt_len = 1024;
+        while (r.prompt_len < (int64_t{1} << 24) &&
+               sa.feasibleAlone(r) == sb.feasibleAlone(r))
+            r.prompt_len *= 2;
+        const bool a_serves = sa.feasibleAlone(r);
+        ASSERT_NE(a_serves, sb.feasibleAlone(r));
+        for (bool a_first : {true, false}) {
+            ReplicaConfig first, second;
+            first.timing = a_first ? v.a : v.b;
+            second.timing = a_first ? v.b : v.a;
+            second.id = 1;
+            std::vector<std::unique_ptr<serving::ReplicaEngine>> fleet;
+            fleet.push_back(
+                std::make_unique<serving::ReplicaEngine>(engine, first));
+            fleet.push_back(
+                std::make_unique<serving::ReplicaEngine>(engine, second));
+            const size_t want = a_serves == a_first ? 0 : 1;
+            for (RouterPolicy policy :
+                 {RouterPolicy::RoundRobin, RouterPolicy::JoinShortestQueue,
+                  RouterPolicy::LeastKvLoad, RouterPolicy::TwoTier,
+                  RouterPolicy::PrefixAffinity}) {
+                serving::Router router({policy, 8192});
+                for (int k = 0; k < 3; ++k)
+                    EXPECT_EQ(router.route(r, fleet), want)
+                        << serving::routerPolicyName(policy)
+                        << (a_first ? ", a first" : ", b first");
+            }
+        }
+    }
 }
 
 // ------------------------------------------- ServingMetrics cache
