@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/event_clock.h"
-
 namespace specontext {
 namespace serving {
 
@@ -56,16 +54,18 @@ replicaWarmupSeconds(const ReplicaConfig &rc, double provision_seconds)
 namespace {
 
 /**
- * Validate every replica config and, with a controller plugged in,
- * the elastic knobs (see Cluster::Cluster); stamps replica ids and
- * names into `cfg`. Returns the template replica's warmup price —
- * fixed for the fleet's lifetime — or 0 on a fixed fleet.
+ * Validate the router config, every replica config and, with a
+ * controller plugged in, the elastic knobs (see Cluster::Cluster);
+ * stamps replica ids and names into `cfg`. Returns the template
+ * replica's warmup price — fixed for the fleet's lifetime — or 0 on a
+ * fixed fleet.
  */
 double
 validateFleet(const core::TimingEngine &engine, ClusterConfig &cfg)
 {
     if (cfg.replicas.empty())
         throw std::invalid_argument("Cluster: empty fleet");
+    cfg.router.validate();
     for (size_t i = 0; i < cfg.replicas.size(); ++i) {
         cfg.replicas[i].id = static_cast<int64_t>(i);
         // Validate every replica config now (throws on wave-only or
@@ -136,7 +136,7 @@ Cluster::run(std::vector<Request> trace) const
     }
     sortByArrival(trace);
     const bool elastic = cfg_.elastic.controller != nullptr;
-    const double inf = std::numeric_limits<double>::infinity();
+    constexpr double inf = std::numeric_limits<double>::infinity();
 
     std::vector<std::unique_ptr<ReplicaEngine>> fleet;
     fleet.reserve(cfg_.replicas.size());
@@ -160,14 +160,29 @@ Cluster::run(std::vector<Request> trace) const
     ClusterResult out;
     size_t next = 0;
 
-    // Per-slot lifecycle. Fixed fleets never leave Live, and retired
-    // slots keep their indices — routing, tie-breaks and counter names
-    // never shift under scaling.
-    enum class Slot { Live, Warming, Draining, Retired };
-    std::vector<Slot> slot(fleet.size(), Slot::Live);
-    std::vector<double> warm_ready(fleet.size(), 0.0);
-    std::vector<double> attach_t(fleet.size(), 0.0);
-    std::vector<double> retire_t(fleet.size(), inf);
+    // Per-slot state, one record per slot ever attached. Fixed fleets
+    // never leave Live, and retired slots keep their indices —
+    // routing, tie-breaks and counter names never shift under scaling.
+    enum class State { Live, Warming, Draining, Retired };
+    struct Slot
+    {
+        State state = State::Live;
+        // Booking cache: a lane's next-event instant and admission cap
+        // change only when the lane itself steps, receives a delivery
+        // or changes lifecycle state, so the fast path re-books dirty
+        // lanes instead of calling into all N engines every event.
+        // The reference loop re-books every lane every event; cached
+        // or re-derived, the booked values are identical, so event
+        // order never changes.
+        bool dirty = true;
+        double t = inf;   ///< booked next-event instant
+        double cap = inf; ///< nextPossibleAdmissionSeconds() when booked
+        double warm_ready = 0.0; ///< instant a Warming slot goes Live
+        double attach_t = 0.0;   ///< billing starts (0: initial fleet)
+        double retire_t = inf;   ///< billing ends (inf: never retired)
+        obs::CounterRegistry::Handle fires = 0; ///< clock.lane<i>.fires
+    };
+    std::vector<Slot> slot(fleet.size());
     // Non-retired slots, ascending: the event loop's lane scans walk
     // this instead of every slot ever attached (an elastic run that
     // attached 60 replicas keeps only a handful alive at a time).
@@ -176,21 +191,10 @@ Cluster::run(std::vector<Request> trace) const
     // every slot.
     std::vector<uint32_t> lanes(fleet.size());
     std::iota(lanes.begin(), lanes.end(), uint32_t{0});
-
-    // Booking cache for the fast path: a lane's next-event time and
-    // admission cap change only when the lane itself steps, receives
-    // a delivery, or changes lifecycle state, so with skip-ahead on
-    // the loop re-prices dirty lanes instead of calling into all N
-    // engines every event. With skip-ahead off every lane is
-    // re-priced every event — the pre-fast-path loop, kept verbatim
-    // as the benchmark baseline. Cached or re-derived, the booked
-    // values are identical, so event order never changes.
-    std::vector<double> lane_cap(fleet.size(), inf);
-    std::vector<char> lane_dirty(fleet.size(), 1);
-    auto countState = [&](Slot s) {
+    auto countState = [&](State st) {
         size_t n = 0;
-        for (Slot v : slot)
-            n += v == s ? 1 : 0;
+        for (const Slot &s : slot)
+            n += s.state == st ? 1 : 0;
         return n;
     };
 
@@ -205,11 +209,11 @@ Cluster::run(std::vector<Request> trace) const
         if (!counters)
             return;
         counters->set(g_live,
-                      static_cast<int64_t>(countState(Slot::Live)));
+                      static_cast<int64_t>(countState(State::Live)));
         counters->set(g_warming,
-                      static_cast<int64_t>(countState(Slot::Warming)));
+                      static_cast<int64_t>(countState(State::Warming)));
         counters->set(g_draining,
-                      static_cast<int64_t>(countState(Slot::Draining)));
+                      static_cast<int64_t>(countState(State::Draining)));
     };
     if (counters) {
         g_live = counters->gauge("cluster.live_replicas");
@@ -220,11 +224,27 @@ Cluster::run(std::vector<Request> trace) const
         publishFleetGauges();
     }
 
-    sim::EventClock clock(fleet.size());
-    clock.attachObservability(cfg_.obs);
+    // Event-loop activity counters: clock.rounds (lane picks the loop
+    // resolved; an era steps several lanes in one round and fires none
+    // of them, so this is not a count of lane steps),
+    // clock.lane_updates (lane bookings) and clock.lane<i>.fires (how
+    // often each lane won a round — fleet balance at a glance).
+    obs::CounterRegistry *loop_counters = cfg_.obs.counters;
+    obs::CounterRegistry::Handle c_rounds = 0, c_lane_updates = 0;
+    auto registerLaneFires = [&](size_t i) {
+        if (loop_counters)
+            slot[i].fires = loop_counters->counter(
+                "clock.lane" + std::to_string(i) + ".fires");
+    };
+    if (loop_counters) {
+        c_rounds = loop_counters->counter("clock.rounds");
+        c_lane_updates = loop_counters->counter("clock.lane_updates");
+    }
+    for (size_t i = 0; i < slot.size(); ++i)
+        registerLaneFires(i);
 
     auto scaleEvent = [&](double t, ScaleAction a, size_t i) {
-        const size_t live_after = countState(Slot::Live);
+        const size_t live_after = countState(State::Live);
         out.scale_events.push_back(
             {t, a, static_cast<int64_t>(i), live_after});
         OBS_EVENT(cfg_.obs.trace, obs::EventType::FleetScale, t,
@@ -244,7 +264,7 @@ Cluster::run(std::vector<Request> trace) const
         if (routable_stale) {
             routable.clear();
             for (size_t i = 0; i < slot.size(); ++i) {
-                if (slot[i] == Slot::Live)
+                if (slot[i].state == State::Live)
                     routable.push_back(i);
             }
             routable_stale = false;
@@ -271,7 +291,7 @@ Cluster::run(std::vector<Request> trace) const
             // The slot is never read again, so the request moves on
             // without even a refcount bump on its prompt_tokens.
             fleet[target]->deliver(std::move(trace[next]));
-            lane_dirty[target] = 1;
+            slot[target].dirty = true;
             ++next;
         }
     };
@@ -284,14 +304,12 @@ Cluster::run(std::vector<Request> trace) const
         fleet.push_back(std::make_unique<ReplicaEngine>(engine_, rc));
         fleet.back()->setDecodeCostCache(
             cfg_.fast_path.cache_decode_costs);
-        clock.addLane();
-        slot.push_back(Slot::Warming);
+        slot.emplace_back();
+        slot.back().state = State::Warming;
+        slot.back().warm_ready = t + warmup_seconds_;
+        slot.back().attach_t = t;
+        registerLaneFires(slot.size() - 1);
         routable_stale = true;
-        warm_ready.push_back(t + warmup_seconds_);
-        attach_t.push_back(t);
-        retire_t.push_back(inf);
-        lane_cap.push_back(inf);
-        lane_dirty.push_back(1);
         lanes.push_back(static_cast<uint32_t>(fleet.size() - 1));
         if (counters)
             counters->add(c_ups, 1);
@@ -299,11 +317,10 @@ Cluster::run(std::vector<Request> trace) const
     };
 
     auto retireSlot = [&](double t, size_t i, ScaleAction how) {
-        slot[i] = Slot::Retired;
+        slot[i].state = State::Retired;
         lanes.erase(std::lower_bound(lanes.begin(), lanes.end(), i));
         routable_stale = true;
-        clock.retireLane(i);
-        retire_t[i] = t;
+        slot[i].retire_t = t;
         scaleEvent(t, how, i);
     };
 
@@ -314,7 +331,7 @@ Cluster::run(std::vector<Request> trace) const
         // machine that never served is strictly cheaper than draining
         // one that does.
         for (size_t k = slot.size(); k-- > 0;) {
-            if (slot[k] == Slot::Warming) {
+            if (slot[k].state == State::Warming) {
                 retireSlot(t, k, ScaleAction::CancelWarming);
                 return;
             }
@@ -323,10 +340,10 @@ Cluster::run(std::vector<Request> trace) const
         // initial slots stay the long-lived core of the fleet, which
         // keeps prefix-affinity homes and tie-breaks maximally stable.
         for (size_t k = slot.size(); k-- > 0;) {
-            if (slot[k] == Slot::Live) {
-                slot[k] = Slot::Draining;
+            if (slot[k].state == State::Live) {
+                slot[k].state = State::Draining;
                 routable_stale = true;
-                lane_dirty[k] = 1;
+                slot[k].dirty = true;
                 scaleEvent(t, ScaleAction::Drain, k);
                 if (fleet[k]->outstanding() == 0)
                     retireSlot(t, k, ScaleAction::Retire);
@@ -338,13 +355,14 @@ Cluster::run(std::vector<Request> trace) const
     auto controlTick = [&](double t) {
         FleetState s;
         s.now_seconds = t;
-        s.live = countState(Slot::Live);
-        s.warming = countState(Slot::Warming);
-        s.draining = countState(Slot::Draining);
+        s.live = countState(State::Live);
+        s.warming = countState(State::Warming);
+        s.draining = countState(State::Draining);
         s.min_replicas = cfg_.elastic.min_replicas;
         s.max_replicas = cfg_.elastic.max_replicas;
         for (size_t i = 0; i < fleet.size(); ++i) {
-            if (slot[i] == Slot::Live || slot[i] == Slot::Draining) {
+            if (slot[i].state == State::Live ||
+                slot[i].state == State::Draining) {
                 s.queued += fleet[i]->waiting();
                 s.in_flight += fleet[i]->inFlight();
             }
@@ -373,8 +391,10 @@ Cluster::run(std::vector<Request> trace) const
     // the barrier stops at the next sampler crossing, so every row
     // reads what lane-at-a-time stepping would have left. Simulated
     // results are the same either way: pure-decode rounds are
-    // engine-local.
-    const bool skip_ahead = cfg_.fast_path.skip_ahead;
+    // engine-local. With skip-ahead off — the reference loop — the
+    // same loop re-books every lane every event and every step's
+    // horizon is -infinity: one round per step, no era.
+    const bool rebook_all = !cfg_.fast_path.skip_ahead;
 
     // One std::function conversion for the whole run: passing the
     // routing lambda to ReplicaEngine::step by const reference
@@ -392,59 +412,54 @@ Cluster::run(std::vector<Request> trace) const
     double t_ctrl =
         elastic ? cfg_.elastic.control_period_seconds : inf;
     while (true) {
-        // Fleet-internal skip-ahead caps: no lane may bulk-run past
-        // the earliest instant at which any OTHER lane could run an
+        // One booking scan per event. It re-books dirty lanes (every
+        // lane in the reference loop) and picks the earliest event:
+        // strict <, so equal instants go to the lowest slot index,
+        // and lane 0 when all idle. The same pass tracks the two
+        // smallest admission caps. No lane may bulk-run past the
+        // earliest instant at which any OTHER lane could run an
         // admission round, because admission prefills invoke routeUpTo
         // — which reads every replica's state — and the router must
         // see each peer exactly where one-round-per-step execution
-        // would have it. Tracking the two smallest caps lets the fired
-        // lane exclude its own (a lane that can admit reports now()
-        // and would otherwise never bulk at all).
+        // would have it. Tracking two lets the fired lane exclude its
+        // own (a lane that can admit reports now() and would otherwise
+        // never bulk at all).
         double cap_min1 = inf, cap_min2 = inf;
         size_t cap_min1_lane = fleet.size();
-        // The same pass folds the earliest-event pick (identical
-        // comparison order and tie-break as EventClock::earliestLane:
-        // strict <, lowest index wins, lane 0 when all idle), so a
-        // skip-ahead round prices every lane exactly once. The
-        // pre-fast-path loop keeps earliest()+fire() (two scans)
-        // verbatim as the benchmark baseline.
-        double ev_min = inf;
-        size_t ev_lane = 0;
+        double t_replica = inf;
+        size_t lane = 0;
+        int64_t bookings = 0;
         for (const uint32_t i : lanes) {
-            if (slot[i] == Slot::Warming) {
-                clock.set(i, warm_ready[i]);
-                if (skip_ahead && warm_ready[i] < ev_min) {
-                    ev_min = warm_ready[i];
-                    ev_lane = i;
+            Slot &s = slot[i];
+            if (s.state == State::Warming) {
+                s.t = s.warm_ready;
+                ++bookings;
+                if (s.t < t_replica) {
+                    t_replica = s.t;
+                    lane = i;
                 }
                 continue;
             }
-            if (skip_ahead) {
-                if (lane_dirty[i]) {
-                    clock.set(i, fleet[i]->nextEventSeconds());
-                    lane_cap[i] =
-                        fleet[i]->nextPossibleAdmissionSeconds();
-                    lane_dirty[i] = 0;
-                }
-            } else {
-                clock.set(i, fleet[i]->nextEventSeconds());
-                continue;
+            if (s.dirty || rebook_all) {
+                s.t = fleet[i]->nextEventSeconds();
+                s.cap = fleet[i]->nextPossibleAdmissionSeconds();
+                s.dirty = false;
+                ++bookings;
             }
-            const double t_i = clock.at(i);
-            if (t_i < ev_min) {
-                ev_min = t_i;
-                ev_lane = i;
+            if (s.t < t_replica) {
+                t_replica = s.t;
+                lane = i;
             }
-            const double cap = lane_cap[i];
-            if (cap < cap_min1) {
+            if (s.cap < cap_min1) {
                 cap_min2 = cap_min1;
-                cap_min1 = cap;
+                cap_min1 = s.cap;
                 cap_min1_lane = i;
-            } else if (cap < cap_min2) {
-                cap_min2 = cap;
+            } else if (s.cap < cap_min2) {
+                cap_min2 = s.cap;
             }
         }
-        const double t_replica = skip_ahead ? ev_min : clock.earliest();
+        if (loop_counters)
+            loop_counters->add(c_lane_updates, bookings);
         const double t_arrival = next < trace.size()
                                      ? trace[next].arrival_seconds
                                      : inf;
@@ -483,7 +498,7 @@ Cluster::run(std::vector<Request> trace) const
         // tick (the controller polls gauges), and the next sampler
         // cadence crossing (rows snapshot the registry).
         double horizon = -inf;
-        if (skip_ahead) {
+        if (!rebook_all) {
             horizon = std::min(t_arrival, t_control);
             if (sampler)
                 horizon =
@@ -513,17 +528,19 @@ Cluster::run(std::vector<Request> trace) const
         // lane's retirements be visible to a routing decision that
         // must not see them yet), so chunk boundaries differ from
         // lane-at-a-time stepping but every simulated quantity is
-        // bit-identical.
-        if (skip_ahead && std::isfinite(t_replica)) {
-            const double barrier = std::min(horizon, cap_min1);
+        // bit-identical. No lane is below a barrier the earliest event
+        // does not undercut, and none is below the reference loop's
+        // -infinity.
+        const double barrier = std::min(horizon, cap_min1);
+        if (t_replica < barrier) {
             bool era_ok = true;
             size_t bulk_lanes = 0;
             for (const uint32_t i : lanes) {
-                if (!(clock.at(i) < barrier))
+                if (!(slot[i].t < barrier))
                     continue;
-                if (slot[i] == Slot::Warming)
+                if (slot[i].state == State::Warming)
                     continue;
-                if (slot[i] != Slot::Live ||
+                if (slot[i].state != State::Live ||
                     !fleet[i]->pureDecodeReady()) {
                     era_ok = false;
                     break;
@@ -531,35 +548,32 @@ Cluster::run(std::vector<Request> trace) const
                 ++bulk_lanes;
             }
             if (era_ok && bulk_lanes >= 2) {
-                // Stepping a lane changes only its own engine (the
-                // clock is re-booked after the era), so this pass
+                // Stepping a lane changes only its own engine (its
+                // booking is re-derived after the era), so this pass
                 // visits exactly the lanes the scan above counted.
                 for (const uint32_t i : lanes) {
-                    if (slot[i] != Slot::Live ||
-                        !(clock.at(i) < barrier) ||
+                    if (slot[i].state != State::Live ||
+                        !(slot[i].t < barrier) ||
                         !fleet[i]->pureDecodeReady())
                         continue;
-                    lane_dirty[i] = 1;
+                    slot[i].dirty = true;
                     fleet[i]->step(nullptr, barrier);
                 }
                 continue; // re-book every lane at its new event
             }
         }
-        size_t lane;
-        if (skip_ahead) {
-            lane = ev_lane;
-            clock.fireLane(lane);
-        } else {
-            lane = clock.fire();
+        if (loop_counters) {
+            loop_counters->add(c_rounds, 1);
+            loop_counters->add(slot[lane].fires, 1);
         }
-        if (slot[lane] == Slot::Warming) {
+        if (slot[lane].state == State::Warming) {
             // Weight load finished: the replica joins the routable set
             // (its prefix cache starts cold; arrivals reach it from
             // the next routing decision on).
-            slot[lane] = Slot::Live;
+            slot[lane].state = State::Live;
             routable_stale = true;
-            lane_dirty[lane] = 1;
-            scaleEvent(warm_ready[lane], ScaleAction::WarmComplete,
+            slot[lane].dirty = true;
+            scaleEvent(slot[lane].warm_ready, ScaleAction::WarmComplete,
                        lane);
             continue;
         }
@@ -572,18 +586,15 @@ Cluster::run(std::vector<Request> trace) const
         // other lanes' scale events in exact simulated-time order, and
         // a bulk run would let one lane race past another's retirement
         // instant before the log catches up.
-        double lane_horizon = horizon;
-        if (skip_ahead)
-            lane_horizon = std::min(
-                lane_horizon,
-                lane == cap_min1_lane ? cap_min2 : cap_min1);
-        fleet[lane]->step(ingest_fn, slot[lane] == Slot::Draining
+        const double lane_horizon = std::min(
+            horizon, lane == cap_min1_lane ? cap_min2 : cap_min1);
+        fleet[lane]->step(ingest_fn, slot[lane].state == State::Draining
                                          ? -inf
                                          : lane_horizon);
-        lane_dirty[lane] = 1;
+        slot[lane].dirty = true;
         // Drain-before-retire: a draining replica's lane retires the
         // moment it owes nothing more.
-        if (slot[lane] == Slot::Draining &&
+        if (slot[lane].state == State::Draining &&
             fleet[lane]->outstanding() == 0)
             retireSlot(fleet[lane]->now(), lane, ScaleAction::Retire);
     }
@@ -612,10 +623,10 @@ Cluster::run(std::vector<Request> trace) const
     // while still attached — warmup included, a provisioning replica
     // is billed before it serves.
     for (size_t i = 0; i < slot.size(); ++i) {
-        const double end = std::isfinite(retire_t[i])
-                               ? retire_t[i]
+        const double end = std::isfinite(slot[i].retire_t)
+                               ? slot[i].retire_t
                                : out.fleet.makespan_seconds;
-        out.replica_seconds += std::max(0.0, end - attach_t[i]);
+        out.replica_seconds += std::max(0.0, end - slot[i].attach_t);
     }
     // Final flush: one last row at the fleet makespan — including a
     // partial row when the run ends between cadence instants — so the

@@ -5,7 +5,7 @@
  * cloud A800 and edge RTX 4060 replicas are first-class) — fed by a
  * pluggable Router, advanced by an event-driven clock.
  *
- * The global clock is not lock-stepped: a sim::EventClock books every
+ * The global clock is not lock-stepped: one event loop books every
  * replica's next-event instant plus the next unrouted arrival, and
  * each round advances only the earliest of them (ties toward the
  * lowest replica index, arrivals before replica steps at equal
@@ -24,8 +24,8 @@
  * Fleets can also be *elastic*: plug a FleetController into
  * ClusterConfig::elastic and the cluster evaluates it at a fixed
  * simulated-time cadence (a third event stream next to arrivals and
- * replica events). Scale-up attaches a fresh replica slot — new
- * sim::EventClock lane, cold kv::PrefixTree — that warms up for
+ * replica events). Scale-up attaches a fresh replica slot — a new
+ * event-loop lane, cold kv::PrefixTree — that warms up for
  * replicaWarmupSeconds() (weight bytes over PCIe, priced once per
  * fleet) before it joins the routable set; scale-down
  * cancels warming replicas first, then drains live ones
@@ -119,9 +119,9 @@ struct ClusterConfig
     RouterConfig router;
     /** Fleet-wide observability (trace / counters / sampler). When any
      *  hook is set it is propagated to every replica, the router and
-     *  the event clock at run(); all-null (the default) is bit-for-bit
-     *  the unobserved cluster. Pointers are caller-owned and must
-     *  outlive run(). */
+     *  the event loop's counters at run(); all-null (the default) is
+     *  bit-for-bit the unobserved cluster. Pointers are caller-owned
+     *  and must outlive run(). */
     obs::Observability obs;
     /** Elastic scaling; default (null controller) is the fixed fleet. */
     ElasticConfig elastic;
@@ -211,7 +211,8 @@ class Cluster
 {
   public:
     /**
-     * @throws std::invalid_argument when the fleet is empty, any
+     * @throws std::invalid_argument when the fleet is empty, the
+     * router config is invalid (RouterConfig::validate), any
      * replica config is invalid (null / wave-only system, non-positive
      * max_batch), or — with a controller plugged in — the elastic
      * knobs are degenerate (min < 1, max < min, initial fleet outside

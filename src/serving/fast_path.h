@@ -32,8 +32,11 @@
  *    preemption, since its retirements admit nothing. On a 4-vCPU
  *    host, eras off left the perfbench prefix-churn workload within
  *    noise (1.01x) and cost bench_simperf's 16-lane fast rows ~40%.
- *    Turning skip_ahead off restores the literal one-event-at-a-time
- *    loop.
+ *    Turning skip_ahead off runs the same loop and the same booking
+ *    scan as the reference: every lane is re-booked every event
+ *    instead of only the lanes that changed, and every step's horizon
+ *    is -infinity, so each step runs one round, no admission cap
+ *    applies and no era forms.
  *
  *  - cache_decode_costs (default on) gives every replica lane one
  *    core::SystemPricer for the whole run: the cost model's pure

@@ -529,9 +529,7 @@ ReplicaEngine::preemptVictim()
 bool
 ReplicaEngine::mustYield(double horizon) const
 {
-    return !(now_ < horizon) || active_.empty() || admissionPossible() ||
-           (pending_next_ < static_cast<int64_t>(pending_.size()) &&
-            pending_[pending_next_].arrival_seconds <= now_);
+    return !(now_ < horizon) || !pureDecodeReady();
 }
 
 size_t

@@ -23,7 +23,21 @@ routerPolicyName(RouterPolicy p)
     return "?";
 }
 
-Router::Router(RouterConfig cfg) : cfg_(cfg) {}
+void
+RouterConfig::validate() const
+{
+    if (std::string(routerPolicyName(policy)) == "?")
+        throw std::invalid_argument(
+            "RouterConfig: policy " +
+            std::to_string(static_cast<int>(policy)) +
+            " is not a RouterPolicy");
+    if (affinity_spill_slack < 0)
+        throw std::invalid_argument(
+            "RouterConfig: affinity_spill_slack must be >= 0, got " +
+            std::to_string(affinity_spill_slack));
+}
+
+Router::Router(RouterConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
 void
 Router::attachObservability(const obs::Observability &obs,

@@ -74,12 +74,20 @@ struct RouterConfig
      *  spills to least-kv-load (a hot family must not head-of-line
      *  block its home replica). */
     int64_t affinity_spill_slack = 2;
+
+    /** Throws std::invalid_argument naming the first field out of
+     *  range: policy must be a RouterPolicy enumerator and
+     *  affinity_spill_slack >= 0. Router's constructor calls it, so a
+     *  Cluster rejects a bad router config when it is built. */
+    void validate() const;
 };
 
 /** Stateful placement engine (round-robin keeps a cursor). */
 class Router
 {
   public:
+    /** @throws std::invalid_argument on an invalid config
+     *  (RouterConfig::validate). */
     explicit Router(RouterConfig cfg = {});
 
     const RouterConfig &config() const { return cfg_; }

@@ -21,7 +21,6 @@ CostModel::CostModel(HardwareSpec hw, KernelBackend backend)
     attn_mem_denom_ = hw_.hbm_bw_gbps * kGiga * eff_.attn_bw;
     hbm_denom_ = hw_.hbm_bw_gbps * kGiga;
     pcie_denom_ = hw_.pcie_bw_gbps * kGiga;
-    dram_denom_ = hw_.cpu_dram_bw_gbps * kGiga;
     launch_s_ = hw_.kernel_launch_us * 1e-6;
     sync_s_ = hw_.sync_us * 1e-6;
 }

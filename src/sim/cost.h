@@ -85,9 +85,6 @@ class CostModel
     /** Seconds to move bytes across PCIe (CPU DRAM <-> GPU HBM). */
     double pcieSeconds(int64_t bytes) const;
 
-    /** Seconds to read bytes from host DRAM (CPU-side gather). */
-    double dramReadSeconds(int64_t bytes) const;
-
     /**
      * Seconds of an importance-scoring pass: score_flops of dot
      * products plus a Top-K over n candidates, per retrieval call.
@@ -114,7 +111,6 @@ class CostModel
     double attn_mem_denom_ = 1.0;   ///< hbm GB/s * 1e9 * eff.attn_bw
     double hbm_denom_ = 1.0;        ///< hbm GB/s * 1e9
     double pcie_denom_ = 1.0;       ///< pcie GB/s * 1e9
-    double dram_denom_ = 1.0;       ///< cpu DRAM GB/s * 1e9
     double launch_s_ = 0.0;         ///< kernel_launch_us * 1e-6
     double sync_s_ = 0.0;           ///< sync_us * 1e-6
 };
@@ -164,14 +160,6 @@ CostModel::pcieSeconds(int64_t bytes) const
     if (bytes <= 0)
         return 0.0;
     return double(bytes) / pcie_denom_ + launch_s_;
-}
-
-inline double
-CostModel::dramReadSeconds(int64_t bytes) const
-{
-    if (bytes <= 0)
-        return 0.0;
-    return double(bytes) / dram_denom_;
 }
 
 inline double

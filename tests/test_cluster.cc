@@ -173,6 +173,59 @@ TEST(Router, EmptyFleetThrows)
                  std::invalid_argument);
 }
 
+/** The message `fn` throws as std::invalid_argument ("" if none). */
+template <typename Fn>
+std::string
+invalidArgumentMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Router, RejectsOutOfRangeKnobsNamingTheField)
+{
+    RouterConfig bad_policy;
+    bad_policy.policy = static_cast<RouterPolicy>(99);
+    EXPECT_NE(invalidArgumentMessage([&] { Router r(bad_policy); })
+                  .find("policy"),
+              std::string::npos);
+
+    RouterConfig bad_slack;
+    bad_slack.policy = RouterPolicy::PrefixAffinity;
+    bad_slack.affinity_spill_slack = -1;
+    EXPECT_NE(invalidArgumentMessage([&] { Router r(bad_slack); })
+                  .find("affinity_spill_slack"),
+              std::string::npos);
+
+    // The boundary value is a valid knob: spill on any excess load.
+    bad_slack.affinity_spill_slack = 0;
+    EXPECT_NO_THROW(Router r(bad_slack));
+}
+
+TEST(Cluster, RejectsAnInvalidRouterConfigAtConstruction)
+{
+    // Regression: an out-of-range policy used to build a Cluster, then
+    // throw std::logic_error at the first routed arrival (or never, on
+    // an empty trace), and a negative spill slack was accepted.
+    core::TimingEngine e;
+    ClusterConfig cc;
+    cc.replicas = {cloudReplica(), cloudReplica()};
+    cc.router.policy = static_cast<RouterPolicy>(-1);
+    EXPECT_NE(invalidArgumentMessage([&] { Cluster c(e, cc); })
+                  .find("policy"),
+              std::string::npos);
+
+    cc.router.policy = RouterPolicy::PrefixAffinity;
+    cc.router.affinity_spill_slack = -3;
+    EXPECT_NE(invalidArgumentMessage([&] { Cluster c(e, cc); })
+                  .find("affinity_spill_slack"),
+              std::string::npos);
+}
+
 // --------------------------------------------------- server parity
 
 /** Per-request timestamp equality of two serve results. */

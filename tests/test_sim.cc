@@ -1,16 +1,14 @@
 /**
  * @file
- * Tests of the hardware cost model, the two-stream timeline, and the
- * N-lane event clock behind the multi-replica cluster.
+ * Tests of the hardware cost model and the two-stream timeline.
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
+#include <stdexcept>
 
 #include "model/config.h"
 #include "sim/cost.h"
-#include "sim/event_clock.h"
 #include "sim/hardware.h"
 #include "sim/timeline.h"
 
@@ -183,95 +181,6 @@ TEST(Timeline, ResetClears)
     tl.reset();
     EXPECT_DOUBLE_EQ(tl.makespan(), 0.0);
     EXPECT_DOUBLE_EQ(tl.tagSeconds("c"), 0.0);
-}
-
-TEST(EventClock, StartsIdleAndTracksEarliestLane)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    sim::EventClock clock(3);
-    EXPECT_EQ(clock.lanes(), 3u);
-    EXPECT_EQ(clock.earliest(), inf);
-    EXPECT_EQ(clock.earliestLane(), 0u); // defined even when all idle
-
-    clock.set(1, 5.0);
-    clock.set(2, 3.0);
-    EXPECT_EQ(clock.earliestLane(), 2u);
-    EXPECT_DOUBLE_EQ(clock.earliest(), 3.0);
-    clock.set(2, inf); // lane 2 goes idle
-    EXPECT_EQ(clock.earliestLane(), 1u);
-    EXPECT_DOUBLE_EQ(clock.at(1), 5.0);
-}
-
-TEST(EventClock, TiesBreakTowardTheLowestLane)
-{
-    sim::EventClock clock(4);
-    clock.set(3, 2.0);
-    clock.set(1, 2.0);
-    clock.set(2, 2.0);
-    EXPECT_EQ(clock.earliestLane(), 1u);
-}
-
-TEST(EventClock, RejectsDegenerateInputs)
-{
-    EXPECT_THROW(sim::EventClock(0), std::invalid_argument);
-    sim::EventClock clock(1);
-    EXPECT_THROW(clock.set(0, std::nan("")), std::invalid_argument);
-    EXPECT_THROW(clock.set(5, 1.0), std::out_of_range);
-}
-
-TEST(EventClock, AddLaneAppendsWithoutReindexingExistingBookings)
-{
-    sim::EventClock clock(2);
-    clock.set(0, 4.0);
-    clock.set(1, 2.0);
-    const size_t added = clock.addLane();
-    EXPECT_EQ(added, 2u);
-    EXPECT_EQ(clock.lanes(), 3u);
-    EXPECT_EQ(clock.liveLanes(), 3u);
-    // The new lane starts idle; prior bookings are untouched.
-    EXPECT_EQ(clock.at(2), std::numeric_limits<double>::infinity());
-    EXPECT_DOUBLE_EQ(clock.at(0), 4.0);
-    EXPECT_EQ(clock.earliestLane(), 1u);
-    clock.set(2, 1.0);
-    EXPECT_EQ(clock.earliestLane(), 2u);
-}
-
-TEST(EventClock, RetiredLaneNeverWinsAndRejectsBookings)
-{
-    sim::EventClock clock(3);
-    clock.set(0, 5.0);
-    clock.set(1, 1.0);
-    clock.set(2, 3.0);
-    clock.retireLane(1);
-    EXPECT_TRUE(clock.laneRetired(1));
-    EXPECT_EQ(clock.liveLanes(), 2u);
-    // Retirement idles the lane immediately and permanently.
-    EXPECT_EQ(clock.at(1), std::numeric_limits<double>::infinity());
-    EXPECT_EQ(clock.earliestLane(), 2u);
-    EXPECT_THROW(clock.set(1, 0.5), std::logic_error);
-    clock.retireLane(1); // idempotent
-    EXPECT_TRUE(clock.laneRetired(1));
-}
-
-TEST(EventClock, TieBreaksAreStableAcrossMidRunRetirement)
-{
-    // The elastic cluster's determinism hinges on this: retiring a
-    // lane keeps every surviving lane's index, so an equal-instant tie
-    // resolves to the same lane before and after the retirement.
-    sim::EventClock clock(4);
-    clock.set(1, 2.0);
-    clock.set(2, 2.0);
-    clock.set(3, 2.0);
-    EXPECT_EQ(clock.earliestLane(), 1u);
-    clock.retireLane(0); // idle lane below the tie
-    EXPECT_EQ(clock.earliestLane(), 1u);
-    clock.retireLane(1); // the winner itself retires
-    EXPECT_EQ(clock.earliestLane(), 2u); // next-lowest index, not 3
-    // A lane added after a retirement still loses equal-instant ties
-    // to lower surviving indices.
-    const size_t added = clock.addLane();
-    clock.set(added, 2.0);
-    EXPECT_EQ(clock.earliestLane(), 2u);
 }
 
 } // namespace

@@ -21,8 +21,9 @@
  *    inversion of the all-layers-resident fit test, under both of
  *    SpeContext's placement rules;
  *  - the router asking every lane for its own feasibility verdict;
- *  - sim::EventClock::fireLane() round accounting and elastic lane
- *    add/retire under skip-ahead;
+ *  - the event loop's tie-break: lanes booked at the same instant
+ *    step lowest slot first, on a fixed fleet and across an elastic
+ *    mid-run retirement, under both loops;
  *  - ServingMetrics summary-cache invalidation on merge-into-nonempty
  *    (regression: a polled collector must never serve pre-merge
  *    percentiles);
@@ -41,6 +42,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/timing_engine.h"
@@ -50,7 +52,6 @@
 #include "serving/metrics.h"
 #include "serving/replica_engine.h"
 #include "serving/server.h"
-#include "sim/event_clock.h"
 #include "sim/memory_model.h"
 #include "workload/trace.h"
 
@@ -819,9 +820,9 @@ TEST(SimFast, ObservedRunMatchesUnobservedSimulation)
 
 // --------------------------------------------- elastic lanes mid-skip
 
-/** Scale to 3 replicas early, back down to 1 later — forces
- *  EventClock addLane() and retireLane() while skip-ahead windows are
- *  running on the surviving lanes. */
+/** Scale to 3 replicas early, back down to 1 later — attaches and
+ *  retires lanes while skip-ahead windows are running on the
+ *  surviving lanes. */
 class PulseController : public serving::FleetController
 {
   public:
@@ -1095,59 +1096,124 @@ TEST(SimFastObserved, SamplerRowsMatchReferenceUnderEraStepping)
     }
 }
 
-// ------------------------------------------------- EventClock fast ops
+// ------------------------------------------------ equal-instant ties
 
-TEST(EventClockFast, FireLaneMatchesFire)
+/** Replica ids of the PrefillStart events stamped at `t`, in ring
+ *  order: the order in which lanes booked at `t` stepped. */
+std::vector<int32_t>
+prefillOrderAt(const obs::Trace &ring, double t)
 {
-    // fireLane(earliestLane()) must be observationally identical to
-    // fire(): same winner, same subsequent bookings accepted.
-    sim::EventClock a(4), b(4);
-    obs::CounterRegistry ca, cb;
-    a.attachObservability({nullptr, &ca, nullptr});
-    b.attachObservability({nullptr, &cb, nullptr});
-
-    const double books[][4] = {
-        {5.0, 3.0, 9.0, 3.0},
-        {1.0, 2.0, 0.5, 7.0},
-        {4.0, 4.0, 4.0, 4.0},
-    };
-    for (const auto &round : books) {
-        for (size_t i = 0; i < 4; ++i) {
-            a.set(i, round[i]);
-            b.set(i, round[i]);
-        }
-        const size_t via_fire = a.fire();
-        const size_t picked = b.earliestLane();
-        b.fireLane(picked);
-        EXPECT_EQ(via_fire, picked);
-    }
-    // Round accounting went through the same counters either way.
-    EXPECT_EQ(ca.snapshot().size(), cb.snapshot().size());
-    const auto sa = ca.snapshot();
-    const auto sb = cb.snapshot();
-    for (size_t i = 0; i < sa.size(); ++i) {
-        EXPECT_EQ(sa[i].name, sb[i].name);
-        EXPECT_EQ(sa[i].value, sb[i].value);
-    }
+    std::vector<int32_t> order;
+    for (const obs::TraceEvent &e : ring.snapshot())
+        if (e.type == obs::EventType::PrefillStart && e.t_seconds == t)
+            order.push_back(e.replica);
+    return order;
 }
 
-TEST(EventClockFast, AddAndRetireLanesKeepFireLaneSound)
+/** Requests of 1024-token prompts and 32-token generations arriving
+ *  at the given instants; each finishes within a second on an idle
+ *  speReplica(). */
+std::vector<Request>
+requestsAt(const std::vector<double> &arrivals)
 {
-    sim::EventClock c(2);
-    c.set(0, 10.0);
-    c.set(1, 4.0);
-    const size_t added = c.addLane();
-    EXPECT_EQ(added, 2u);
-    c.set(added, 1.0);
-    EXPECT_EQ(c.earliestLane(), added);
-    c.fireLane(added);
-    c.retireLane(added);
-    EXPECT_TRUE(c.laneRetired(added));
-    EXPECT_THROW(c.set(added, 2.0), std::logic_error);
-    // Retired lane keeps its slot; the scan falls back to lane 1.
-    EXPECT_EQ(c.earliestLane(), 1u);
-    c.fireLane(1);
-    EXPECT_EQ(c.liveLanes(), 2u);
+    std::vector<Request> trace;
+    for (const double t : arrivals) {
+        Request r;
+        r.id = static_cast<int64_t>(trace.size());
+        r.arrival_seconds = t;
+        r.prompt_len = 1024;
+        r.gen_len = 32;
+        trace.push_back(r);
+    }
+    return trace;
+}
+
+TEST(EventLoopTies, EqualInstantLanesStepLowestSlotFirst)
+{
+    // The t=0 request moves the round-robin cursor to lane 1, so the
+    // t=30 pair routes to lanes 1 then 0: both idle lanes are booked
+    // at 30, and lane 0 must step first although it was routed last.
+    core::TimingEngine engine;
+    ClusterConfig cc;
+    cc.replicas = {speReplica(), speReplica()};
+    cc.router.policy = RouterPolicy::RoundRobin;
+    const auto trace = requestsAt({0.0, 30.0, 30.0});
+    const auto ref = runObserved(engine, cc, trace, false);
+    const auto fast = runObserved(engine, cc, trace, true);
+    expectSameSimulation(ref->result, fast->result);
+    ASSERT_EQ(ref->result.placements.size(), 3u);
+    EXPECT_EQ(ref->result.placements[1].replica, 1);
+    EXPECT_EQ(ref->result.placements[2].replica, 0);
+    if (ref->ring.emitted() == 0) // observability compiled out
+        return;
+    for (const ObservedRun *run : {ref.get(), fast.get()})
+        EXPECT_EQ(prefillOrderAt(run->ring, 30.0),
+                  (std::vector<int32_t>{0, 1}));
+}
+
+/** Grows the fleet to slots 0-2 at t=5, drains slot 2 at t=10 and
+ *  attaches slot 3 at t=15, so slot 3 joins after a retirement below
+ *  it; holds otherwise. */
+class RetireBelowController : public serving::FleetController
+{
+  public:
+    int control(const serving::FleetState &s) override
+    {
+        if (s.now_seconds == 5.0)
+            return 2;
+        if (s.now_seconds == 10.0)
+            return -1;
+        if (s.now_seconds == 15.0)
+            return 1;
+        return 0;
+    }
+};
+
+TEST(EventLoopTies, EqualInstantLanesStepLowestSlotFirstAcrossRetirement)
+{
+    // Retired slots keep their indices: with slot 2 retired between
+    // survivors 1 and 3, the three lanes booked at t=30 step 0, 1, 3,
+    // and slot 3 (attached after the retirement) loses the tie to
+    // every lower survivor. The t=20 request moves the round-robin
+    // cursor so the t=30 burst routes to lanes 1, 3, 0 instead.
+    core::TimingEngine engine;
+    ClusterConfig cc;
+    cc.replicas = {speReplica()};
+    cc.router.policy = RouterPolicy::RoundRobin;
+    cc.elastic.min_replicas = 1;
+    cc.elastic.max_replicas = 4;
+    cc.elastic.control_period_seconds = 5.0;
+    const auto trace = requestsAt({0.0, 20.0, 30.0, 30.0, 30.0});
+
+    RetireBelowController ref_ctl, fast_ctl;
+    ClusterConfig ref_cfg = cc;
+    ref_cfg.elastic.controller = &ref_ctl;
+    ClusterConfig fast_cfg = cc;
+    fast_cfg.elastic.controller = &fast_ctl;
+    const auto ref = runObserved(engine, ref_cfg, trace, false);
+    const auto fast = runObserved(engine, fast_cfg, trace, true);
+    expectSameSimulation(ref->result, fast->result);
+
+    using serving::ScaleAction;
+    std::vector<std::pair<ScaleAction, int64_t>> log;
+    for (const serving::ScaleEvent &ev : ref->result.scale_events)
+        log.emplace_back(ev.action, ev.replica);
+    const std::vector<std::pair<ScaleAction, int64_t>> want = {
+        {ScaleAction::Attach, 1},       {ScaleAction::Attach, 2},
+        {ScaleAction::WarmComplete, 1}, {ScaleAction::WarmComplete, 2},
+        {ScaleAction::Drain, 2},        {ScaleAction::Retire, 2},
+        {ScaleAction::Attach, 3},       {ScaleAction::WarmComplete, 3},
+    };
+    EXPECT_EQ(log, want);
+    ASSERT_EQ(ref->result.placements.size(), 5u);
+    EXPECT_EQ(ref->result.placements[2].replica, 1);
+    EXPECT_EQ(ref->result.placements[3].replica, 3);
+    EXPECT_EQ(ref->result.placements[4].replica, 0);
+    if (ref->ring.emitted() == 0) // observability compiled out
+        return;
+    for (const ObservedRun *run : {ref.get(), fast.get()})
+        EXPECT_EQ(prefillOrderAt(run->ring, 30.0),
+                  (std::vector<int32_t>{0, 1, 3}));
 }
 
 // ------------------------------------------------ SystemPricer windows
